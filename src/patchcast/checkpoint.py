@@ -15,11 +15,12 @@ format version and the complete weight-set shape map before any use.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, ModelWeights
+from .model import ConfigError, ModelConfig, ModelWeights
 
 FORMAT_VERSION = 1
 _PARAM_PREFIX = "param/"
@@ -51,19 +52,30 @@ def save_checkpoint(path, config: ModelConfig, weights: ModelWeights,
 def load_checkpoint(path) -> CheckpointBundle:
     try:
         archive = np.load(path)
-    except (OSError, ValueError) as err:
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"{path} is a single array, not an .npz checkpoint")
+        with archive:
+            if "meta" not in archive.files:
+                raise CheckpointError(f"{path} has no meta member; not a checkpoint")
+            meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
+            arrays = {name[len(_PARAM_PREFIX):]: archive[name]
+                      for name in archive.files if name.startswith(_PARAM_PREFIX)}
+    except CheckpointError:
+        raise
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
-    with archive:
-        if "meta" not in archive.files:
-            raise CheckpointError(f"{path} has no meta member; not a checkpoint")
-        meta = json.loads(bytes(archive["meta"].tobytes()).decode("utf-8"))
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format version {version} unsupported (expected {FORMAT_VERSION})")
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path} meta is not a JSON object; not a checkpoint")
+    version = meta.get("format_version")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint format version {version} unsupported (expected {FORMAT_VERSION})")
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointError(f"{path} meta has no config object; not a checkpoint")
+    try:
         config = ModelConfig.from_dict(meta["config"])
-        arrays = {name[len(_PARAM_PREFIX):]: archive[name]
-                  for name in archive.files if name.startswith(_PARAM_PREFIX)}
+    except (ConfigError, TypeError) as err:
+        raise CheckpointError(f"invalid model config in {path}: {err}") from err
     try:
         weights = ModelWeights.from_arrays(config, arrays)
     except ValueError as err:

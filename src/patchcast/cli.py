@@ -29,15 +29,15 @@ from .data import (
     synth_corpus,
 )
 from .evaluation import (
+    POOLED_COLUMNS,
     EvalConfigError,
     context_sweep,
-    format_context_sweep_table,
-    format_input_patch_table,
-    format_output_patch_table,
+    format_csv,
+    format_table,
     make_model_predictor,
     make_seasonal_naive,
     patch_size_comparison,
-    pooled_over_series,
+    pool_reports,
     repeat_last,
     rolling_eval,
 )
@@ -50,7 +50,11 @@ from .training import (
     train,
 )
 
-ABLATION_SUITES = ("context", "input-patch", "output-patch")
+SUITE_HEADERS = {
+    "context": ["context_len", *POOLED_COLUMNS],
+    "input-patch": ["input_patch_len", *POOLED_COLUMNS],
+    "output-patch": ["output_patch_len", "rounds", *POOLED_COLUMNS],
+}
 OUTPUT_DIR_ENV = "PATCHCAST_OUTPUT_DIR"
 
 
@@ -283,6 +287,8 @@ def cmd_evaluate(args) -> int:
         report = ingest_csv(args.data)
     except (OSError, IngestError) as exc:
         raise _fail(f"cannot ingest {args.data}: {exc}") from exc
+    for sid, reason in report.skipped:
+        print(f"skipped series {sid}: {reason}", file=sys.stderr)
     series = [s for s in report.corpus.series if len(s) >= 10]
     if not series:
         raise _fail("no usable series (need at least 10 points each)")
@@ -293,34 +299,20 @@ def cmd_evaluate(args) -> int:
     if args.season:
         predictors.append((f"seasonal_naive({args.season})",
                            make_seasonal_naive(args.season)))
-    rows = []
-    per_series = {}
     try:
-        for name, predictor in predictors:
-            pooled = pooled_over_series(predictor, series, args.context,
-                                        args.horizon, args.stride)
-            rows.append({"predictor": name, **pooled})
-            if name == "model":
-                per_series = {s.series_id: rolling_eval(predictor, s, args.context,
-                                                        args.horizon, args.stride)
-                              for s in series}
+        reports = {name: [rolling_eval(predictor, s, args.context, args.horizon, args.stride)
+                          for s in series]
+                   for name, predictor in predictors}
     except EvalConfigError as exc:
         raise _fail(str(exc)) from exc
-
-    from .evaluation import _render_table
-
-    headers = ["predictor", "n_windows", "excluded", "nrmse", "wape"]
-    cells = [[r["predictor"], str(r["n_windows"]), str(r["excluded"]),
-              f"{r['nrmse']:.6f}" if not math.isnan(r["nrmse"]) else "nan",
-              f"{r['wape']:.6f}" if not math.isnan(r["wape"]) else "nan"]
-             for r in rows]
-    print(_render_table(headers, cells), end="")
+    rows = [{"predictor": name, **pool_reports(reps)} for name, reps in reports.items()]
+    print(format_table(rows, ["predictor", *POOLED_COLUMNS]), end="")
 
     if args.out_dir:
         out_dir = _resolve_out_dir(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for sid, rep in per_series.items():
-            rep.write_csv(out_dir / f"windows_{sid}.csv")
+        for rep in reports["model"]:
+            rep.write_csv(out_dir / f"windows_{rep.series_id}.csv")
         _write_json(out_dir / "summary.json", {
             "context_len": args.context, "horizon": args.horizon,
             "stride": args.stride,
@@ -343,10 +335,8 @@ def cmd_ablate(args) -> int:
     _check_keys(raw, {"suite", "seed", "output_dir", "corpus", "model",
                       "train", "checkpoint", "eval"}, "ablate config")
     suite = raw.get("suite")
-    if suite not in ABLATION_SUITES:
-        print(f"error: unknown suite {suite!r}; available: {', '.join(ABLATION_SUITES)}",
-              file=sys.stderr)
-        return 2
+    if suite not in SUITE_HEADERS:
+        raise _fail(f"unknown suite {suite!r}; available: {', '.join(SUITE_HEADERS)}")
     if "output_dir" not in raw:
         raise _fail("ablate config needs an output_dir")
     corpus, holdout, _ = _build_corpus(raw.get("corpus", {}), cfg_path.parent)
@@ -377,10 +367,6 @@ def cmd_ablate(args) -> int:
             lengths = ev.get("context_lengths", [64, 128, 256, 512])
             rows = context_sweep(weights, model_cfg, eval_series, lengths,
                                  horizon, stride, normalization)
-            table = format_context_sweep_table(rows)
-            csv_header = "context_len,n_windows,excluded,nrmse,wape\n"
-            csv_rows = [f"{r['context_len']},{r['n_windows']},{r['excluded']},"
-                        f"{r['nrmse']!r},{r['wape']!r}\n" for r in rows]
         else:
             which = "input" if suite == "input-patch" else "output"
             model_cfg = _build_model_config(raw.get("model", {}))
@@ -391,26 +377,13 @@ def cmd_ablate(args) -> int:
             context_len = int(ev.get("context_len", 256))
             rows = patch_size_comparison(corpus, eval_series, model_cfg, train_cfg,
                                          which, sizes, context_len, horizon, stride)
-            if which == "input":
-                table = format_input_patch_table(rows)
-                key = "input_patch_len"
-                csv_header = "input_patch_len,n_windows,excluded,nrmse,wape\n"
-                csv_rows = [f"{r[key]},{r['n_windows']},{r['excluded']},"
-                            f"{r['nrmse']!r},{r['wape']!r}\n" for r in rows]
-            else:
-                table = format_output_patch_table(rows)
-                key = "output_patch_len"
-                csv_header = "output_patch_len,rounds,n_windows,excluded,nrmse,wape\n"
-                csv_rows = [f"{r[key]},{r['rounds']},{r['n_windows']},{r['excluded']},"
-                            f"{r['nrmse']!r},{r['wape']!r}\n" for r in rows]
     except (CheckpointError, TrainConfigError, EvalConfigError) as exc:
         raise _fail(str(exc)) from exc
 
+    table = format_table(rows, SUITE_HEADERS[suite])
     print(table, end="")
     (out_dir / f"{suite}_table.txt").write_text(table)
-    with open(out_dir / f"{suite}_rows.csv", "w") as fh:
-        fh.write(csv_header)
-        fh.writelines(csv_rows)
+    (out_dir / f"{suite}_rows.csv").write_text(format_csv(rows, SUITE_HEADERS[suite]))
     return 0
 
 

@@ -263,8 +263,8 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
     """Read an ``id,timestamp,value`` CSV into a corpus.
 
     Timestamps are ISO-8601 and must advance by exactly one granularity
-    stride; series with missing rows or NaN values are skipped and
-    reported, while unparseable rows and stride contradictions raise.
+    stride; series with missing rows, NaN or infinite values are skipped
+    and reported, while unparseable rows and stride contradictions raise.
     ``granularity``, when given, is enforced against the observed stride.
     ``log_transform`` stores log1p(value) for heavy-tailed sources.
     """
@@ -313,8 +313,8 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
         if positions != list(range(len(stamps))):
             skipped.append((sid, "missing timestamps (gaps)"))
             continue
-        if np.isnan(values).any():
-            skipped.append((sid, "NaN values"))
+        if not np.isfinite(values).all():
+            skipped.append((sid, "NaN values" if np.isnan(values).any() else "non-finite values"))
             continue
         if log_transform:
             if (values <= -1.0).any():

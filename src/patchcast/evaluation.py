@@ -33,6 +33,11 @@ class SeasonFallbackWarning(UserWarning):
     """Season longer than the available context; fell back to repeat-last."""
 
 
+# Report columns: one scored window, and the pooled score of a set of windows.
+WINDOW_COLUMNS = ("origin", "nrmse", "wape")
+POOLED_COLUMNS = ("n_windows", "excluded", "nrmse", "wape")
+
+
 # -- metrics ---------------------------------------------------------------------
 
 
@@ -168,9 +173,7 @@ class EvalReport:
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("origin,nrmse,wape\n")
-            for w in self.windows:
-                fh.write(f"{w.origin},{w.nrmse!r},{w.wape!r}\n")
+            fh.write(format_csv([vars(w) for w in self.windows], WINDOW_COLUMNS))
 
 
 def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
@@ -217,21 +220,22 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     return report
 
 
-def pooled_over_series(predictor, series_list, context_len: int, horizon: int,
-                       stride: int = 1) -> dict:
-    """Uniform mean over every scored window of every series."""
-    scores: list[WindowScore] = []
-    excluded = 0
-    for s in series_list:
-        rep = rolling_eval(predictor, s, context_len, horizon, stride)
-        scores.extend(rep.windows)
-        excluded += rep.excluded
+def pool_reports(reports) -> dict:
+    """Uniform mean over every scored window of a list of reports."""
+    scores = [w for rep in reports for w in rep.windows]
     return {
         "n_windows": len(scores),
-        "excluded": excluded,
+        "excluded": sum(rep.excluded for rep in reports),
         "nrmse": math.fsum(w.nrmse for w in scores) / len(scores) if scores else math.nan,
         "wape": math.fsum(w.wape for w in scores) / len(scores) if scores else math.nan,
     }
+
+
+def pooled_over_series(predictor, series_list, context_len: int, horizon: int,
+                       stride: int = 1) -> dict:
+    """Uniform mean over every scored window of every series."""
+    return pool_reports([rolling_eval(predictor, s, context_len, horizon, stride)
+                         for s in series_list])
 
 
 # -- ablation suites -------------------------------------------------------------------
@@ -271,33 +275,33 @@ def patch_size_comparison(corpus: Corpus, eval_series, base_model: ModelConfig,
     return rows
 
 
-def _render_table(headers, rows_of_cells) -> str:
-    widths = [max(len(h), *(len(c) for c in col)) if rows_of_cells else len(h)
-              for h, col in zip(headers, zip(*rows_of_cells))] if rows_of_cells \
-        else [len(h) for h in headers]
-    def fmt(cells):
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows_of_cells)
+def format_table(rows, headers) -> str:
+    """Fixed-width text table of `rows` (mappings keyed by `headers`): a
+    header line, a dash rule, then one line per row, columns two spaces
+    apart. Floats print with six decimals."""
+    cells = [[_table_cell(row[h]) for h in headers] for row in rows]
+    widths = [max([len(h)] + [len(r[i]) for r in cells]) for i, h in enumerate(headers)]
+
+    def line(parts):
+        return "  ".join(p.ljust(w) for p, w in zip(parts, widths)).rstrip()
+
+    lines = [line(headers), line(["-" * w for w in widths])] + [line(r) for r in cells]
     return "\n".join(lines) + "\n"
 
 
-def _cell(v) -> str:
+def format_csv(rows, headers) -> str:
+    """CSV text of `rows` (mappings keyed by `headers`) under one header
+    line. Floats are written as their repr, so they parse back exactly."""
+    lines = [",".join(headers)]
+    lines.extend(",".join(_csv_cell(row[h]) for h in headers) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _table_cell(v) -> str:
     if isinstance(v, float):
         return "nan" if math.isnan(v) else f"{v:.6f}"
     return str(v)
 
 
-def format_context_sweep_table(rows) -> str:
-    headers = ["context_len", "n_windows", "excluded", "nrmse", "wape"]
-    return _render_table(headers, [[_cell(r[h]) for h in headers] for r in rows])
-
-
-def format_input_patch_table(rows) -> str:
-    headers = ["input_patch_len", "n_windows", "excluded", "nrmse", "wape"]
-    return _render_table(headers, [[_cell(r[h]) for h in headers] for r in rows])
-
-
-def format_output_patch_table(rows) -> str:
-    headers = ["output_patch_len", "rounds", "n_windows", "excluded", "nrmse", "wape"]
-    return _render_table(headers, [[_cell(r[h]) for h in headers] for r in rows])
+def _csv_cell(v) -> str:
+    return repr(float(v)) if isinstance(v, float) else str(v)

@@ -201,6 +201,46 @@ def test_forecast_bad_checkpoint_path(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def corrupt_checkpoint(good, path, kind):
+    """Write a damaged copy of the checkpoint `good` to `path`."""
+    if kind == "truncated":
+        raw = good.read_bytes()
+        path.write_bytes(raw[:len(raw) // 2])
+        return path
+    with np.load(good) as archive:
+        meta = json.loads(archive["meta"].tobytes().decode())
+        arrays = {n: archive[n] for n in archive.files if n != "meta"}
+    if kind == "meta-not-json":
+        meta_bytes = b"{not json"
+    else:
+        if kind == "bad-config":
+            meta["config"]["num_heads"] = 3
+        else:  # "no-config"
+            del meta["config"]
+        meta_bytes = json.dumps(meta).encode()
+    np.savez(path, meta=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
+    return path
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+@pytest.mark.parametrize("kind", ["truncated", "meta-not-json", "bad-config", "no-config"])
+def test_corrupt_checkpoint_exits_2_with_named_error(trained, tmp_path, capsys, command, kind):
+    ckpt = corrupt_checkpoint(trained / "ckpt_final.npz", tmp_path / f"{kind}.npz", kind)
+    if command == "forecast":
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps({"id": "a", "values": list(np.arange(24.0))}) + "\n")
+        argv = ["forecast", "--checkpoint", str(ckpt), "--input", str(inp),
+                "--horizon", "8", "--output", str(tmp_path / "o.jsonl")]
+    else:
+        data = tmp_path / "eval.csv"
+        write_eval_csv(data)
+        argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                "--context", "32", "--horizon", "8"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err
+
+
 def test_forecast_unknown_granularity_flag(trained, tmp_path, capsys):
     assert main(["forecast", "--checkpoint", str(trained / "ckpt_final.npz"),
                  "--input", str(tmp_path / "in.jsonl"), "--horizon", "8",
@@ -238,6 +278,64 @@ def test_evaluate_prints_model_and_baselines(trained, tmp_path, capsys):
     assert set(summary["predictors"]) == set(names)
     assert (out_dir / "windows_s0.csv").exists()
     assert (out_dir / "windows_s1.csv").exists()
+
+
+def evaluate_with_out_dir(trained, tmp_path):
+    data = tmp_path / "eval.csv"
+    write_eval_csv(data)
+    out_dir = tmp_path / "evalout"
+    code = main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--data", str(data), "--context", "32", "--horizon", "8",
+                 "--stride", "3", "--out-dir", str(out_dir)])
+    assert code == 0
+    return out_dir
+
+
+def test_evaluate_forecasts_each_model_window_once(trained, tmp_path, monkeypatch, capsys):
+    import patchcast.evaluation as evaluation
+
+    calls = []
+    real = evaluation.forecast
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "forecast", counting)
+    out_dir = evaluate_with_out_dir(trained, tmp_path)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["predictors"]["model"]["n_windows"] > 0
+    assert len(calls) == summary["predictors"]["model"]["n_windows"]
+
+
+def test_evaluate_summary_pools_the_window_files(trained, tmp_path, capsys):
+    out_dir = evaluate_with_out_dir(trained, tmp_path)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    scores = []
+    for path in sorted(out_dir.glob("windows_*.csv")):
+        lines = path.read_text().splitlines()
+        assert lines[0] == "origin,nrmse,wape"
+        scores.extend(float(line.split(",")[1]) for line in lines[1:])
+    model = summary["predictors"]["model"]
+    assert model["n_windows"] == len(scores)
+    assert model["nrmse"] == math.fsum(scores) / len(scores)
+
+
+def test_evaluate_skips_and_reports_infinite_series(trained, tmp_path, capsys):
+    data = tmp_path / "eval.csv"
+    write_eval_csv(data, n_series=3)
+    lines = data.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("s1,"))
+    lines[row + 5] = lines[row + 5].rsplit(",", 1)[0] + ",inf"
+    data.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "evalout"
+    assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--data", str(data), "--context", "32", "--horizon", "8",
+                 "--stride", "4", "--out-dir", str(out_dir)]) == 0
+    err = capsys.readouterr().err
+    assert "s1" in err and "non-finite values" in err
+    assert sorted(p.name for p in out_dir.glob("windows_*.csv")) == \
+        ["windows_s0.csv", "windows_s2.csv"]
 
 
 def test_evaluate_too_long_horizon_fails_cleanly(trained, tmp_path, capsys):

@@ -234,6 +234,17 @@ def test_ingest_nan_skips(tmp_path):
     assert "NaN" in report.skipped[0][1]
 
 
+def test_ingest_infinite_values_skip(tmp_path):
+    p = tmp_path / "input.csv"
+    rows = ["up,2021-01-01T00:00:00,1.0", "up,2021-01-01T01:00:00,inf"]
+    rows += ["down,2021-01-01T00:00:00,-inf", "down,2021-01-01T01:00:00,1.0"]
+    rows += [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(3)]
+    write_csv(p, rows)
+    report = ingest_csv(p)
+    assert [s.series_id for s in report.corpus.series] == ["ok"]
+    assert report.skipped == [("up", "non-finite values"), ("down", "non-finite values")]
+
+
 def test_ingest_non_monotonic_raises(tmp_path):
     p = tmp_path / "input.csv"
     write_csv(p, ["s1,2021-01-01T05:00:00,1.0", "s1,2021-01-01T04:00:00,2.0"])

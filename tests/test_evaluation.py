@@ -21,9 +21,8 @@ from patchcast.evaluation import (
     SeasonFallbackWarning,
     WindowScore,
     context_sweep,
-    format_context_sweep_table,
-    format_input_patch_table,
-    format_output_patch_table,
+    format_csv,
+    format_table,
     make_model_predictor,
     make_seasonal_naive,
     mse,
@@ -339,24 +338,47 @@ def test_full_scale_round_counts_for_reference_horizon():
 
 
 def test_tables_are_deterministic_and_aligned():
+    headers = ["context_len", "n_windows", "excluded", "nrmse", "wape"]
     rows = [{"context_len": 64, "n_windows": 10, "excluded": 0,
              "nrmse": 0.5, "wape": 0.25},
             {"context_len": 512, "n_windows": 7, "excluded": 2,
              "nrmse": 0.123456789, "wape": float("nan")}]
-    text = format_context_sweep_table(rows)
-    assert text == format_context_sweep_table(rows)
+    text = format_table(rows, headers)
+    assert text == format_table(rows, headers)
     lines = text.splitlines()
-    assert lines[0].split() == ["context_len", "n_windows", "excluded", "nrmse", "wape"]
+    assert lines[0].split() == headers
     assert set(lines[1]) == {"-", " "}
     assert lines[2].split() == ["64", "10", "0", "0.500000", "0.250000"]
     assert lines[3].split() == ["512", "7", "2", "0.123457", "nan"]
+    assert lines[0].index("wape") == lines[2].index("0.250000") == lines[3].index("nan")
 
 
 def test_patch_table_headers():
-    out_text = format_output_patch_table([{"output_patch_len": 8, "rounds": 2,
-                                           "n_windows": 3, "excluded": 0,
-                                           "nrmse": 1.0, "wape": 0.5}])
+    from patchcast.cli import SUITE_HEADERS
+
+    out_text = format_table([{"output_patch_len": 8, "rounds": 2, "n_windows": 3,
+                              "excluded": 0, "nrmse": 1.0, "wape": 0.5}],
+                            SUITE_HEADERS["output-patch"])
     assert out_text.splitlines()[0].split()[:2] == ["output_patch_len", "rounds"]
-    in_text = format_input_patch_table([{"input_patch_len": 4, "n_windows": 3,
-                                         "excluded": 0, "nrmse": 1.0, "wape": 0.5}])
+    in_text = format_table([{"input_patch_len": 4, "n_windows": 3,
+                             "excluded": 0, "nrmse": 1.0, "wape": 0.5}],
+                           SUITE_HEADERS["input-patch"])
     assert in_text.splitlines()[0].split()[0] == "input_patch_len"
+
+
+def test_writers_with_no_rows_print_only_headers():
+    assert format_table([], ["a", "bb"]) == "a  bb\n-  --\n"
+    assert format_csv([], ["a", "bb"]) == "a,bb\n"
+
+
+def test_csv_floats_parse_back_exactly():
+    values = [0.1 + 0.2, 1e-300, 2.0 / 3.0, np.float64(1.0 / 7.0), -0.0]
+    rows = [{"k": i, "name": f"s{i}", "x": v} for i, v in enumerate(values)]
+    rows.append({"k": 99, "name": "gap", "x": float("nan")})
+    lines = format_csv(rows, ["k", "name", "x"]).splitlines()
+    assert lines[0] == "k,name,x"
+    cells = [line.split(",") for line in lines[1:]]
+    assert [c[:2] for c in cells] == [[str(r["k"]), r["name"]] for r in rows]
+    parsed = [float(c[2]) for c in cells[:-1]]
+    assert [p.hex() for p in parsed] == [float(v).hex() for v in values]
+    assert cells[-1][2] == "nan"
