@@ -62,28 +62,24 @@ class CLIError(Exception):
     """Config/usage problem surfaced to the user; exits with code 2."""
 
 
-def _fail(msg: str) -> "CLIError":
-    return CLIError(msg)
-
-
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
             loaded = json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read config {path}: {exc}") from exc
+        raise CLIError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"config {path} is not valid JSON: {exc}") from exc
+        raise CLIError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise _fail(f"config {path} must hold a JSON object")
+        raise CLIError(f"config {path} must hold a JSON object")
     return loaded
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
-        raise _fail(f"unknown {where} keys: {sorted(unknown)} "
-                    f"(allowed: {sorted(allowed)})")
+        raise CLIError(f"unknown {where} keys: {sorted(unknown)} "
+                       f"(allowed: {sorted(allowed)})")
 
 
 def _resolve_out_dir(raw: str) -> Path:
@@ -98,14 +94,14 @@ def _build_model_config(section: dict) -> ModelConfig:
     _check_keys(section, {"preset", "overrides"}, "model")
     preset = section.get("preset", "desk")
     if preset not in PRESETS:
-        raise _fail(f"unknown model preset {preset!r} (have: {sorted(PRESETS)})")
+        raise CLIError(f"unknown model preset {preset!r} (have: {sorted(PRESETS)})")
     overrides = section.get("overrides", {})
     if not isinstance(overrides, dict):
-        raise _fail("model overrides must be an object")
+        raise CLIError("model overrides must be an object")
     try:
         return ModelConfig.preset(preset, **overrides)
     except (ConfigError, TypeError) as exc:
-        raise _fail(f"bad model config: {exc}") from exc
+        raise CLIError(f"bad model config: {exc}") from exc
 
 
 def _build_corpus(section: dict, config_dir: Path):
@@ -116,7 +112,7 @@ def _build_corpus(section: dict, config_dir: Path):
         try:
             spec = GeneratorSpec.from_dict(section.get("spec", {}))
         except Exception as exc:
-            raise _fail(f"bad corpus spec: {exc}") from exc
+            raise CLIError(f"bad corpus spec: {exc}") from exc
         pair = synth_corpus(spec, seed=int(section.get("seed", 0)))
         manifest = {"kind": "synthetic", "seed": int(section.get("seed", 0)),
                     "pretrain": pair.pretrain.manifest(),
@@ -131,12 +127,12 @@ def _build_corpus(section: dict, config_dir: Path):
             report = ingest_csv(path, granularity=section.get("granularity"),
                                 log_transform=bool(section.get("log_transform", False)))
         except (OSError, IngestError) as exc:
-            raise _fail(f"cannot ingest {path}: {exc}") from exc
+            raise CLIError(f"cannot ingest {path}: {exc}") from exc
         manifest = {"kind": "csv", "path": str(path),
                     "series": report.corpus.manifest(),
                     "skipped": [{"id": sid, "reason": why} for sid, why in report.skipped]}
         return report.corpus, None, manifest
-    raise _fail(f'corpus kind must be "synthetic" or "csv", got {kind!r}')
+    raise CLIError(f'corpus kind must be "synthetic" or "csv", got {kind!r}')
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -164,12 +160,12 @@ def cmd_pretrain(args) -> int:
         print(json.dumps(_default_pretrain_config(), indent=2, sort_keys=True))
         return 0
     if not args.config:
-        raise _fail("pretrain needs --config (or --show-defaults)")
+        raise CLIError("pretrain needs --config (or --show-defaults)")
     cfg_path = Path(args.config)
     raw = _load_json(cfg_path)
     _check_keys(raw, {"seed", "output_dir", "corpus", "model", "train"}, "pretrain config")
     if "output_dir" not in raw:
-        raise _fail("pretrain config needs an output_dir")
+        raise CLIError("pretrain config needs an output_dir")
     corpus, _, manifest = _build_corpus(raw.get("corpus", {}), cfg_path.parent)
     model_cfg = _build_model_config(raw.get("model", {}))
     train_section = dict(raw.get("train", {}))
@@ -178,7 +174,7 @@ def cmd_pretrain(args) -> int:
     try:
         train_cfg = TrainConfig.from_dict(train_section)
     except (TrainConfigError, TypeError) as exc:
-        raise _fail(f"bad train config: {exc}") from exc
+        raise CLIError(f"bad train config: {exc}") from exc
 
     out_dir = _resolve_out_dir(raw["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -196,6 +192,8 @@ def cmd_pretrain(args) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (CheckpointError, TrainConfigError) as exc:
+        raise CLIError(str(exc)) from exc
     last = result.loss_curve[-1]
     print(f"trained {train_cfg.total_steps} steps; "
           f"final train loss {last[1]:.6f}; "
@@ -227,19 +225,19 @@ def _record_features(record: dict, cfg: ModelConfig, horizon: int,
 
 def cmd_forecast(args) -> int:
     if args.horizon < 1:
-        raise _fail(f"--horizon must be >= 1, got {args.horizon}")
+        raise CLIError(f"--horizon must be >= 1, got {args.horizon}")
     if args.granularity is not None and args.granularity not in GRANULARITIES:
-        raise _fail(f"unknown --granularity {args.granularity!r}")
+        raise CLIError(f"unknown --granularity {args.granularity!r}")
     try:
         bundle = load_checkpoint(args.checkpoint)
     except CheckpointError as exc:
-        raise _fail(str(exc)) from exc
+        raise CLIError(str(exc)) from exc
     normalization = bundle.extra.get("normalization", "per-window")
     failures = 0
     try:
         in_lines = Path(args.input).read_text().splitlines()
     except OSError as exc:
-        raise _fail(f"cannot read input {args.input}: {exc}") from exc
+        raise CLIError(f"cannot read input {args.input}: {exc}") from exc
     out_path = Path(args.output)
     with open(out_path, "w") as out:
         for line_no, line in enumerate(in_lines, start=1):
@@ -282,16 +280,18 @@ def cmd_evaluate(args) -> int:
     try:
         bundle = load_checkpoint(args.checkpoint)
     except CheckpointError as exc:
-        raise _fail(str(exc)) from exc
+        raise CLIError(str(exc)) from exc
     try:
         report = ingest_csv(args.data)
     except (OSError, IngestError) as exc:
-        raise _fail(f"cannot ingest {args.data}: {exc}") from exc
-    for sid, reason in report.skipped:
+        raise CLIError(f"cannot ingest {args.data}: {exc}") from exc
+    skipped = report.skipped + [(s.series_id, "fewer than 10 points")
+                                for s in report.corpus.series if len(s) < 10]
+    for sid, reason in skipped:
         print(f"skipped series {sid}: {reason}", file=sys.stderr)
     series = [s for s in report.corpus.series if len(s) >= 10]
     if not series:
-        raise _fail("no usable series (need at least 10 points each)")
+        raise CLIError("no usable series (need at least 10 points each)")
     normalization = bundle.extra.get("normalization", "per-window")
     predictors = [("model", make_model_predictor(bundle.weights, bundle.config,
                                                  normalization)),
@@ -304,7 +304,7 @@ def cmd_evaluate(args) -> int:
                           for s in series]
                    for name, predictor in predictors}
     except EvalConfigError as exc:
-        raise _fail(str(exc)) from exc
+        raise CLIError(str(exc)) from exc
     rows = [{"predictor": name, **pool_reports(reps)} for name, reps in reports.items()]
     print(format_table(rows, ["predictor", *POOLED_COLUMNS]), end="")
 
@@ -325,10 +325,6 @@ def cmd_evaluate(args) -> int:
 # -- ablate ------------------------------------------------------------------------
 
 
-def _eval_series_for(corpus, holdout):
-    return holdout.series if holdout is not None else corpus.series
-
-
 def cmd_ablate(args) -> int:
     cfg_path = Path(args.config)
     raw = _load_json(cfg_path)
@@ -336,11 +332,11 @@ def cmd_ablate(args) -> int:
                       "train", "checkpoint", "eval"}, "ablate config")
     suite = raw.get("suite")
     if suite not in SUITE_HEADERS:
-        raise _fail(f"unknown suite {suite!r}; available: {', '.join(SUITE_HEADERS)}")
+        raise CLIError(f"unknown suite {suite!r}; available: {', '.join(SUITE_HEADERS)}")
     if "output_dir" not in raw:
-        raise _fail("ablate config needs an output_dir")
+        raise CLIError("ablate config needs an output_dir")
     corpus, holdout, _ = _build_corpus(raw.get("corpus", {}), cfg_path.parent)
-    eval_series = _eval_series_for(corpus, holdout)
+    eval_series = holdout.series if holdout is not None else corpus.series
     ev = dict(raw.get("eval", {}))
     _check_keys(ev, {"context_lengths", "context_len", "horizon", "stride", "sizes"},
                 "ablate eval")
@@ -373,12 +369,12 @@ def cmd_ablate(args) -> int:
             train_cfg = TrainConfig.from_dict(train_section)
             sizes = ev.get("sizes")
             if not sizes:
-                raise _fail(f"{suite} suite needs eval.sizes")
+                raise CLIError(f"{suite} suite needs eval.sizes")
             context_len = int(ev.get("context_len", 256))
             rows = patch_size_comparison(corpus, eval_series, model_cfg, train_cfg,
                                          which, sizes, context_len, horizon, stride)
     except (CheckpointError, TrainConfigError, EvalConfigError) as exc:
-        raise _fail(str(exc)) from exc
+        raise CLIError(str(exc)) from exc
 
     table = format_table(rows, SUITE_HEADERS[suite])
     print(table, end="")

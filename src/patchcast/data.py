@@ -175,12 +175,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.series)
 
-    def by_granularity(self) -> dict[str, list[TimeSeries]]:
-        out: dict[str, list[TimeSeries]] = {}
-        for s in self.series:
-            out.setdefault(s.granularity, []).append(s)
-        return out
-
     def get(self, series_id: str) -> TimeSeries:
         for s in self.series:
             if s.series_id == series_id:

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
 from . import tensor as tt
 from .tensor import Tensor
-
-MASK_VALUE = -1e30
 
 
 class ConfigError(ValueError):
@@ -47,13 +46,9 @@ class ModelConfig:
     num_heads: int = 2
     feature_dim: int = 5
     residual_hidden: int = 32
-    ffn_hidden: int | None = None  # pinned equal to model_dim
     max_positions: int = 256
-    dropout: float = 0.0
 
     def __post_init__(self):
-        if self.ffn_hidden is None:
-            self.ffn_hidden = self.model_dim
         positive = ("input_patch_len", "output_patch_len", "model_dim", "num_layers",
                     "num_heads", "residual_hidden", "max_positions")
         for name in positive:
@@ -66,11 +61,6 @@ class ModelConfig:
                 f"model_dim {self.model_dim} is not divisible by num_heads {self.num_heads}")
         if self.model_dim % 2 != 0:
             raise ConfigError(f"model_dim must be even for the sinusoidal encoding, got {self.model_dim}")
-        if self.ffn_hidden != self.model_dim:
-            raise ConfigError(
-                f"ffn_hidden is pinned to model_dim ({self.model_dim}), got {self.ffn_hidden}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def input_width(self) -> int:
@@ -81,6 +71,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Build a config from a dict such as a checkpoint's meta. Older metas
+        carry ``ffn_hidden`` and ``dropout``: dropped if they hold the only
+        values the model has (model_dim and 0.0), rejected otherwise."""
+        d = dict(d)
+        pinned = {"ffn_hidden": d.get("model_dim", cls.model_dim), "dropout": 0.0}
+        for key, value in pinned.items():
+            got = d.pop(key, value)
+            if got != value:
+                raise ConfigError(f"{key} is fixed at {value!r}, got {got!r}")
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(d) - known
         if unknown:
@@ -93,8 +92,6 @@ class ModelConfig:
             raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
         if not overrides:
             return PRESETS[name]
-        if "model_dim" in overrides and "ffn_hidden" not in overrides:
-            overrides["ffn_hidden"] = None  # re-pin to the new model_dim
         return replace(PRESETS[name], **overrides)
 
 
@@ -113,36 +110,34 @@ PRESETS = {
 # -- weights -----------------------------------------------------------------
 
 
-def weight_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical name -> shape map; defines checkpoint layout and ordering."""
+def _weight_layout(cfg: ModelConfig):
+    """Yield (name, shape) for every weight in canonical order."""
     w_in, d, rh, h = cfg.input_width, cfg.model_dim, cfg.residual_hidden, cfg.output_patch_len
-    shapes: dict[str, tuple[int, ...]] = {
-        "input.w1": (w_in, rh), "input.b1": (rh,),
-        "input.w2": (rh, d), "input.b2": (d,),
-    }
+    yield from (("input.w1", (w_in, rh)), ("input.b1", (rh,)),
+                ("input.w2", (rh, d)), ("input.b2", (d,)))
     if w_in != d:
-        shapes["input.wskip"] = (w_in, d)
+        yield "input.wskip", (w_in, d)
     for i in range(cfg.num_layers):
         lp = f"layer{i}"
-        shapes[f"{lp}.ln1.gain"] = (d,)
-        shapes[f"{lp}.ln1.bias"] = (d,)
-        for proj in ("wq", "wk", "wv", "wo"):
-            shapes[f"{lp}.attn.{proj}"] = (d, d)
-        for b in ("bq", "bk", "bv", "bo"):
-            shapes[f"{lp}.attn.{b}"] = (d,)
-        shapes[f"{lp}.ln2.gain"] = (d,)
-        shapes[f"{lp}.ln2.bias"] = (d,)
-        shapes[f"{lp}.ffn.w1"] = (d, cfg.ffn_hidden)
-        shapes[f"{lp}.ffn.b1"] = (cfg.ffn_hidden,)
-        shapes[f"{lp}.ffn.w2"] = (cfg.ffn_hidden, d)
-        shapes[f"{lp}.ffn.b2"] = (d,)
-    shapes["output.w1"] = (d, rh)
-    shapes["output.b1"] = (rh,)
-    shapes["output.w2"] = (rh, h)
-    shapes["output.b2"] = (h,)
+        yield from ((f"{lp}.ln1.{n}", (d,)) for n in ("gain", "bias"))
+        yield from ((f"{lp}.attn.{n}", (d, d)) for n in ("wq", "wk", "wv", "wo"))
+        yield from ((f"{lp}.attn.{n}", (d,)) for n in ("bq", "bk", "bv", "bo"))
+        yield from ((f"{lp}.ln2.{n}", (d,)) for n in ("gain", "bias"))
+        yield from ((f"{lp}.ffn.{n}", (d, d) if n[0] == "w" else (d,))
+                    for n in ("w1", "b1", "w2", "b2"))
+    yield from (("output.w1", (d, rh)), ("output.b1", (rh,)),
+                ("output.w2", (rh, h)), ("output.b2", (h,)))
     if d != h:
-        shapes["output.wskip"] = (d, h)
-    return shapes
+        yield "output.wskip", (d, h)
+
+
+def weight_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Canonical name -> shape map; defines checkpoint layout and ordering."""
+    return dict(_weight_layout(cfg))
+
+
+def _first(names: list[str], limit: int = 5) -> str:
+    return str(names) if len(names) <= limit else str(names[:limit])[:-1] + ", ...]"
 
 
 class ModelWeights:
@@ -189,11 +184,16 @@ class ModelWeights:
 
     @classmethod
     def from_arrays(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "ModelWeights":
-        expected = weight_shapes(cfg)
-        missing = set(expected) - set(arrays)
-        extra = set(arrays) - set(expected)
+        # At most one name past the arrays given, so a huge claimed depth fails fast.
+        expected = dict(islice(_weight_layout(cfg), len(arrays) + 1))
+        missing = [name for name in expected if name not in arrays]
+        if len(expected) > len(arrays):
+            raise ConfigError(f"config implies more than the {len(arrays)} weight arrays "
+                              f"given; missing {_first(missing)}")
+        extra = sorted(set(arrays) - set(expected))
         if missing or extra:
-            raise ConfigError(f"weight set mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
+            raise ConfigError(
+                f"weight set mismatch: missing {_first(missing)}, unexpected {_first(extra)}")
         params = {}
         for name, shape in expected.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
@@ -279,19 +279,6 @@ def residual_block(v: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     return tt.reshape(out, (out.shape[-1],)) if single else out
 
 
-def _causal_mask(n: int) -> np.ndarray:
-    mask = np.zeros((n, n))
-    mask[np.triu_indices(n, k=1)] = MASK_VALUE
-    return mask
-
-
-def _dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
-
-
 def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
     """Patch rows [.., N, input_width] -> tokens [.., N, model_dim] with PE added."""
     x = inputs if isinstance(inputs, Tensor) else Tensor(np.asarray(inputs, dtype=np.float64))
@@ -307,17 +294,11 @@ def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
     return tokens + Tensor(positional_encoding(n, cfg.model_dim))
 
 
-def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
-                        train_mode: bool = False,
-                        rng: np.random.Generator | None = None) -> Tensor:
+def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
     """Causally masked pre-norm stack: x += MHA(LN(x)); x += FFN(LN(x))."""
-    n, d = tokens.shape[-2], tokens.shape[-1]
+    n = tokens.shape[-2]
     if n > cfg.max_positions:
         raise CapacityError(f"{n} tokens exceed max_positions {cfg.max_positions}")
-    nh, dh = cfg.num_heads, d // cfg.num_heads
-    batch_shape = tokens.shape[:-2]
-    mask = Tensor(_causal_mask(n))
-    drop_rng = rng if (train_mode and cfg.dropout > 0.0) else None
     x = tokens
     for i in range(cfg.num_layers):
         lp = f"layer{i}"
@@ -325,20 +306,10 @@ def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
         q = normed @ weights[f"{lp}.attn.wq"] + weights[f"{lp}.attn.bq"]
         k = normed @ weights[f"{lp}.attn.wk"] + weights[f"{lp}.attn.bk"]
         v = normed @ weights[f"{lp}.attn.wv"] + weights[f"{lp}.attn.bv"]
-        split = batch_shape + (n, nh, dh)
-        axes_in = tuple(range(len(batch_shape))) + (len(batch_shape) + 1, len(batch_shape), len(batch_shape) + 2)
-        q = tt.transpose(tt.reshape(q, split), axes_in)
-        k = tt.transpose(tt.reshape(k, split), axes_in)
-        v = tt.transpose(tt.reshape(v, split), axes_in)
-        kt_axes = tuple(range(len(batch_shape) + 1)) + (len(batch_shape) + 2, len(batch_shape) + 1)
-        scores = (q @ tt.transpose(k, kt_axes)) * (1.0 / math.sqrt(dh)) + mask
-        probs = _dropout(tt.softmax_lastdim(scores), cfg.dropout, drop_rng)
-        ctx = tt.transpose(probs @ v, axes_in)
-        ctx = tt.reshape(ctx, batch_shape + (n, d))
+        ctx = tt.causal_attention(q, k, v, cfg.num_heads)
         x = x + (ctx @ weights[f"{lp}.attn.wo"] + weights[f"{lp}.attn.bo"])
         normed = tt.layer_norm(x, weights[f"{lp}.ln2.gain"], weights[f"{lp}.ln2.bias"])
-        hidden = _dropout(tt.relu(normed @ weights[f"{lp}.ffn.w1"] + weights[f"{lp}.ffn.b1"]),
-                          cfg.dropout, drop_rng)
+        hidden = tt.relu(normed @ weights[f"{lp}.ffn.w1"] + weights[f"{lp}.ffn.b1"])
         x = x + (hidden @ weights[f"{lp}.ffn.w2"] + weights[f"{lp}.ffn.b2"])
     return x
 
@@ -350,13 +321,12 @@ def output_forecasts(out_tokens: Tensor, weights: ModelWeights, cfg: ModelConfig
                           weights.get("output.wskip"))
 
 
-def forward(weights: ModelWeights, cfg: ModelConfig, inputs,
-            train_mode: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+def forward(weights: ModelWeights, cfg: ModelConfig, inputs) -> Tensor:
     """Assembled patch inputs [.., N, input_width] -> forecasts [.., N, h].
 
     Row j depends only on patches 1..j; it is the model's prediction of the
     output_patch_len points immediately after patch j.
     """
     toks = input_tokens(inputs, weights, cfg)
-    out = stacked_transformer(toks, weights, cfg, train_mode=train_mode, rng=rng)
+    out = stacked_transformer(toks, weights, cfg)
     return output_forecasts(out, weights, cfg)

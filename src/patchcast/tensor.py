@@ -37,6 +37,7 @@ class TapeError(RuntimeError):
 
 
 LAYER_NORM_EPS = 1e-6
+MASK_VALUE = -1e30  # additive causal mask; finite, so softmax_lastdim accepts it
 
 _state = threading.local()
 
@@ -99,14 +100,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this (scalar) tensor.
@@ -149,10 +144,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 class _Record:
@@ -355,13 +346,6 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     return _unary(x, out_data, lambda g: g.reshape(old_shape))
 
 
-def transpose(x, axes: Sequence[int]) -> Tensor:
-    x = _coerce(x)
-    perm = tuple(axes)
-    inv = tuple(int(i) for i in np.argsort(perm))
-    return _unary(x, x.data.transpose(perm), lambda g: g.transpose(inv))
-
-
 # -- normalized nonlinearities ----------------------------------------------
 
 
@@ -418,4 +402,47 @@ def layer_norm(x, gain, bias) -> Tensor:
             return dx, dgain, dbias
 
         active_tape().record(out, (x, gain, bias), vjp)
+    return out
+
+
+def causal_attention(q, k, v, num_heads: int) -> Tensor:
+    """Per head of q, k, v [.., N, D]: softmax(Q K^T / sqrt(dh) + mask) V, as one tape op.
+
+    The mask adds MASK_VALUE above the diagonal. ``softmax_lastdim`` on a
+    constant tensor gives the probabilities, so non-finite scores raise
+    ``NumericError``. The VJP uses dS = P * (dP - rowsum(dP * P)). Each of
+    its products keeps a fixed operand order (dK = (Q^T dS)^T, not dS^T Q):
+    another order rounds differently and changes the recorded loss curves.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    shape = q.data.shape
+    if (len(shape) < 2 or k.data.shape != shape or v.data.shape != shape
+            or num_heads < 1 or shape[-1] % num_heads):
+        raise ShapeError(f"causal_attention needs q, k, v of one shape [.., N, D] with D divisible "
+                         f"by {num_heads} heads, got {shape}, {k.data.shape}, {v.data.shape}")
+    n, dh = shape[-2], shape[-1] // num_heads
+    nb = len(shape) - 2
+    heads = tuple(range(nb)) + (nb + 1, nb, nb + 2)  # [.., N, H, dh] <-> [.., H, N, dh]
+    split = shape[:-1] + (num_heads, dh)
+    qh, kh, vh = (t.data.reshape(split).transpose(heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(dh)
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= scale
+    scores += np.triu(np.full((n, n), MASK_VALUE), k=1)
+    probs = softmax_lastdim(Tensor(scores)).data
+    out = Tensor((probs @ vh).transpose(heads).reshape(shape))
+    if grad_enabled() and any(t.requires_grad or t._produced for t in (q, k, v)):
+        out.requires_grad = True
+
+        def vjp(g):
+            dctx = g.reshape(split).transpose(heads)
+            dp = dctx @ np.swapaxes(vh, -1, -2)
+            dv = np.swapaxes(probs, -1, -2) @ dctx
+            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+            ds *= scale
+            dq = ds @ kh
+            dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
+            return tuple(a.transpose(heads).reshape(shape) for a in (dq, dk, dv))
+
+        active_tape().record(out, (q, k, v), vjp)
     return out

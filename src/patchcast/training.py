@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
+import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     CONTEXT_CAPS,
     Corpus,
@@ -319,11 +320,21 @@ def _save_train_state(path: Path, state: AdamState) -> None:
     np.savez(path, step=np.asarray(state.step), **arrays)
 
 
-def _load_train_state(path: Path, weights: ModelWeights) -> AdamState:
-    with np.load(path) as archive:
-        step = int(archive["step"])
-        m = {n: archive[f"m/{n}"] for n, _ in weights.named()}
-        v = {n: archive[f"v/{n}"] for n, _ in weights.named()}
+def _load_train_state(ckpt_path: Path, weights: ModelWeights) -> AdamState:
+    """Adam state saved beside a checkpoint; CheckpointError if it is unusable."""
+    path = _state_path(ckpt_path)
+    if path == ckpt_path:
+        raise CheckpointError(f"{ckpt_path} has no training state: only ckpt_*.npz files do")
+    try:
+        with np.load(path) as archive:
+            step = int(archive["step"])
+            m = {n: archive[f"m/{n}"] for n, _ in weights.named()}
+            v = {n: archive[f"v/{n}"] for n, _ in weights.named()}
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as err:
+        raise CheckpointError(f"cannot read training state {path}: {err}") from err
+    for name, p in weights.named():
+        if m[name].shape != p.shape or v[name].shape != p.shape:
+            raise CheckpointError(f"training state {path} does not match weight {name}")
     return AdamState(m=m, v=v, step=step)
 
 
@@ -345,9 +356,10 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
     if resume_from is not None:
         bundle = load_checkpoint(resume_from)
         if bundle.config != model_cfg:
-            raise TrainConfigError("resume checkpoint was trained with a different model config")
+            raise TrainConfigError(
+                f"resume checkpoint {resume_from} was trained with a different model config")
         weights = bundle.weights
-        state = _load_train_state(_state_path(Path(resume_from)), weights)
+        state = _load_train_state(Path(resume_from), weights)
         start_step = int(bundle.extra.get("step", state.step))
     else:
         weights = ModelWeights.initialize(model_cfg, seed=cfg.seed)
@@ -365,9 +377,8 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
                                           input_patch_len=p, output_patch_len=h)
         inputs, targets, mask = assemble_batch(windows, model_cfg, cfg.normalization)
         weights.zero_grads()
-        drop_rng = rng_for(cfg.seed, 3, step) if model_cfg.dropout > 0 else None
         try:
-            out = forward(weights, model_cfg, Tensor(inputs), train_mode=True, rng=drop_rng)
+            out = forward(weights, model_cfg, Tensor(inputs))
             loss = train_loss(out, targets, mask)
             loss_value = loss.item()
             if not math.isfinite(loss_value):

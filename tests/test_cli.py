@@ -117,6 +117,47 @@ def test_pretrain_needs_config_or_show_defaults(capsys):
     assert "--config" in capsys.readouterr().err
 
 
+def resume(tmp_path, ckpt, model=TINY_MODEL):
+    cfg = pretrain_config(tmp_path / "resumed")
+    cfg["model"] = model
+    path = tmp_path / "resume.json"
+    path.write_text(json.dumps(cfg))
+    return main(["pretrain", "--config", str(path), "--resume-from", str(ckpt)])
+
+
+def test_pretrain_resume_from_missing_checkpoint(tmp_path, capsys):
+    assert resume(tmp_path, tmp_path / "ckpt_gone.npz") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ckpt_gone.npz" in err
+
+
+@pytest.mark.parametrize("state", ["missing", "garbage", "checkpoint"])
+def test_pretrain_resume_with_unusable_state_file(trained, tmp_path, capsys, state):
+    ckpt = tmp_path / "ckpt_final.npz"
+    ckpt.write_bytes((trained / "ckpt_final.npz").read_bytes())
+    if state == "garbage":
+        (tmp_path / "state_final.npz").write_bytes(b"not a zip")
+    elif state == "checkpoint":  # an archive without the Adam state
+        (tmp_path / "state_final.npz").write_bytes(ckpt.read_bytes())
+    assert resume(tmp_path, ckpt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "state_final.npz") in err
+
+
+def test_pretrain_resume_from_checkpoint_without_ckpt_prefix(trained, tmp_path, capsys):
+    ckpt = tmp_path / "final.npz"
+    ckpt.write_bytes((trained / "ckpt_final.npz").read_bytes())
+    assert resume(tmp_path, ckpt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err and "ckpt_" in err
+
+
+def test_pretrain_resume_with_different_model_config(trained, tmp_path, capsys):
+    wider = {"preset": "desk", "overrides": {**TINY_MODEL["overrides"], "model_dim": 16}}
+    assert resume(tmp_path, trained / "ckpt_final.npz", model=wider) == 2
+    assert "different model config" in capsys.readouterr().err
+
+
 def test_output_dir_env_anchors_relative_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("PATCHCAST_OUTPUT_DIR", str(tmp_path / "anchor"))
     cfg = pretrain_config("rel_run", steps=2)
@@ -215,8 +256,11 @@ def corrupt_checkpoint(good, path, kind):
     else:
         if kind == "bad-config":
             meta["config"]["num_heads"] = 3
-        else:  # "no-config"
+        elif kind == "no-config":
             del meta["config"]
+        else:  # legacy keys, as "<ffn_hidden>,<dropout>"
+            ffn, dropout = kind.split(",")
+            meta["config"].update(ffn_hidden=int(ffn), dropout=float(dropout))
         meta_bytes = json.dumps(meta).encode()
     np.savez(path, meta=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
     return path
@@ -239,6 +283,27 @@ def test_corrupt_checkpoint_exits_2_with_named_error(trained, tmp_path, capsys, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(ckpt) in err
+
+
+def forecast_with(ckpt, tmp_path):
+    inp = tmp_path / "in.jsonl"
+    inp.write_text(json.dumps({"id": "a", "values": list(np.sin(np.arange(40.0)))}) + "\n")
+    out = tmp_path / "out.jsonl"
+    code = main(["forecast", "--checkpoint", str(ckpt), "--input", str(inp),
+                 "--horizon", "12", "--output", str(out)])
+    return code, out.read_bytes() if code == 0 else None
+
+
+def test_checkpoint_with_legacy_model_keys(trained, tmp_path, capsys):
+    good = trained / "ckpt_final.npz"
+    width = TINY_MODEL["overrides"]["model_dim"]
+    legacy = corrupt_checkpoint(good, tmp_path / "legacy.npz", f"{width},0.0")
+    assert forecast_with(legacy, tmp_path) == forecast_with(good, tmp_path)
+    for kind, key in ((f"{2 * width},0.0", "ffn_hidden"), (f"{width},0.1", "dropout")):
+        bad = corrupt_checkpoint(good, tmp_path / "bad.npz", kind)
+        assert forecast_with(bad, tmp_path)[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
 
 def test_forecast_unknown_granularity_flag(trained, tmp_path, capsys):
@@ -336,6 +401,22 @@ def test_evaluate_skips_and_reports_infinite_series(trained, tmp_path, capsys):
     assert "s1" in err and "non-finite values" in err
     assert sorted(p.name for p in out_dir.glob("windows_*.csv")) == \
         ["windows_s0.csv", "windows_s2.csv"]
+
+
+def test_evaluate_names_series_too_short_to_score(trained, tmp_path, capsys):
+    rows = ["id,timestamp,value"]
+    for sid, length in (("long", 200), ("short", 6)):
+        stamps = timestamps_for(datetime(2021, 3, 1), "hourly", length)
+        rows.extend(f"{sid},{ts.isoformat()},{3.0 + math.sin(i / 4.0)!r}"
+                    for i, ts in enumerate(stamps))
+    data = tmp_path / "eval.csv"
+    data.write_text("\n".join(rows) + "\n")
+    out_dir = tmp_path / "evalout"
+    assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--data", str(data), "--context", "32", "--horizon", "8",
+                 "--stride", "8", "--out-dir", str(out_dir)]) == 0
+    assert "skipped series short: fewer than 10 points" in capsys.readouterr().err
+    assert [p.name for p in out_dir.glob("windows_*.csv")] == ["windows_long.csv"]
 
 
 def test_evaluate_too_long_horizon_fails_cleanly(trained, tmp_path, capsys):

@@ -367,12 +367,12 @@ def test_feature_dim_zero_rows_are_bare_patches():
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(model_dim=30, num_heads=4)
-    with pytest.raises(ConfigError):
-        ModelConfig(ffn_hidden=64, model_dim=32)
+    with pytest.raises(ConfigError, match="ffn_hidden"):
+        ModelConfig.from_dict({"ffn_hidden": 64, "model_dim": 32})
     with pytest.raises(ConfigError):
         ModelConfig(input_patch_len=0)
-    with pytest.raises(ConfigError):
-        ModelConfig(dropout=1.0)
+    with pytest.raises(ConfigError, match="dropout"):
+        ModelConfig.from_dict({"dropout": 0.1})
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"model_dim": 32, "bogus": 1})
 
@@ -455,6 +455,35 @@ def test_checkpoint_shape_mismatch_rejected():
     arrays["input.w1"] = arrays["input.w1"][:, :-1]
     with pytest.raises(ConfigError, match="input.w1"):
         ModelWeights.from_arrays(cfg, arrays)
+
+
+def test_checkpoint_claiming_huge_depth_fails_fast(tmp_path):
+    import json
+    import time
+
+    cfg = tiny_cfg()
+    good = tmp_path / "model.npz"
+    save_checkpoint(good, cfg, ModelWeights.initialize(cfg, seed=27))
+    with np.load(good) as archive:
+        meta = json.loads(bytes(archive["meta"].tobytes()).decode())
+        arrays = {n: archive[n] for n in archive.files if n != "meta"}
+    meta["config"]["num_layers"] = 10**6  # the archive holds 2 layers
+    bad = tmp_path / "deep.npz"
+    np.savez(bad, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    t0 = time.perf_counter()
+    with pytest.raises(CheckpointError, match="layer2.ln1.gain") as err:
+        load_checkpoint(bad)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(str(err.value)) < 600
+
+
+def test_committed_benchmark_checkpoint_loads():
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "desk.npz"
+    if not path.exists():
+        pytest.skip("benchmark checkpoint not present")
+    assert load_checkpoint(path).config == ModelConfig.preset("desk")
 
 
 def test_not_a_checkpoint(tmp_path):

@@ -13,6 +13,7 @@ from patchcast.tensor import (
     TapeError,
     Tensor,
     active_tape,
+    causal_attention,
     layer_norm,
     matmul,
     no_grad,
@@ -20,7 +21,6 @@ from patchcast.tensor import (
     reshape,
     softmax_lastdim,
     sum_exact,
-    transpose,
     tsum,
 )
 
@@ -266,16 +266,67 @@ def shifted(shape):
         ("sum_keepdims", lambda a: tsum(a, axis=(0, 2), keepdims=True), [RNG.standard_normal((3, 4, 5))]),
         ("sum_exact", sum_exact, [RNG.standard_normal((6, 6))]),
         ("reshape", lambda a: reshape(a, (8, 3)), [RNG.standard_normal((4, 6))]),
-        ("transpose", lambda a: transpose(a, (1, 0, 2)), [RNG.standard_normal((3, 4, 5))]),
+        ("attention", lambda q, k, v: causal_attention(q, k, v, 2),
+         [RNG.standard_normal((2, 5, 8)) for _ in range(3)]),
         ("softmax", softmax_lastdim, [RNG.standard_normal((5, 8))]),
         ("layer_norm", layer_norm,
          [RNG.standard_normal((4, 8)), RNG.standard_normal(8), RNG.standard_normal(8)]),
         ("composite", lambda a, b: relu(matmul(a, b)) + a @ b,
          [shifted((4, 4)), shifted((4, 4))]),
+        ("attention_unbatched", lambda q, k, v: causal_attention(q, k, v, 2),
+         [RNG.standard_normal((5, 8)) for _ in range(3)]),
     ],
 )
 def test_gradients_match_finite_differences(name, build, arrays):
     check_op_grads(build, arrays)
+
+
+def reference_attention(q, k, v, num_heads):
+    """Per-head softmax(Q K^T / sqrt(dh) + mask) V, heads concatenated."""
+    n, d = q.shape[-2:]
+    dh = d // num_heads
+    mask = np.where(np.arange(n)[None, :] > np.arange(n)[:, None], T.MASK_VALUE, 0.0)
+    heads = []
+    for h in range(num_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        s = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / math.sqrt(dh) + mask
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        heads.append((p / p.sum(axis=-1, keepdims=True)) @ v[..., cols])
+    return np.concatenate(heads, axis=-1)
+
+
+@pytest.mark.parametrize("shape,num_heads", [((2, 5, 8), 2), ((5, 8), 2), ((3, 7, 12), 4)])
+def test_causal_attention_matches_per_head_reference(shape, num_heads):
+    rng = np.random.default_rng(21)
+    q, k, v = (rng.standard_normal(shape) for _ in range(3))
+    out = causal_attention(Tensor(q), Tensor(k), Tensor(v), num_heads).data
+    assert out.shape == shape
+    assert np.max(np.abs(out - reference_attention(q, k, v, num_heads))) < 1e-12
+
+
+def test_causal_attention_is_one_tape_record():
+    rng = np.random.default_rng(22)
+    q, k, v = (Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True) for _ in range(3))
+    before = len(active_tape())
+    out = causal_attention(q, k, v, 2)
+    assert len(active_tape()) == before + 1
+    tsum(out).backward()
+    assert all(t.grad is not None and t.grad.shape == (2, 5, 8) for t in (q, k, v))
+
+
+def test_causal_attention_rejects_nonfinite_input():
+    q = np.zeros((4, 8))
+    q[1, 3] = np.nan
+    with pytest.raises(NumericError):
+        causal_attention(Tensor(q), Tensor(np.ones((4, 8))), Tensor(np.ones((4, 8))), 2)
+
+
+def test_causal_attention_shape_errors():
+    x = Tensor(np.zeros((4, 8)))
+    with pytest.raises(ShapeError):
+        causal_attention(x, x, Tensor(np.zeros((4, 6))), 2)
+    with pytest.raises(ShapeError):
+        causal_attention(x, x, x, 3)
 
 
 def test_layer_norm_epsilon_is_pinned():
