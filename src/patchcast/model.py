@@ -247,9 +247,10 @@ def assemble_patch_inputs(values: np.ndarray, features: np.ndarray | None,
     return np.concatenate([patches, flat], axis=1)
 
 
-def positional_encoding(n_positions: int, dim: int) -> np.ndarray:
-    """Sinusoidal table: PE[pos, 2i] = sin(pos / 10000^(2i/dim)), odd cols cos."""
-    pos = np.arange(n_positions, dtype=np.float64)[:, None]
+def positional_encoding(n_positions: int, dim: int, start: int = 0) -> np.ndarray:
+    """Sinusoidal rows for positions [start, start + n_positions):
+    PE[pos, 2i] = sin(pos / 10000^(2i/dim)), odd cols cos."""
+    pos = np.arange(start, start + n_positions, dtype=np.float64)[:, None]
     i = np.arange(dim // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / dim)
     table = np.zeros((n_positions, dim))
@@ -279,24 +280,31 @@ def residual_block(v: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     return tt.reshape(out, (out.shape[-1],)) if single else out
 
 
-def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
-    """Patch rows [.., N, input_width] -> tokens [.., N, model_dim] with PE added."""
+def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig, start: int = 0) -> Tensor:
+    """Patch rows [.., N, input_width] at positions [start, start + N) ->
+    tokens [.., N, model_dim] with PE added."""
     x = inputs if isinstance(inputs, Tensor) else Tensor(np.asarray(inputs, dtype=np.float64))
     if x.ndim < 2 or x.shape[-1] != cfg.input_width:
         raise FeatureShapeError(
             f"patch inputs shape {x.shape} does not end in input_width {cfg.input_width}")
     n = x.shape[-2]
-    if n > cfg.max_positions:
-        raise CapacityError(f"{n} tokens exceed max_positions {cfg.max_positions}")
+    if start + n > cfg.max_positions:
+        raise CapacityError(f"{start + n} tokens exceed max_positions {cfg.max_positions}")
     tokens = residual_block(x, weights["input.w1"], weights["input.b1"],
                             weights["input.w2"], weights["input.b2"],
                             weights.get("input.wskip"))
-    return tokens + Tensor(positional_encoding(n, cfg.model_dim))
+    return tokens + Tensor(positional_encoding(n, cfg.model_dim, start))
 
 
-def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
-    """Causally masked pre-norm stack: x += MHA(LN(x)); x += FFN(LN(x))."""
-    n = tokens.shape[-2]
+def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
+                        cache: list | None = None) -> Tensor:
+    """Causally masked pre-norm stack: x += MHA(LN(x)); x += FFN(LN(x)).
+
+    With a ``cache`` (see :func:`forward`), the tokens follow the cached
+    positions: they attend to the cached keys and values plus their own, and
+    their keys and values are appended to the cache.
+    """
+    n = _cached_len(cache) + tokens.shape[-2]
     if n > cfg.max_positions:
         raise CapacityError(f"{n} tokens exceed max_positions {cfg.max_positions}")
     x = tokens
@@ -306,6 +314,13 @@ def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig)
         q = normed @ weights[f"{lp}.attn.wq"] + weights[f"{lp}.attn.bq"]
         k = normed @ weights[f"{lp}.attn.wk"] + weights[f"{lp}.attn.bk"]
         v = normed @ weights[f"{lp}.attn.wv"] + weights[f"{lp}.attn.bv"]
+        if cache is not None:
+            if i < len(cache):
+                k, v = (Tensor(np.concatenate([old, new.data], axis=-2))
+                        for old, new in zip(cache[i], (k, v)))
+                cache[i] = (k.data, v.data)
+            else:
+                cache.append((k.data, v.data))
         ctx = tt.causal_attention(q, k, v, cfg.num_heads)
         x = x + (ctx @ weights[f"{lp}.attn.wo"] + weights[f"{lp}.attn.bo"])
         normed = tt.layer_norm(x, weights[f"{lp}.ln2.gain"], weights[f"{lp}.ln2.bias"])
@@ -321,12 +336,25 @@ def output_forecasts(out_tokens: Tensor, weights: ModelWeights, cfg: ModelConfig
                           weights.get("output.wskip"))
 
 
-def forward(weights: ModelWeights, cfg: ModelConfig, inputs) -> Tensor:
+def _cached_len(cache: list | None) -> int:
+    """Positions a KV cache already holds."""
+    return cache[0][0].shape[-2] if cache else 0
+
+
+def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: list | None = None) -> Tensor:
     """Assembled patch inputs [.., N, input_width] -> forecasts [.., N, h].
 
     Row j depends only on patches 1..j; it is the model's prediction of the
     output_patch_len points immediately after patch j.
+
+    ``cache`` is a list of per-layer (K, V) arrays [.., positions, model_dim]
+    for incremental decoding, extended in place: the inputs are taken as the
+    patches that follow the cached positions, and the result holds their
+    rows only. An empty list encodes from position 0 and fills the cache.
+    Cached keys and values are constants, so a cache needs ``no_grad``.
     """
-    toks = input_tokens(inputs, weights, cfg)
-    out = stacked_transformer(toks, weights, cfg)
+    if cache is not None and tt.grad_enabled():
+        raise tt.TapeError("a KV cache holds constants; decode with it under no_grad")
+    toks = input_tokens(inputs, weights, cfg, _cached_len(cache))
+    out = stacked_transformer(toks, weights, cfg, cache)
     return output_forecasts(out, weights, cfg)

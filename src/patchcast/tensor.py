@@ -238,14 +238,14 @@ def _binary(a, b, opname: str, fwd, vjp_a, vjp_b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_suffix_broadcast(a.data.shape, b.data.shape, opname)
     out = Tensor(fwd(a.data, b.data))
-    if grad_enabled() and (a.requires_grad or a._produced or b.requires_grad or b._produced):
+    live = [t.requires_grad or t._produced for t in (a, b)]
+    if grad_enabled() and any(live):
         out.requires_grad = True
 
         def vjp(g):
-            return (
-                _reduce_to(vjp_a(g, a.data, b.data), a.data.shape),
-                _reduce_to(vjp_b(g, a.data, b.data), b.data.shape),
-            )
+            # A constant operand (a mask, a positional table) gets None, not a gradient.
+            return tuple(_reduce_to(f(g, a.data, b.data), t.data.shape) if need else None
+                         for t, f, need in zip((a, b), (vjp_a, vjp_b), live))
 
         active_tape().record(out, (a, b), vjp)
     return out
@@ -406,29 +406,33 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 
 def causal_attention(q, k, v, num_heads: int) -> Tensor:
-    """Per head of q, k, v [.., N, D]: softmax(Q K^T / sqrt(dh) + mask) V, as one tape op.
+    """Per head of q [.., M, D] against k, v [.., N, D] with M <= N:
+    softmax(Q K^T / sqrt(dh) + mask) V, as one tape op.
 
-    The mask adds MASK_VALUE above the diagonal. ``softmax_lastdim`` on a
+    The M queries sit at the last M of the N key positions, so the mask adds
+    MASK_VALUE wherever a key lies after its query. ``softmax_lastdim`` on a
     constant tensor gives the probabilities, so non-finite scores raise
     ``NumericError``. The VJP uses dS = P * (dP - rowsum(dP * P)). Each of
     its products keeps a fixed operand order (dK = (Q^T dS)^T, not dS^T Q):
     another order rounds differently and changes the recorded loss curves.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    shape = q.data.shape
-    if (len(shape) < 2 or k.data.shape != shape or v.data.shape != shape
-            or num_heads < 1 or shape[-1] % num_heads):
-        raise ShapeError(f"causal_attention needs q, k, v of one shape [.., N, D] with D divisible "
-                         f"by {num_heads} heads, got {shape}, {k.data.shape}, {v.data.shape}")
-    n, dh = shape[-2], shape[-1] // num_heads
+    shape, kv_shape = q.data.shape, k.data.shape
+    if (len(shape) < 2 or v.data.shape != kv_shape or len(kv_shape) != len(shape)
+            or shape[:-2] != kv_shape[:-2] or shape[-1] != kv_shape[-1]
+            or shape[-2] > kv_shape[-2] or num_heads < 1 or shape[-1] % num_heads):
+        raise ShapeError(f"causal_attention needs q [.., M, D] and k, v [.., N, D] with M <= N and "
+                         f"D divisible by {num_heads} heads, got {shape}, {kv_shape}, {v.data.shape}")
+    m, n, dh = shape[-2], kv_shape[-2], shape[-1] // num_heads
     nb = len(shape) - 2
     heads = tuple(range(nb)) + (nb + 1, nb, nb + 2)  # [.., N, H, dh] <-> [.., H, N, dh]
-    split = shape[:-1] + (num_heads, dh)
-    qh, kh, vh = (t.data.reshape(split).transpose(heads) for t in (q, k, v))
+    split, kv_split = (s[:-1] + (num_heads, dh) for s in (shape, kv_shape))
+    qh = q.data.reshape(split).transpose(heads)
+    kh, vh = (t.data.reshape(kv_split).transpose(heads) for t in (k, v))
     scale = 1.0 / math.sqrt(dh)
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores *= scale
-    scores += np.triu(np.full((n, n), MASK_VALUE), k=1)
+    scores += np.triu(np.full((n, n), MASK_VALUE), k=1)[n - m:]
     probs = softmax_lastdim(Tensor(scores)).data
     out = Tensor((probs @ vh).transpose(heads).reshape(shape))
     if grad_enabled() and any(t.requires_grad or t._produced for t in (q, k, v)):
@@ -442,7 +446,8 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
             ds *= scale
             dq = ds @ kh
             dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
-            return tuple(a.transpose(heads).reshape(shape) for a in (dq, dk, dv))
+            return (dq.transpose(heads).reshape(shape),
+                    *(a.transpose(heads).reshape(kv_shape) for a in (dk, dv)))
 
         active_tape().record(out, (q, k, v), vjp)
     return out

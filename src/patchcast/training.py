@@ -360,7 +360,10 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
                 f"resume checkpoint {resume_from} was trained with a different model config")
         weights = bundle.weights
         state = _load_train_state(Path(resume_from), weights)
-        start_step = int(bundle.extra.get("step", state.step))
+        start_step = bundle.extra.get("step", state.step)
+        if isinstance(start_step, bool) or not isinstance(start_step, int) or start_step < 0:
+            raise CheckpointError(
+                f"checkpoint {resume_from} records step {start_step!r}, not a non-negative integer")
     else:
         weights = ModelWeights.initialize(model_cfg, seed=cfg.seed)
         state = AdamState.for_weights(weights)

@@ -152,6 +152,19 @@ def test_pretrain_resume_from_checkpoint_without_ckpt_prefix(trained, tmp_path, 
     assert err.startswith("error:") and str(ckpt) in err and "ckpt_" in err
 
 
+@pytest.mark.parametrize("step", ["two", True, -1, 2.5, None])
+def test_pretrain_resume_with_malformed_step(trained, tmp_path, capsys, step):
+    from patchcast.checkpoint import load_checkpoint, save_checkpoint
+
+    bundle = load_checkpoint(trained / "ckpt_final.npz")
+    ckpt = tmp_path / "ckpt_final.npz"
+    save_checkpoint(ckpt, bundle.config, bundle.weights, extra={**bundle.extra, "step": step})
+    (tmp_path / "state_final.npz").write_bytes((trained / "state_final.npz").read_bytes())
+    assert resume(tmp_path, ckpt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err and "step" in err
+
+
 def test_pretrain_resume_with_different_model_config(trained, tmp_path, capsys):
     wider = {"preset": "desk", "overrides": {**TINY_MODEL["overrides"], "model_dim": 16}}
     assert resume(tmp_path, trained / "ckpt_final.npz", model=wider) == 2

@@ -325,6 +325,28 @@ def test_capacity_error():
     with pytest.raises(CapacityError):
         with no_grad():
             forward(weights, cfg, np.zeros((5, cfg.input_width)))
+    cache = []
+    with no_grad():
+        forward(weights, cfg, np.zeros((3, cfg.input_width)), cache)
+        with pytest.raises(CapacityError):  # 3 cached + 2 new positions
+            forward(weights, cfg, np.zeros((2, cfg.input_width)), cache)
+
+
+def test_cached_forward_matches_full_forward():
+    # a batch encoded in chunks through a KV cache gives the full pass's rows
+    cfg = tiny_cfg()
+    weights = ModelWeights.initialize(cfg, seed=23)
+    batch = np.random.default_rng(24).standard_normal((3, 9, cfg.input_width))
+    cache = []
+    with no_grad():
+        full = forward(weights, cfg, batch).data
+        chunks = [forward(weights, cfg, batch[:, a:b], cache).data
+                  for a, b in ((0, 4), (4, 6), (6, 7), (7, 9))]
+    assert len(cache) == cfg.num_layers
+    assert all(k.shape == v.shape == (3, 9, cfg.model_dim) for k, v in cache)
+    assert np.allclose(np.concatenate(chunks, axis=1), full, rtol=0, atol=1e-12)
+    with pytest.raises(tt.TapeError):  # cached keys carry no gradient
+        forward(weights, cfg, batch[:, :2], [])
 
 
 # -- feature assembly --------------------------------------------------------------

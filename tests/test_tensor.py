@@ -275,6 +275,8 @@ def shifted(shape):
          [shifted((4, 4)), shifted((4, 4))]),
         ("attention_unbatched", lambda q, k, v: causal_attention(q, k, v, 2),
          [RNG.standard_normal((5, 8)) for _ in range(3)]),
+        ("attention_offset", lambda q, k, v: causal_attention(q, k, v, 2),
+         [RNG.standard_normal((2, 3, 8))] + [RNG.standard_normal((2, 5, 8)) for _ in range(2)]),
     ],
 )
 def test_gradients_match_finite_differences(name, build, arrays):
@@ -282,10 +284,14 @@ def test_gradients_match_finite_differences(name, build, arrays):
 
 
 def reference_attention(q, k, v, num_heads):
-    """Per-head softmax(Q K^T / sqrt(dh) + mask) V, heads concatenated."""
-    n, d = q.shape[-2:]
+    """Per-head softmax(Q K^T / sqrt(dh) + mask) V, heads concatenated.
+
+    The M rows of q are the queries at the last M of k's N positions.
+    """
+    m, d = q.shape[-2:]
+    n = k.shape[-2]
     dh = d // num_heads
-    mask = np.where(np.arange(n)[None, :] > np.arange(n)[:, None], T.MASK_VALUE, 0.0)
+    mask = np.where(np.arange(n)[None, :] > np.arange(n - m, n)[:, None], T.MASK_VALUE, 0.0)
     heads = []
     for h in range(num_heads):
         cols = slice(h * dh, (h + 1) * dh)
@@ -302,6 +308,25 @@ def test_causal_attention_matches_per_head_reference(shape, num_heads):
     out = causal_attention(Tensor(q), Tensor(k), Tensor(v), num_heads).data
     assert out.shape == shape
     assert np.max(np.abs(out - reference_attention(q, k, v, num_heads))) < 1e-12
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 6), (2, 7), (5, 9), (9, 9)])
+def test_causal_attention_query_offset_matches_reference(m, n):
+    rng = np.random.default_rng(23)
+    q = rng.standard_normal((2, m, 8))
+    k, v = (rng.standard_normal((2, n, 8)) for _ in range(2))
+    out = causal_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    assert out.shape == (2, m, 8)
+    assert np.max(np.abs(out - reference_attention(q, k, v, 2))) < 1e-12
+
+
+def test_causal_attention_last_queries_equal_full_rows_bitwise():
+    # the M-query call is the last M rows of the square call, bit for bit
+    rng = np.random.default_rng(24)
+    q, k, v = (rng.standard_normal((3, 10, 8)) for _ in range(3))
+    full = causal_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    tail = causal_attention(Tensor(q[:, -2:]), Tensor(k), Tensor(v), 2).data
+    assert np.array_equal(tail, full[:, -2:])
 
 
 def test_causal_attention_is_one_tape_record():
@@ -327,6 +352,10 @@ def test_causal_attention_shape_errors():
         causal_attention(x, x, Tensor(np.zeros((4, 6))), 2)
     with pytest.raises(ShapeError):
         causal_attention(x, x, x, 3)
+    with pytest.raises(ShapeError):  # more queries than keys
+        causal_attention(Tensor(np.zeros((5, 8))), x, x, 2)
+    with pytest.raises(ShapeError):  # queries and keys of different widths
+        causal_attention(Tensor(np.zeros((2, 4))), x, x, 2)
 
 
 def test_layer_norm_epsilon_is_pinned():
