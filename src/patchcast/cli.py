@@ -41,7 +41,7 @@ from .evaluation import (
     repeat_last,
     rolling_eval,
 )
-from .inference import ForecastError, forecast
+from .inference import ForecastError, HorizonError, check_horizon, forecast
 from .model import ConfigError, ModelConfig, PRESETS
 from .training import (
     TrainConfig,
@@ -223,15 +223,24 @@ def _record_features(record: dict, cfg: ModelConfig, horizon: int,
     return derive_date_features(start, gran, len(record["values"]) + horizon)
 
 
+def _load_for_horizon(path, horizon: int):
+    """The checkpoint at `path`; CLIError if it is unusable or `horizon`
+    needs more than MAX_ROUNDS rounds of its model (a horizon < 1 is
+    reported by the caller)."""
+    try:
+        bundle = load_checkpoint(path)
+        check_horizon(max(horizon, 1), bundle.config)
+    except (CheckpointError, HorizonError) as exc:
+        raise CLIError(str(exc)) from exc
+    return bundle
+
+
 def cmd_forecast(args) -> int:
     if args.horizon < 1:
         raise CLIError(f"--horizon must be >= 1, got {args.horizon}")
     if args.granularity is not None and args.granularity not in GRANULARITIES:
         raise CLIError(f"unknown --granularity {args.granularity!r}")
-    try:
-        bundle = load_checkpoint(args.checkpoint)
-    except CheckpointError as exc:
-        raise CLIError(str(exc)) from exc
+    bundle = _load_for_horizon(args.checkpoint, args.horizon)
     normalization = bundle.extra.get("normalization", "per-window")
     failures = 0
     try:
@@ -277,10 +286,7 @@ def _forecast_record(line: str, line_no: int, bundle, horizon: int,
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        bundle = load_checkpoint(args.checkpoint)
-    except CheckpointError as exc:
-        raise CLIError(str(exc)) from exc
+    bundle = _load_for_horizon(args.checkpoint, args.horizon)
     try:
         report = ingest_csv(args.data)
     except (OSError, IngestError) as exc:

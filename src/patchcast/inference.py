@@ -32,9 +32,13 @@ __all__ = [
     "ForecastError",
     "HorizonError",
     "ForecastResult",
+    "MAX_ROUNDS",
     "autoregressive_rounds",
+    "check_horizon",
     "forecast",
 ]
+
+MAX_ROUNDS = 256  # autoregressive rounds one forecast may take (desk: 2048 points)
 
 
 class ForecastError(ValueError):
@@ -58,6 +62,18 @@ def autoregressive_rounds(horizon: int, output_patch_len: int) -> int:
     return -(-horizon // output_patch_len)
 
 
+def check_horizon(horizon, cfg: ModelConfig) -> None:
+    """HorizonError unless horizon is an integer in [1, MAX_ROUNDS * output_patch_len]."""
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
+        raise HorizonError(f"horizon must be an integer, got {horizon!r}")
+    if horizon < 1:
+        raise HorizonError(f"horizon must be >= 1, got {horizon}")
+    limit = MAX_ROUNDS * cfg.output_patch_len
+    if horizon > limit:
+        raise HorizonError(f"horizon {horizon} exceeds {limit} points: MAX_ROUNDS = {MAX_ROUNDS} "
+                           f"rounds of output_patch_len {cfg.output_patch_len}")
+
+
 def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
              features=None, normalization: str = "per-window") -> ForecastResult:
     """Forecast `horizon` future points from a 1-d context.
@@ -66,12 +82,10 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     [len(values) + horizon, feature_dim], or None to mark every calendar
     column unavailable. Contexts longer than input_patch_len * max_positions
     are clamped to their most recent points, and the working window keeps
-    sliding under that cap as predictions are appended.
+    sliding under that cap as predictions are appended. A horizon past
+    MAX_ROUNDS rounds raises HorizonError before any work.
     """
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
-        raise HorizonError(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 1:
-        raise HorizonError(f"horizon must be >= 1, got {horizon}")
+    check_horizon(horizon, cfg)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ForecastError(f"context must be 1-d, got shape {values.shape}")

@@ -288,7 +288,8 @@ def matmul(a, b) -> Tensor:
 
     Both operands must be at least 2-d; the trailing two axes contract as
     usual and leading axes follow the suffix-broadcast rule. Gradients are
-    g @ b^T and a^T @ g, summed over broadcast batch axes.
+    g @ b^T and a^T @ g, summed over broadcast batch axes; a constant
+    operand (an input batch) gets None.
     """
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -297,12 +298,13 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
     _check_suffix_broadcast(a.data.shape[:-2], b.data.shape[:-2], "matmul(batch dims)")
     out = Tensor(a.data @ b.data)
-    if grad_enabled() and (a.requires_grad or a._produced or b.requires_grad or b._produced):
+    live_a, live_b = (t.requires_grad or t._produced for t in (a, b))
+    if grad_enabled() and (live_a or live_b):
         out.requires_grad = True
 
         def vjp(g):
-            ga = _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-            gb = _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            ga = _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if live_a else None
+            gb = _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if live_b else None
             return ga, gb
 
         active_tape().record(out, (a, b), vjp)
@@ -354,20 +356,24 @@ def softmax_lastdim(x) -> Tensor:
 
     Stable for entries up to +-1e4 via max subtraction. Raises
     ``NumericError`` on non-finite input (an additive mask must therefore
-    use a large finite constant, not -inf).
+    use a large finite constant, not -inf). The shift, exp and division all
+    run in one output buffer; the input is left unchanged.
     """
     x = _coerce(x)
     if x.data.shape == () or x.data.shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty final axis, got shape {x.data.shape}")
     if not np.isfinite(x.data).all():
         raise NumericError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)  # the one output buffer
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - dot)
+        gx = g * y
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        return gx
 
     return _unary(x, y, vjp)
 
@@ -383,10 +389,10 @@ def layer_norm(x, gain, bias) -> Tensor:
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match final axis of {x.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = centered * inv
     out = Tensor(xhat * gain.data + bias.data)
     if grad_enabled() and any(t.requires_grad or t._produced for t in (x, gain, bias)):
         out.requires_grad = True
@@ -410,9 +416,11 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     softmax(Q K^T / sqrt(dh) + mask) V, as one tape op.
 
     The M queries sit at the last M of the N key positions, so the mask adds
-    MASK_VALUE wherever a key lies after its query. ``softmax_lastdim`` on a
-    constant tensor gives the probabilities, so non-finite scores raise
-    ``NumericError``. The VJP uses dS = P * (dP - rowsum(dP * P)). Each of
+    MASK_VALUE wherever a key lies after its query; the mask is built at
+    M x N on each call (a per-N cache costs more resident memory than it
+    saves). ``softmax_lastdim`` on a constant tensor gives the
+    probabilities, so non-finite scores raise ``NumericError``. The VJP uses
+    dS = P * (dP - rowsum(dP * P)), in place in one buffer beside dP. Each of
     its products keeps a fixed operand order (dK = (Q^T dS)^T, not dS^T Q):
     another order rounds differently and changes the recorded loss curves.
     """
@@ -432,7 +440,7 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     scale = 1.0 / math.sqrt(dh)
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores *= scale
-    scores += np.triu(np.full((n, n), MASK_VALUE), k=1)[n - m:]
+    scores += np.triu(np.full((m, n), MASK_VALUE), k=n - m + 1)
     probs = softmax_lastdim(Tensor(scores)).data
     out = Tensor((probs @ vh).transpose(heads).reshape(shape))
     if grad_enabled() and any(t.requires_grad or t._produced for t in (q, k, v)):
@@ -442,7 +450,10 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
             dctx = g.reshape(split).transpose(heads)
             dp = dctx @ np.swapaxes(vh, -1, -2)
             dv = np.swapaxes(probs, -1, -2) @ dctx
-            ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+            ds = dp * probs
+            rowsum = ds.sum(axis=-1, keepdims=True)
+            np.subtract(dp, rowsum, out=ds)
+            ds *= probs
             ds *= scale
             dq = ds @ kh
             dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)

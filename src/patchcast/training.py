@@ -338,6 +338,28 @@ def _load_train_state(ckpt_path: Path, weights: ModelWeights) -> AdamState:
     return AdamState(m=m, v=v, step=step)
 
 
+# TrainConfig fields a resumed run may change: none of them touches the weights.
+RESUME_FREE_FIELDS = ("checkpoint_every", "val_every", "val_windows")
+
+
+def _check_resume_schedule(ckpt_path, extra: dict, cfg: TrainConfig) -> None:
+    """TrainConfigError naming every weight-affecting field that differs from
+    the train config recorded in a checkpoint; checkpoints without the
+    record pass."""
+    recorded = extra.get("train_config")
+    if recorded is None:
+        return
+    if not isinstance(recorded, dict):
+        raise CheckpointError(f"checkpoint {ckpt_path} records train_config {recorded!r}, "
+                              f"not an object")
+    differ = [f"{name} {recorded.get(name)!r} -> {value!r}"
+              for name, value in cfg.to_dict().items()
+              if name not in RESUME_FREE_FIELDS and recorded.get(name) != value]
+    if differ:
+        raise TrainConfigError(f"resume checkpoint {ckpt_path} was trained with a different "
+                               f"train config: {'; '.join(differ)}")
+
+
 def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
           out_dir=None, resume_from=None) -> TrainResult:
     """Run the pretraining loop over a corpus.
@@ -345,7 +367,8 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
     Writes ``ckpt_*.npz``/``state_*.npz`` pairs plus ``loss_curve.csv``
     under ``out_dir`` when given. ``resume_from`` takes a checkpoint path
     written by an earlier run and continues from its recorded step with the
-    identical batch stream.
+    identical batch stream; the model config and every TrainConfig field
+    outside RESUME_FREE_FIELDS must match the run that wrote it.
     """
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -358,19 +381,24 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
         if bundle.config != model_cfg:
             raise TrainConfigError(
                 f"resume checkpoint {resume_from} was trained with a different model config")
+        _check_resume_schedule(resume_from, bundle.extra, cfg)
         weights = bundle.weights
         state = _load_train_state(Path(resume_from), weights)
         start_step = bundle.extra.get("step", state.step)
         if isinstance(start_step, bool) or not isinstance(start_step, int) or start_step < 0:
             raise CheckpointError(
                 f"checkpoint {resume_from} records step {start_step!r}, not a non-negative integer")
+        if start_step >= cfg.total_steps:
+            raise TrainConfigError(f"resume checkpoint {resume_from} is at step {start_step}; "
+                                   f"total_steps {cfg.total_steps} leaves no step to train")
     else:
         weights = ModelWeights.initialize(model_cfg, seed=cfg.seed)
         state = AdamState.for_weights(weights)
         start_step = 0
 
     val_windows = _fixed_val_windows(corpus, model_cfg, cfg.val_windows) if cfg.val_every else []
-    extra_base = {"normalization": cfg.normalization, "train_seed": cfg.seed}
+    extra_base = {"normalization": cfg.normalization, "train_seed": cfg.seed,
+                  "train_config": cfg.to_dict()}
     curve: list[tuple[int, float, float | None]] = []
     checkpoints: list[Path] = []
 

@@ -3,6 +3,7 @@ codes, and deterministic output files."""
 
 import json
 import math
+import time
 from datetime import datetime
 
 import numpy as np
@@ -171,6 +172,64 @@ def test_pretrain_resume_with_different_model_config(trained, tmp_path, capsys):
     assert "different model config" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def midway(tmp_path_factory):
+    """A 4-step run checkpointed at step 2, and a copy of that checkpoint
+    without the recorded train config, as checkpoints were written before."""
+    from patchcast.checkpoint import load_checkpoint, save_checkpoint
+
+    root = tmp_path_factory.mktemp("midway")
+    cfg = pretrain_config(root / "run", steps=4)
+    cfg["train"]["checkpoint_every"] = 2
+    (root / "pretrain.json").write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(root / "pretrain.json")]) == 0
+    ckpt = root / "run" / "ckpt_step000002.npz"
+    legacy = root / "legacy" / ckpt.name
+    legacy.parent.mkdir()
+    bundle = load_checkpoint(ckpt)
+    assert bundle.extra["train_config"]["base_lr"] == 1e-3
+    extra = {k: v for k, v in bundle.extra.items() if k != "train_config"}
+    save_checkpoint(legacy, bundle.config, bundle.weights, extra=extra)
+    state = ckpt.with_name("state_step000002.npz")
+    (legacy.parent / state.name).write_bytes(state.read_bytes())
+    return ckpt, legacy
+
+
+def resume_with_train(tmp_path, ckpt, **train):
+    cfg = pretrain_config(tmp_path / "resumed", steps=4)
+    cfg["train"].update(train)
+    path = tmp_path / "resume.json"
+    path.write_text(json.dumps(cfg))
+    return main(["pretrain", "--config", str(path), "--resume-from", str(ckpt)])
+
+
+def test_pretrain_resume_with_different_schedule_names_the_field(midway, tmp_path, capsys):
+    ckpt, _ = midway
+    assert resume_with_train(tmp_path, ckpt, base_lr=2e-3) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(ckpt) in err
+    assert "base_lr 0.001 -> 0.002" in err and "total_steps" not in err
+
+
+def test_pretrain_resume_may_change_cadence_fields(midway, tmp_path, capsys):
+    ckpt, _ = midway
+    assert resume_with_train(tmp_path, ckpt, checkpoint_every=1, val_every=2, val_windows=3) == 0
+    assert "trained 4 steps" in capsys.readouterr().out
+
+
+def test_pretrain_resume_from_legacy_checkpoint_skips_schedule_check(midway, tmp_path, capsys):
+    _, legacy = midway
+    assert resume_with_train(tmp_path, legacy, base_lr=2e-3) == 0
+    curve = (tmp_path / "resumed" / "loss_curve.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in curve[1:]] == ["3", "4"]
+
+
+def test_pretrain_resume_from_finished_run_exits_2(trained, tmp_path, capsys):
+    assert resume(tmp_path, trained / "ckpt_final.npz") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "leaves no step to train" in err
+
+
 def test_output_dir_env_anchors_relative_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("PATCHCAST_OUTPUT_DIR", str(tmp_path / "anchor"))
     cfg = pretrain_config("rel_run", steps=2)
@@ -246,6 +305,28 @@ def test_forecast_zero_horizon_rejected(trained, tmp_path, capsys):
                  "--input", str(inp), "--horizon", "0",
                  "--output", str(tmp_path / "o.jsonl")]) == 2
     assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_horizon_past_max_rounds_exits_2_naming_the_bound(trained, tmp_path, capsys, command):
+    from patchcast.inference import MAX_ROUNDS
+
+    limit = MAX_ROUNDS * 8  # the tiny model keeps the desk output_patch_len
+    ckpt = str(trained / "ckpt_final.npz")
+    if command == "forecast":
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps({"id": "a", "values": list(np.arange(24.0))}) + "\n")
+        argv = ["forecast", "--checkpoint", ckpt, "--input", str(inp),
+                "--output", str(tmp_path / "o.jsonl")]
+    else:
+        data = tmp_path / "eval.csv"
+        write_eval_csv(data, n_series=1)
+        argv = ["evaluate", "--checkpoint", ckpt, "--data", str(data), "--context", "32"]
+    t0 = time.perf_counter()
+    assert main(argv + ["--horizon", str(limit + 1)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{limit} points" in err and "MAX_ROUNDS" in err
 
 
 def test_forecast_bad_checkpoint_path(tmp_path, capsys):

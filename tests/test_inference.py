@@ -7,15 +7,18 @@ contract.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from patchcast.inference import (
+    MAX_ROUNDS,
     ForecastError,
     ForecastResult,
     HorizonError,
     autoregressive_rounds,
+    check_horizon,
     forecast,
 )
 from patchcast.model import (
@@ -305,6 +308,19 @@ def test_horizon_must_be_positive_integer(rig):
     for bad in (0, -3, 2.5, "8", True):
         with pytest.raises(HorizonError):
             forecast(weights, cfg, wave(40), bad)
+
+
+def test_horizon_past_max_rounds_rejected_before_any_work(rig, monkeypatch):
+    import patchcast.inference as inference
+
+    cfg, weights = rig
+    limit = MAX_ROUNDS * cfg.output_patch_len
+    check_horizon(limit, cfg)  # the bound itself is allowed
+    monkeypatch.setattr(inference, "forward", None)  # any model call would fail
+    t0 = time.perf_counter()
+    with pytest.raises(HorizonError, match=f"{limit} points.*MAX_ROUNDS = {MAX_ROUNDS}"):
+        forecast(weights, cfg, wave(40), limit + 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_context_shorter_than_patch_rejected(rig):

@@ -384,3 +384,95 @@ def test_all_op_outputs_finite_on_finite_input():
     ]
     for out in outs:
         assert np.isfinite(out).all()
+
+
+# -- in-place softmax and attention: bitwise equal to the three-temporary formulas --
+
+
+def softmax_three_temporaries(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_with_temporaries(q, k, v, num_heads, g):
+    """Forward and VJP of causal_attention as separate arrays per stage,
+    with the mask cut from an N x N triu."""
+    shape, kv_shape = q.shape, k.shape
+    m, n, dh = shape[-2], kv_shape[-2], shape[-1] // num_heads
+    nb = len(shape) - 2
+    heads = tuple(range(nb)) + (nb + 1, nb, nb + 2)
+    split, kv_split = (s[:-1] + (num_heads, dh) for s in (shape, kv_shape))
+    qh = q.reshape(split).transpose(heads)
+    kh, vh = (t.reshape(kv_split).transpose(heads) for t in (k, v))
+    scale = 1.0 / math.sqrt(dh)
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= scale
+    scores += np.triu(np.full((n, n), T.MASK_VALUE), k=1)[n - m:]
+    probs = softmax_three_temporaries(scores)
+    out = (probs @ vh).transpose(heads).reshape(shape)
+    dctx = g.reshape(split).transpose(heads)
+    dp = dctx @ np.swapaxes(vh, -1, -2)
+    dv = np.swapaxes(probs, -1, -2) @ dctx
+    ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+    ds *= scale
+    dq = ds @ kh
+    dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
+    return out, (dq.transpose(heads).reshape(shape),
+                 *(a.transpose(heads).reshape(kv_shape) for a in (dk, dv)))
+
+
+def last_record_vjp(g):
+    """Gradients the newest tape record sends to its inputs for output grad g."""
+    return active_tape().records[-1].vjp(g)
+
+
+def softmax_rows(kind):
+    rng = np.random.default_rng(31)
+    if kind == "random":
+        return rng.standard_normal((3, 4, 17))
+    if kind == "masked":
+        return rng.standard_normal((2, 9, 9)) + np.triu(np.full((9, 9), T.MASK_VALUE), k=1)
+    return rng.choice([-1e4, 1e4], size=(5, 11)) + rng.standard_normal((5, 11))
+
+
+@pytest.mark.parametrize("kind", ["random", "masked", "extreme"])
+def test_softmax_bitwise_equal_to_three_temporaries(kind):
+    x = softmax_rows(kind)
+    before = x.copy()
+    t = Tensor(x, requires_grad=True)
+    y = softmax_lastdim(t)
+    assert np.array_equal(y.data, softmax_three_temporaries(before))
+    assert np.array_equal(x, before)  # the input is not mutated
+    g = np.random.default_rng(32).standard_normal(x.shape)
+    want = y.data * (g - (g * y.data).sum(axis=-1, keepdims=True))
+    assert np.array_equal(last_record_vjp(g)[0], want)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 7), (9, 9), (128, 128)])
+def test_causal_attention_bitwise_equal_to_temporaries(m, n):
+    rng = np.random.default_rng(33)
+    q = rng.standard_normal((2, m, 8))
+    k, v = (rng.standard_normal((2, n, 8)) for _ in range(2))
+    g = rng.standard_normal((2, m, 8))
+    out = causal_attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), 2)
+    want_out, want_grads = attention_with_temporaries(q, k, v, 2, g)
+    assert np.array_equal(out.data, want_out)
+    for got, want in zip(last_record_vjp(g), want_grads):
+        assert np.array_equal(got, want)
+
+
+def test_causal_attention_rejects_infinite_score():
+    # finite inputs whose product overflows: the score, not the input, is inf
+    big = np.full((4, 8), 1e300)
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        causal_attention(Tensor(big), Tensor(big), Tensor(np.ones((4, 8))), 2)
+
+
+def test_matmul_vjp_skips_constant_operand():
+    x = Tensor(np.ones((3, 5, 4)))  # an input batch: no grad, not from the tape
+    w = Tensor(np.ones((4, 6)), requires_grad=True)
+    x @ w
+    gx, gw = last_record_vjp(np.ones((3, 5, 6)))
+    assert gx is None
+    assert gw.shape == (4, 6)

@@ -469,6 +469,15 @@ def test_resume_rejects_different_model_config(corpus, tmp_path):
               resume_from=first.checkpoints[-1])
 
 
+def test_resume_rejects_different_schedule_naming_each_field(corpus, tmp_path):
+    first = quick_train(corpus, steps=4, checkpoint_every=2, out_dir=tmp_path)
+    with pytest.raises(TrainConfigError) as err:
+        quick_train(corpus, steps=4, seed=3, batch_size=2, val_every=1,
+                    resume_from=first.checkpoints[0])
+    msg = str(err.value)
+    assert "batch_size 4 -> 2" in msg and "seed 0 -> 3" in msg and "val_every" not in msg
+
+
 def test_divergent_run_aborts_keeping_checkpoints(corpus, tmp_path, monkeypatch):
     # force the step-3 forward to blow up; the step-2 checkpoint must survive
     # and no later checkpoint may be written
