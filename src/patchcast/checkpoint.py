@@ -72,6 +72,9 @@ def load_checkpoint(path) -> CheckpointBundle:
             f"checkpoint format version {version} unsupported (expected {FORMAT_VERSION})")
     if not isinstance(meta.get("config"), dict):
         raise CheckpointError(f"{path} meta has no config object; not a checkpoint")
+    extra = meta.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path} meta extra is not a JSON object")
     try:
         config = ModelConfig.from_dict(meta["config"])
     except (ConfigError, TypeError) as err:
@@ -80,4 +83,4 @@ def load_checkpoint(path) -> CheckpointBundle:
         weights = ModelWeights.from_arrays(config, arrays)
     except ValueError as err:
         raise CheckpointError(f"invalid weight arrays in {path}: {err}") from err
-    return CheckpointBundle(config=config, weights=weights, extra=meta.get("extra", {}))
+    return CheckpointBundle(config=config, weights=weights, extra=extra)

@@ -44,6 +44,7 @@ from .evaluation import (
 from .inference import ForecastError, HorizonError, check_horizon, forecast
 from .model import ConfigError, ModelConfig, PRESETS
 from .training import (
+    NORMALIZATION_MODES,
     TrainConfig,
     TrainConfigError,
     TrainingDivergedError,
@@ -224,15 +225,18 @@ def _record_features(record: dict, cfg: ModelConfig, horizon: int,
 
 
 def _load_for_horizon(path, horizon: int):
-    """The checkpoint at `path`; CLIError if it is unusable or `horizon`
-    needs more than MAX_ROUNDS rounds of its model (a horizon < 1 is
-    reported by the caller)."""
+    """The checkpoint at `path` and its normalization mode; CLIError if it is
+    unusable, records an unknown mode, or `horizon` needs more than
+    MAX_ROUNDS rounds of its model (a horizon < 1 is reported by the caller)."""
     try:
         bundle = load_checkpoint(path)
         check_horizon(max(horizon, 1), bundle.config)
     except (CheckpointError, HorizonError) as exc:
         raise CLIError(str(exc)) from exc
-    return bundle
+    normalization = bundle.extra.get("normalization", "per-window")
+    if normalization not in NORMALIZATION_MODES:
+        raise CLIError(f"checkpoint {path} records unknown normalization mode {normalization!r}")
+    return bundle, normalization
 
 
 def cmd_forecast(args) -> int:
@@ -240,8 +244,7 @@ def cmd_forecast(args) -> int:
         raise CLIError(f"--horizon must be >= 1, got {args.horizon}")
     if args.granularity is not None and args.granularity not in GRANULARITIES:
         raise CLIError(f"unknown --granularity {args.granularity!r}")
-    bundle = _load_for_horizon(args.checkpoint, args.horizon)
-    normalization = bundle.extra.get("normalization", "per-window")
+    bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
     failures = 0
     try:
         in_lines = Path(args.input).read_text().splitlines()
@@ -286,7 +289,7 @@ def _forecast_record(line: str, line_no: int, bundle, horizon: int,
 
 
 def cmd_evaluate(args) -> int:
-    bundle = _load_for_horizon(args.checkpoint, args.horizon)
+    bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
     try:
         report = ingest_csv(args.data)
     except (OSError, IngestError) as exc:
@@ -298,7 +301,6 @@ def cmd_evaluate(args) -> int:
     series = [s for s in report.corpus.series if len(s) >= 10]
     if not series:
         raise CLIError("no usable series (need at least 10 points each)")
-    normalization = bundle.extra.get("normalization", "per-window")
     predictors = [("model", make_model_predictor(bundle.weights, bundle.config,
                                                  normalization)),
                   ("repeat_last", repeat_last)]
@@ -358,9 +360,8 @@ def cmd_ablate(args) -> int:
     try:
         if suite == "context":
             if "checkpoint" in raw:
-                bundle = load_checkpoint(raw["checkpoint"])
+                bundle, normalization = _load_for_horizon(raw["checkpoint"], horizon)
                 weights, model_cfg = bundle.weights, bundle.config
-                normalization = bundle.extra.get("normalization", "per-window")
             else:
                 model_cfg = _build_model_config(raw.get("model", {}))
                 train_cfg = TrainConfig.from_dict(train_section)

@@ -8,7 +8,6 @@ comparison runs through the identical protocol.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -140,36 +139,6 @@ class EvalReport:
     @property
     def n_windows(self) -> int:
         return len(self.windows)
-
-    @property
-    def pooled_nrmse(self) -> float:
-        if not self.windows:
-            return math.nan
-        return math.fsum(w.nrmse for w in self.windows) / len(self.windows)
-
-    @property
-    def pooled_wape(self) -> float:
-        if not self.windows:
-            return math.nan
-        return math.fsum(w.wape for w in self.windows) / len(self.windows)
-
-    def to_json_dict(self) -> dict:
-        pooled_n, pooled_w = self.pooled_nrmse, self.pooled_wape
-        return {
-            "series_id": self.series_id,
-            "context_len": self.context_len,
-            "horizon": self.horizon,
-            "stride": self.stride,
-            "n_windows": self.n_windows,
-            "excluded": self.excluded,
-            "pooled_nrmse": None if math.isnan(pooled_n) else pooled_n,
-            "pooled_wape": None if math.isnan(pooled_w) else pooled_w,
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:

@@ -264,20 +264,15 @@ def positional_encoding(n_positions: int, dim: int, start: int = 0) -> np.ndarra
 
 def residual_block(v: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                    wskip: Tensor | None) -> Tensor:
-    """out = w2 @ relu(w1 @ v + b1) + b2 + skip(v).
+    """out = w2 @ relu(w1 @ v + b1) + b2 + skip(v), for rows v [.., d].
 
     The skip path is the identity when input and output widths agree
-    (wskip None) and a learned linear map otherwise. Accepts a single
-    vector or any stack of them.
+    (wskip None) and a learned linear map otherwise.
     """
-    single = v.ndim == 1
-    if single:
-        v = tt.reshape(v, (1, v.shape[0]))
     hidden = tt.relu(v @ w1 + b1)
     out = hidden @ w2 + b2
     skip = v if wskip is None else v @ wskip
-    out = out + skip
-    return tt.reshape(out, (out.shape[-1],)) if single else out
+    return out + skip
 
 
 def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig, start: int = 0) -> Tensor:

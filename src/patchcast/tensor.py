@@ -3,8 +3,9 @@
 Float64 numpy arrays wrapped in :class:`Tensor`, with reverse-mode
 differentiation driven by an explicit :class:`Tape`. Every operation that
 touches a gradient-requiring tensor appends one record (inputs, output, vjp
-closure) to the active tape; ``backward`` replays the records in reverse
-order exactly once and accumulates gradients into the leaves.
+closure) to the active tape through :func:`_op`; ``backward`` replays the
+records in reverse order exactly once and accumulates gradients into the
+leaves.
 
 Broadcasting is deliberately restricted: two operands must have identical
 shapes, or one must be a scalar, or the smaller shape must be a trailing
@@ -191,7 +192,7 @@ class Tape:
                     if t._produced:
                         acc = flow.get(id(t))
                         flow[id(t)] = gt if acc is None else acc + gt
-                    elif t.requires_grad:
+                    else:
                         t.grad = gt.copy() if t.grad is None else t.grad + gt
         finally:
             self.records.clear()
@@ -225,30 +226,30 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=tuple(range(extra))) if extra else g.reshape(shape)
 
 
-def _unary(x, out_data: np.ndarray, vjp_x: Callable[[np.ndarray], np.ndarray]) -> Tensor:
-    x = _coerce(x)
+def _op(out_data: np.ndarray, inputs: tuple[Tensor, ...],
+        vjp: Callable[[np.ndarray, tuple[bool, ...]], tuple]) -> Tensor:
+    """Wrap an op's output, recording it on the active tape when gradients
+    are on and some input is live: it requires grad or came from the tape.
+
+    ``vjp(g, live)`` returns one gradient per input and None for each input
+    that is not live (a constant such as an input batch or a positional
+    table), so no gradient is computed only to be dropped.
+    """
     out = Tensor(out_data)
-    if grad_enabled() and (x.requires_grad or x._produced):
-        out.requires_grad = True
-        active_tape().record(out, (x,), lambda g: (vjp_x(g),))
+    if grad_enabled():
+        live = tuple(t.requires_grad or t._produced for t in inputs)
+        if any(live):
+            out.requires_grad = True
+            active_tape().record(out, inputs, lambda g: vjp(g, live))
     return out
 
 
 def _binary(a, b, opname: str, fwd, vjp_a, vjp_b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_suffix_broadcast(a.data.shape, b.data.shape, opname)
-    out = Tensor(fwd(a.data, b.data))
-    live = [t.requires_grad or t._produced for t in (a, b)]
-    if grad_enabled() and any(live):
-        out.requires_grad = True
-
-        def vjp(g):
-            # A constant operand (a mask, a positional table) gets None, not a gradient.
-            return tuple(_reduce_to(f(g, a.data, b.data), t.data.shape) if need else None
-                         for t, f, need in zip((a, b), (vjp_a, vjp_b), live))
-
-        active_tape().record(out, (a, b), vjp)
-    return out
+    return _op(fwd(a.data, b.data), (a, b), lambda g, live: tuple(
+        _reduce_to(f(g, a.data, b.data), t.data.shape) if need else None
+        for t, f, need in zip((a, b), (vjp_a, vjp_b), live)))
 
 
 # -- elementwise ops -------------------------------------------------------
@@ -271,13 +272,13 @@ def mul(a, b) -> Tensor:
 
 def neg(x) -> Tensor:
     x = _coerce(x)
-    return _unary(x, -x.data, lambda g: -g)
+    return _op(-x.data, (x,), lambda g, _: (-g,))
 
 
 def relu(x) -> Tensor:
     x = _coerce(x)
     out_data = np.maximum(x.data, 0.0)
-    return _unary(x, out_data, lambda g: g * (x.data > 0.0))
+    return _op(out_data, (x,), lambda g, _: (g * (x.data > 0.0),))
 
 
 # -- contractions and reductions -------------------------------------------
@@ -297,33 +298,9 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
     _check_suffix_broadcast(a.data.shape[:-2], b.data.shape[:-2], "matmul(batch dims)")
-    out = Tensor(a.data @ b.data)
-    live_a, live_b = (t.requires_grad or t._produced for t in (a, b))
-    if grad_enabled() and (live_a or live_b):
-        out.requires_grad = True
-
-        def vjp(g):
-            ga = _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if live_a else None
-            gb = _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if live_b else None
-            return ga, gb
-
-        active_tape().record(out, (a, b), vjp)
-    return out
-
-
-def tsum(x, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
-    """Sum over the given axes (all axes when None)."""
-    x = _coerce(x)
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, x.data.shape).copy()
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        gg = g if keepdims else np.expand_dims(g, axes)
-        return np.broadcast_to(gg, x.data.shape).copy()
-
-    return _unary(x, np.asarray(out_data), vjp)
+    return _op(a.data @ b.data, (a, b), lambda g, live: (
+        _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if live[0] else None,
+        _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if live[1] else None))
 
 
 def sum_exact(x) -> Tensor:
@@ -334,7 +311,7 @@ def sum_exact(x) -> Tensor:
     """
     x = _coerce(x)
     out_data = np.asarray(math.fsum(x.data.ravel().tolist()))
-    return _unary(x, out_data, lambda g: np.full(x.data.shape, float(g)))
+    return _op(out_data, (x,), lambda g, _: (np.full(x.data.shape, float(g)),))
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -345,7 +322,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     new_shape = tuple(shape)
     out_data = x.data.reshape(new_shape)
     old_shape = x.data.shape
-    return _unary(x, out_data, lambda g: g.reshape(old_shape))
+    return _op(out_data, (x,), lambda g, _: (g.reshape(old_shape),))
 
 
 # -- normalized nonlinearities ----------------------------------------------
@@ -368,14 +345,14 @@ def softmax_lastdim(x) -> Tensor:
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
+    def vjp(g, _):
         gx = g * y
         dot = gx.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=gx)
         gx *= y
-        return gx
+        return (gx,)
 
-    return _unary(x, y, vjp)
+    return _op(y, (x,), vjp)
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -393,22 +370,19 @@ def layer_norm(x, gain, bias) -> Tensor:
     var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    if grad_enabled() and any(t.requires_grad or t._produced for t in (x, gain, bias)):
-        out.requires_grad = True
 
-        def vjp(g):
+    def vjp(g, live):
+        dx = None
+        if live[0]:
             dxhat = g * gain.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             dx = inv * (dxhat - m1 - xhat * m2)
-            reduce_axes = tuple(range(g.ndim - 1))
-            dgain = (g * xhat).sum(axis=reduce_axes) if reduce_axes else g * xhat
-            dbias = g.sum(axis=reduce_axes) if reduce_axes else g
-            return dx, dgain, dbias
+        reduce_axes = tuple(range(g.ndim - 1))  # () for one row: sum(axis=()) copies
+        return (dx, (g * xhat).sum(axis=reduce_axes) if live[1] else None,
+                g.sum(axis=reduce_axes) if live[2] else None)
 
-        active_tape().record(out, (x, gain, bias), vjp)
-    return out
+    return _op(xhat * gain.data + bias.data, (x, gain, bias), vjp)
 
 
 def causal_attention(q, k, v, num_heads: int) -> Tensor:
@@ -442,23 +416,21 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     scores *= scale
     scores += np.triu(np.full((m, n), MASK_VALUE), k=n - m + 1)
     probs = softmax_lastdim(Tensor(scores)).data
-    out = Tensor((probs @ vh).transpose(heads).reshape(shape))
-    if grad_enabled() and any(t.requires_grad or t._produced for t in (q, k, v)):
-        out.requires_grad = True
 
-        def vjp(g):
-            dctx = g.reshape(split).transpose(heads)
+    def vjp(g, live):
+        dctx = g.reshape(split).transpose(heads)
+        dq = dk = None
+        if live[0] or live[1]:
             dp = dctx @ np.swapaxes(vh, -1, -2)
-            dv = np.swapaxes(probs, -1, -2) @ dctx
             ds = dp * probs
             rowsum = ds.sum(axis=-1, keepdims=True)
             np.subtract(dp, rowsum, out=ds)
             ds *= probs
             ds *= scale
-            dq = ds @ kh
-            dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2)
-            return (dq.transpose(heads).reshape(shape),
-                    *(a.transpose(heads).reshape(kv_shape) for a in (dk, dv)))
+            dq = ds @ kh if live[0] else None
+            dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2) if live[1] else None
+        dv = np.swapaxes(probs, -1, -2) @ dctx if live[2] else None
+        return tuple(None if d is None else d.transpose(heads).reshape(s)
+                     for d, s in zip((dq, dk, dv), (shape, kv_shape, kv_shape)))
 
-        active_tape().record(out, (q, k, v), vjp)
-    return out
+    return _op((probs @ vh).transpose(heads).reshape(shape), (q, k, v), vjp)

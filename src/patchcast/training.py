@@ -1,4 +1,4 @@
-"""Pretraining: per-window normalization, masked patch-wise MSE, Adam with
+"""Pretraining: per-window normalization, patch-wise MSE, Adam with
 linear warmup and cosine decay, and a deterministic training loop.
 
 Determinism contract: batch content depends only on (seed, step index) via
@@ -34,7 +34,7 @@ SIGMA_FLOOR = 1e-8
 
 
 class DegenerateBatchError(ValueError):
-    """Every token in the batch is masked out of the loss."""
+    """A training window too short to hold one token with its full target."""
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -90,35 +90,20 @@ def invert_scale(values: np.ndarray, rec: ScaleRecord) -> np.ndarray:
 # -- loss ---------------------------------------------------------------------
 
 
-def train_loss(forecasts, targets, mask) -> Tensor:
-    """Mean over active tokens of the per-token h-step MSE.
+def train_loss(forecasts, targets) -> Tensor:
+    """Mean squared error over every token's h-step forecast.
 
-    forecasts/targets are [.., N, h]; mask is [.., N] with 1 for tokens
-    whose full target lies inside the window. The final reduction uses
-    exactly rounded summation, so the value is invariant under permuting
-    windows within a batch.
+    forecasts/targets are [.., N, h]; every token's full target lies inside
+    its window (see :func:`assemble_batch`). The reduction uses exactly
+    rounded summation, so the value is invariant under permuting windows
+    within a batch.
     """
     f = forecasts if isinstance(forecasts, Tensor) else Tensor(forecasts)
     t = targets if isinstance(targets, Tensor) else Tensor(np.asarray(targets, dtype=np.float64))
-    m = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=np.float64)
     if f.shape != t.shape:
         raise ValueError(f"forecasts {f.shape} and targets {t.shape} disagree")
-    if m.shape != f.shape[:-1]:
-        raise ValueError(f"mask {m.shape} does not cover tokens {f.shape[:-1]}")
-    active = float(m.sum())
-    if active <= 0:
-        raise DegenerateBatchError("all tokens are masked; no loss terms remain")
-    h = f.shape[-1]
     diff = f - t
-    weighted = diff * diff * Tensor(np.broadcast_to(m[..., None], f.shape).copy())
-    return sum_exact(weighted) * (1.0 / (h * active))
-
-
-def token_loss_mask(window_len: int, patch_len: int, horizon: int) -> np.ndarray:
-    """1.0 for tokens j (1-based) with p*j + h <= window length, else 0."""
-    n = window_len // patch_len
-    j = np.arange(1, n + 1)
-    return (j * patch_len + horizon <= window_len).astype(np.float64)
+    return sum_exact(diff * diff) * (1.0 / f.size)
 
 
 # -- optimizer ------------------------------------------------------------------
@@ -185,12 +170,12 @@ def lr_at(step: int, base_lr: float, total_steps: int, warmup_frac: float = 0.05
 
 
 def assemble_batch(windows, cfg: ModelConfig, normalization: str):
-    """Windows (equal length) -> (inputs [B,N,w], targets [B,N,h], mask [B,N]).
+    """Windows (equal length) -> (inputs [B,N,w], targets [B,N,h]).
 
     The scale record comes from the model-visible span (window minus its
     final h points); inputs and targets are standardized with the same
-    record. Tokens are only built where the full h-step target fits, so the
-    mask is all ones by construction.
+    record. Tokens are only built where the full h-step target fits, so
+    every token counts in the loss.
     """
     p, h = cfg.input_patch_len, cfg.output_patch_len
     w_len = len(windows[0].values)
@@ -209,7 +194,7 @@ def assemble_batch(windows, cfg: ModelConfig, normalization: str):
         inputs.append(assemble_patch_inputs(token_span, feats, cfg))
         tails = np.lib.stride_tricks.sliding_window_view(normed, h)
         targets.append(tails[offset + p::p][:n_tok])
-    return (np.stack(inputs), np.stack(targets), np.ones((len(windows), n_tok)))
+    return np.stack(inputs), np.stack(targets)
 
 
 # -- train loop ------------------------------------------------------------------------
@@ -296,9 +281,9 @@ def _val_loss(val_windows, weights, model_cfg, normalization) -> float | None:
     losses = []
     with no_grad():
         for w in val_windows:
-            inputs, targets, mask = assemble_batch([w], model_cfg, normalization)
+            inputs, targets = assemble_batch([w], model_cfg, normalization)
             out = forward(weights, model_cfg, inputs)
-            losses.append(train_loss(out, targets, mask).item())
+            losses.append(train_loss(out, targets).item())
     return math.fsum(losses) / len(losses)
 
 
@@ -406,11 +391,11 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
         rng = rng_for(cfg.seed, 1, step)
         windows = sample_training_windows(corpus, mixture, cfg.batch_size, rng,
                                           input_patch_len=p, output_patch_len=h)
-        inputs, targets, mask = assemble_batch(windows, model_cfg, cfg.normalization)
+        inputs, targets = assemble_batch(windows, model_cfg, cfg.normalization)
         weights.zero_grads()
         try:
             out = forward(weights, model_cfg, Tensor(inputs))
-            loss = train_loss(out, targets, mask)
+            loss = train_loss(out, targets)
             loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(

@@ -84,15 +84,14 @@ def test_criterion_01_gradient_correctness():
     rng = np.random.default_rng(3)
     inputs = rng.normal(size=(2, 4, cfg.input_width))
     targets = rng.normal(size=(2, 4, cfg.output_patch_len))
-    mask = np.ones((2, 4))
 
     def loss_value() -> float:
         with no_grad():
-            return train_loss(forward(weights, cfg, inputs), targets, mask).item()
+            return train_loss(forward(weights, cfg, inputs), targets).item()
 
     t0 = time.monotonic()
     weights.zero_grads()
-    loss = train_loss(forward(weights, cfg, Tensor(inputs)), targets, mask)
+    loss = train_loss(forward(weights, cfg, Tensor(inputs)), targets)
     loss.backward()
     step = 1e-5
     worst_name, worst_err = "", 0.0

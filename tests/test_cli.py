@@ -352,6 +352,10 @@ def corrupt_checkpoint(good, path, kind):
             meta["config"]["num_heads"] = 3
         elif kind == "no-config":
             del meta["config"]
+        elif kind == "extra-not-object":
+            meta["extra"] = ["x"]
+        elif kind == "unknown-normalization":
+            meta["extra"]["normalization"] = "bogus"
         else:  # legacy keys, as "<ffn_hidden>,<dropout>"
             ffn, dropout = kind.split(",")
             meta["config"].update(ffn_hidden=int(ffn), dropout=float(dropout))
@@ -360,23 +364,45 @@ def corrupt_checkpoint(good, path, kind):
     return path
 
 
-@pytest.mark.parametrize("command", ["forecast", "evaluate"])
-@pytest.mark.parametrize("kind", ["truncated", "meta-not-json", "bad-config", "no-config"])
-def test_corrupt_checkpoint_exits_2_with_named_error(trained, tmp_path, capsys, command, kind):
-    ckpt = corrupt_checkpoint(trained / "ckpt_final.npz", tmp_path / f"{kind}.npz", kind)
+def run_with_checkpoint(command, ckpt, tmp_path) -> int:
+    """`command` (forecast, evaluate, or a context ablation) on small inputs."""
     if command == "forecast":
         inp = tmp_path / "in.jsonl"
         inp.write_text(json.dumps({"id": "a", "values": list(np.arange(24.0))}) + "\n")
         argv = ["forecast", "--checkpoint", str(ckpt), "--input", str(inp),
                 "--horizon", "8", "--output", str(tmp_path / "o.jsonl")]
-    else:
+    elif command == "evaluate":
         data = tmp_path / "eval.csv"
         write_eval_csv(data)
         argv = ["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
                 "--context", "32", "--horizon", "8"]
-    assert main(argv) == 2
+    else:
+        conf = ablate_config(tmp_path / "ab", "context", context_lengths=[16])
+        conf["checkpoint"] = str(ckpt)
+        cfg = tmp_path / "ablate.json"
+        cfg.write_text(json.dumps(conf))
+        argv = ["ablate", "--config", str(cfg)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+@pytest.mark.parametrize("kind", ["truncated", "meta-not-json", "bad-config", "no-config",
+                                  "extra-not-object"])
+def test_corrupt_checkpoint_exits_2_with_named_error(trained, tmp_path, capsys, command, kind):
+    ckpt = corrupt_checkpoint(trained / "ckpt_final.npz", tmp_path / f"{kind}.npz", kind)
+    assert run_with_checkpoint(command, ckpt, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(ckpt) in err
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate", "ablate"])
+def test_unknown_normalization_exits_2_naming_the_mode(trained, tmp_path, capsys, command):
+    ckpt = corrupt_checkpoint(trained / "ckpt_final.npz", tmp_path / "norm.npz",
+                              "unknown-normalization")
+    assert run_with_checkpoint(command, ckpt, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'bogus'" in err and str(ckpt) in err
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def forecast_with(ckpt, tmp_path):

@@ -4,7 +4,6 @@ Metric oracles are worked by hand or recomputed with pure-Python fsum
 arithmetic; window counts come from closed-form counting.
 """
 
-import json
 import math
 from datetime import datetime
 
@@ -28,6 +27,7 @@ from patchcast.evaluation import (
     mse,
     nrmse,
     patch_size_comparison,
+    pool_reports,
     pooled_over_series,
     repeat_last,
     rolling_eval,
@@ -178,7 +178,8 @@ def test_perfect_predictor_scores_zero_everywhere():
     rep = rolling_eval(oracle, s, context_len=16, horizon=6)
     assert rep.n_windows == 15
     assert all(w.nrmse == 0.0 and w.wape == 0.0 for w in rep.windows)
-    assert rep.pooled_nrmse == 0.0 and rep.pooled_wape == 0.0
+    pooled = pool_reports([rep])
+    assert pooled["nrmse"] == 0.0 and pooled["wape"] == 0.0
 
 
 def test_rolling_repeat_last_hand_computed():
@@ -196,7 +197,7 @@ def test_rolling_repeat_last_hand_computed():
     got = [(w.nrmse, w.wape) for w in rep.windows]
     for (gn, gw), (wn, ww) in zip(got, want):
         assert abs(gn - wn) < 1e-15 and abs(gw - ww) < 1e-15
-    assert abs(rep.pooled_nrmse - math.fsum(w[0] for w in want) / 3) < 1e-15
+    assert abs(pool_reports([rep])["nrmse"] - math.fsum(w[0] for w in want) / 3) < 1e-15
 
 
 def test_zero_actual_windows_excluded_and_counted():
@@ -257,23 +258,22 @@ def test_model_predictor_runs_through_protocol():
 
 
 def test_report_csv_and_json(tmp_path):
+    # the window CSV, and the pooled row evaluate writes to summary.json
     rep = EvalReport(series_id="s1", context_len=8, horizon=2, stride=1,
                      windows=[WindowScore(16, 0.5, 0.25), WindowScore(17, 0.75, 0.5)],
                      excluded=1)
-    csv_path, json_path = tmp_path / "w.csv", tmp_path / "p.json"
+    csv_path = tmp_path / "w.csv"
     rep.write_csv(csv_path)
     assert csv_path.read_bytes() == b"origin,nrmse,wape\n16,0.5,0.25\n17,0.75,0.5\n"
-    rep.write_json(json_path)
-    loaded = json.loads(json_path.read_text())
-    assert loaded["n_windows"] == 2 and loaded["excluded"] == 1
-    assert loaded["pooled_nrmse"] == 0.625 and loaded["pooled_wape"] == 0.375
+    assert pool_reports([rep]) == {"n_windows": 2, "excluded": 1, "nrmse": 0.625, "wape": 0.375}
 
 
 def test_report_with_no_scored_windows_serializes_null():
+    # NaN pooled scores, which evaluate writes to summary.json as null
     rep = EvalReport(series_id="s", context_len=4, horizon=2, stride=1, excluded=3)
-    d = rep.to_json_dict()
-    assert d["pooled_nrmse"] is None and d["pooled_wape"] is None
-    assert math.isnan(rep.pooled_nrmse)
+    pooled = pool_reports([rep])
+    assert pooled["n_windows"] == 0 and pooled["excluded"] == 3
+    assert math.isnan(pooled["nrmse"]) and math.isnan(pooled["wape"])
 
 
 def test_pooled_over_series_is_uniform_over_windows():

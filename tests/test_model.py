@@ -23,7 +23,7 @@ from patchcast.model import (
     stacked_transformer,
     weight_shapes,
 )
-from patchcast.tensor import Tensor, no_grad, sum_exact, tsum
+from patchcast.tensor import Tensor, no_grad, sum_exact
 
 
 def tiny_cfg(**kw):
@@ -186,16 +186,17 @@ def test_residual_block_hand_expansion():
     h1 = max(v[0] * -1.0 + v[1] * 0.5 - 0.5, 0.0)
     want = np.array([h0 * 1.0 + h1 * -2.0 + 0.1 + v[0],
                      h0 * 3.0 + h1 * 1.0 + 0.2 + v[1]])
-    got = residual_block(Tensor(v), w1, b1, w2, b2, None).data
-    assert np.allclose(got, want, atol=1e-12)
+    got = residual_block(Tensor(v[None, :]), w1, b1, w2, b2, None).data
+    assert got.shape == (1, 2)
+    assert np.allclose(got[0], want, atol=1e-12)
 
 
 def test_residual_block_zero_weights_identity_skip():
-    v = Tensor(np.array([3.0, -4.0]))
+    v = Tensor(np.array([[3.0, -4.0]]))
     zero = Tensor(np.zeros((2, 2)))
     zb = Tensor(np.zeros(2))
     out = residual_block(v, zero, zb, zero, zb, None).data
-    assert np.array_equal(out, [3.0, -4.0])
+    assert np.array_equal(out, [[3.0, -4.0]])
 
 
 def test_residual_block_learned_skip_when_dims_differ():
@@ -233,7 +234,7 @@ def test_causality_by_gradient_inspection():
                  requires_grad=True)
     out = forward(weights, cfg, inp)
     j = 2
-    tsum(tsum(out, axis=1) * Tensor(np.eye(6)[j])).backward()
+    sum_exact(out * Tensor(np.outer(np.eye(6)[j], np.ones(out.shape[-1])))).backward()
     assert inp.grad is not None
     assert np.array_equal(inp.grad[j + 1:], np.zeros((3, cfg.input_width)))
     assert np.abs(inp.grad[: j + 1]).max() > 0

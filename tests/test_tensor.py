@@ -21,7 +21,6 @@ from patchcast.tensor import (
     reshape,
     softmax_lastdim,
     sum_exact,
-    tsum,
 )
 
 
@@ -169,13 +168,13 @@ def test_suffix_broadcast_allowed():
 
 def test_grad_of_sum_is_ones():
     w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    tsum(w).backward()
+    sum_exact(w).backward()
     assert np.array_equal(w.grad, np.ones(3))
 
 
 def test_grad_of_sum_of_squares():
     w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    tsum(w * w).backward()
+    sum_exact(w * w).backward()
     assert np.allclose(w.grad, [2.0, -4.0, 6.0], atol=1e-12)
 
 
@@ -184,14 +183,14 @@ def test_fanout_accumulates_once_per_record():
     a = Tensor(np.array([3.0]), requires_grad=True)
     b = a + a
     c = b * b
-    tsum(c).backward()
+    sum_exact(c).backward()
     assert np.allclose(a.grad, [24.0], atol=1e-12)
 
 
 def test_off_path_leaf_keeps_no_grad():
     a = Tensor(np.ones(2), requires_grad=True)
     b = Tensor(np.ones(2), requires_grad=True)
-    tsum(a * 2.0).backward()
+    sum_exact(a * 2.0).backward()
     assert b.grad is None
     assert np.array_equal(a.grad, [2.0, 2.0])
 
@@ -212,7 +211,7 @@ def test_backward_on_empty_tape():
 
 def test_tape_is_single_use():
     a = Tensor(np.ones(2), requires_grad=True)
-    loss = tsum(a * a)
+    loss = sum_exact(a * a)
     loss.backward()
     assert len(active_tape()) == 0
     with pytest.raises(TapeError):
@@ -223,7 +222,7 @@ def test_no_grad_records_nothing():
     before = len(active_tape())
     a = Tensor(np.ones(4), requires_grad=True)
     with no_grad():
-        out = tsum(a * a)
+        out = sum_exact(a * a)
     assert len(active_tape()) == before
     assert not out.requires_grad
     active_tape().records.clear()
@@ -231,8 +230,8 @@ def test_no_grad_records_nothing():
 
 def test_grad_accumulates_across_backwards():
     a = Tensor(np.array([2.0]), requires_grad=True)
-    tsum(a * a).backward()
-    tsum(a * a).backward()
+    sum_exact(a * a).backward()
+    sum_exact(a * a).backward()
     assert np.allclose(a.grad, [8.0])
 
 
@@ -261,9 +260,12 @@ def shifted(shape):
         ("matmul_2d", matmul, [RNG.standard_normal((5, 4)), RNG.standard_normal((4, 7))]),
         ("matmul_batched", matmul, [RNG.standard_normal((3, 5, 4)), RNG.standard_normal((4, 6))]),
         ("matmul_3d3d", matmul, [RNG.standard_normal((2, 4, 3)), RNG.standard_normal((2, 3, 5))]),
-        ("sum_all", lambda a: tsum(a), [RNG.standard_normal((4, 5))]),
-        ("sum_axis", lambda a: tsum(a, axis=1), [RNG.standard_normal((4, 5))]),
-        ("sum_keepdims", lambda a: tsum(a, axis=(0, 2), keepdims=True), [RNG.standard_normal((3, 4, 5))]),
+        # constant operands: each live operand still gets its gradient
+        ("mul_constant", lambda a: a * Tensor(np.arange(5.0)), [RNG.standard_normal((4, 5))]),
+        ("matmul_constant_left", lambda a: Tensor(np.ones((3, 4))) @ a, [RNG.standard_normal((4, 5))]),
+        ("layer_norm_constant_affine",
+         lambda a: layer_norm(a, Tensor(np.linspace(0.5, 1.5, 5)), Tensor(np.ones(5))),
+         [RNG.standard_normal((3, 4, 5))]),
         ("sum_exact", sum_exact, [RNG.standard_normal((6, 6))]),
         ("reshape", lambda a: reshape(a, (8, 3)), [RNG.standard_normal((4, 6))]),
         ("attention", lambda q, k, v: causal_attention(q, k, v, 2),
@@ -335,7 +337,7 @@ def test_causal_attention_is_one_tape_record():
     before = len(active_tape())
     out = causal_attention(q, k, v, 2)
     assert len(active_tape()) == before + 1
-    tsum(out).backward()
+    sum_exact(out).backward()
     assert all(t.grad is not None and t.grad.shape == (2, 5, 8) for t in (q, k, v))
 
 
@@ -380,7 +382,7 @@ def test_all_op_outputs_finite_on_finite_input():
         relu(Tensor(x)).data,
         softmax_lastdim(Tensor(x)).data,
         layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))).data,
-        tsum(Tensor(x)).data,
+        sum_exact(Tensor(x)).data,
     ]
     for out in outs:
         assert np.isfinite(out).all()
@@ -476,3 +478,34 @@ def test_matmul_vjp_skips_constant_operand():
     gx, gw = last_record_vjp(np.ones((3, 5, 6)))
     assert gx is None
     assert gw.shape == (4, 6)
+
+
+def attention2(q, k, v):
+    return causal_attention(q, k, v, 2)
+
+
+@pytest.mark.parametrize("op,shapes,live", [
+    (T.add, [(3, 4), (4,)], (False, True)),
+    (T.mul, [(3, 4), (3, 4)], (True, False)),
+    (matmul, [(3, 4), (4, 5)], (True, False)),
+    (layer_norm, [(3, 4), (4,), (4,)], (False, True, True)),
+    (layer_norm, [(3, 4), (4,), (4,)], (True, False, False)),
+    (attention2, [(2, 5, 8)] * 3, (False, True, True)),
+    (attention2, [(2, 5, 8)] * 3, (True, False, False)),
+], ids=["add", "mul", "matmul_right", "layer_norm_x", "layer_norm_affine",
+        "attention_q", "attention_kv"])
+def test_vjp_skips_constant_operand(op, shapes, live):
+    # A constant operand gets None; every live one gets the gradient it gets
+    # when all operands are live, bit for bit.
+    rng = np.random.default_rng(41)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    g = rng.standard_normal(op(*(Tensor(a) for a in arrays)).shape)
+    op(*(Tensor(a, requires_grad=True) for a in arrays))
+    full = last_record_vjp(g)
+    op(*(Tensor(a, requires_grad=need) for a, need in zip(arrays, live)))
+    got = last_record_vjp(g)
+    active_tape().records.clear()
+    assert [x is not None for x in got] == list(live)
+    for x, want, need in zip(got, full, live):
+        if need:
+            assert np.array_equal(x, want)

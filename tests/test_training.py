@@ -1,4 +1,4 @@
-"""Training layer: normalization records, masked loss, Adam, schedules, and
+"""Training layer: normalization records, patch MSE loss, Adam, schedules, and
 the deterministic train loop.
 
 Expected values are either worked by hand in comments or recomputed inside
@@ -12,7 +12,7 @@ import pytest
 
 from patchcast.data import Corpus, FamilySpec, GeneratorSpec, synth_corpus
 from patchcast.model import ModelConfig, ModelWeights, forward
-from patchcast.tensor import Tensor
+from patchcast.tensor import Tensor, active_tape
 from patchcast.training import (
     AdamState,
     DegenerateBatchError,
@@ -30,7 +30,6 @@ from patchcast.training import (
     lr_at,
     normalize_window,
     rng_for,
-    token_loss_mask,
     train,
     train_loss,
     write_loss_curve,
@@ -96,45 +95,48 @@ def test_scale_round_trip():
 def test_train_loss_hand_value():
     # one token, h=2: loss = (1/2) * ((0-1)^2 + (0-1)^2) = 1.0
     f = Tensor(np.zeros((1, 2)), requires_grad=True)
-    loss = train_loss(f, np.ones((1, 2)), np.ones(1))
+    loss = train_loss(f, np.ones((1, 2)))
     assert loss.item() == 1.0
 
 
-def test_train_loss_masked_token_excluded():
-    # second token has huge error but mask 0; only token one counts
-    f = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]), requires_grad=True)
-    t = np.array([[1.0, 1.0], [0.0, 0.0]])
-    loss = train_loss(f, t, np.array([1.0, 0.0]))
-    assert loss.item() == 1.0
-    # gradient: 2*(f-t)*mask / (h*active) = [[-1,-1],[0,0]]
+def test_train_loss_is_exact_mean_and_gradient():
+    # 60 terms: 1/60 is inexact, so the value pins the reciprocal multiply
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=(3, 5, 4))
+    t = rng.normal(size=(3, 5, 4))
+    ft = Tensor(f, requires_grad=True)
+    loss = train_loss(ft, t)
+    assert loss.item() == math.fsum(((f - t) ** 2).ravel()) * (1.0 / f.size)
     loss.backward()
-    assert f.grad.tolist() == [[-1.0, -1.0], [0.0, 0.0]]
+    assert np.array_equal(ft.grad, 2.0 * ((f - t) * (1.0 / f.size)))
+    assert np.allclose(ft.grad, 2.0 * (f - t) / f.size, rtol=1e-15, atol=0.0)
+
+
+def test_train_loss_records_four_tape_entries():
+    # f - t, its square, the exact sum and the 1/size scale
+    f = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    before = len(active_tape())
+    loss = train_loss(f, np.zeros((2, 3, 4)))
+    assert len(active_tape()) - before == 4
+    loss.backward()
 
 
 def test_train_loss_batched_matches_flat_mean():
     rng = np.random.default_rng(3)
     f = rng.normal(size=(3, 5, 4))
     t = rng.normal(size=(3, 5, 4))
-    m = np.ones((3, 5))
-    got = train_loss(Tensor(f), t, m).item()
+    got = train_loss(Tensor(f), t).item()
     want = np.mean(np.sum((f - t) ** 2, axis=-1) / 4.0)
     assert abs(got - want) < 1e-12
-
-
-def test_train_loss_all_masked_is_degenerate():
-    with pytest.raises(DegenerateBatchError):
-        train_loss(Tensor(np.ones((2, 3))), np.zeros((2, 3)), np.zeros(2))
 
 
 def test_train_loss_batch_permutation_bitwise():
     rng = np.random.default_rng(11)
     f = rng.normal(size=(6, 4, 3))
     t = rng.normal(size=(6, 4, 3))
-    m = (rng.random((6, 4)) > 0.3).astype(np.float64)
-    m[0, 0] = 1.0
     perm = rng.permutation(6)
-    a = train_loss(Tensor(f), t, m).item()
-    b = train_loss(Tensor(f[perm]), t[perm], m[perm]).item()
+    a = train_loss(Tensor(f), t).item()
+    b = train_loss(Tensor(f[perm]), t[perm]).item()
     assert a == b  # bit-for-bit under window reordering
 
 
@@ -147,17 +149,11 @@ def test_full_forward_loss_permutation_bitwise():
 
     windows = sample_training_windows(corpus, mix, 6, rng_for(0, 1, 1),
                                       input_patch_len=4, output_patch_len=8)
-    inputs, targets, mask = assemble_batch(windows, cfg, "per-window")
-    a = train_loss(forward(weights, cfg, inputs), targets, mask).item()
+    inputs, targets = assemble_batch(windows, cfg, "per-window")
+    a = train_loss(forward(weights, cfg, inputs), targets).item()
     perm = np.random.default_rng(1).permutation(len(windows))
-    b = train_loss(forward(weights, cfg, inputs[perm]), targets[perm], mask[perm]).item()
+    b = train_loss(forward(weights, cfg, inputs[perm]), targets[perm]).item()
     assert a == b
-
-
-def test_token_loss_mask_rule():
-    # window 28, p=4, h=8: token j (1-based) active iff 4j+8 <= 28 -> j <= 5
-    mask = token_loss_mask(28, 4, 8)
-    assert mask.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -290,7 +286,7 @@ def test_assemble_batch_hand_example():
     # p=2, h=2, values 1..8: context span = first 6 points, 3 tokens, no drop
     cfg = tiny_cfg(input_patch_len=2, output_patch_len=2, feature_dim=0)
     vals = np.arange(1.0, 9.0)
-    inputs, targets, mask = assemble_batch([windows_of(vals)], cfg, "per-window")
+    inputs, targets = assemble_batch([windows_of(vals)], cfg, "per-window")
     ctx = vals[:6]
     mu, sigma = ctx.mean(), ctx.std()
     normed = (vals - mu) / sigma
@@ -299,14 +295,13 @@ def test_assemble_batch_hand_example():
     assert np.array_equal(targets[0][0], normed[2:4])
     assert np.array_equal(targets[0][1], normed[4:6])
     assert np.array_equal(targets[0][2], normed[6:8])
-    assert mask.tolist() == [[1.0, 1.0, 1.0]]
 
 
 def test_assemble_batch_drops_oldest_remainder():
     # p=4, h=8, length 23: tokens (23-8)//4 = 3, offset 3 -> values[3:15]
     cfg = tiny_cfg(feature_dim=0)
     vals = np.arange(23.0)
-    inputs, targets, _ = assemble_batch([windows_of(vals)], cfg, "none")
+    inputs, targets = assemble_batch([windows_of(vals)], cfg, "none")
     assert inputs.shape == (1, 3, 4)
     assert np.array_equal(inputs[0].ravel(), vals[3:15])
     assert np.array_equal(targets[0][0], vals[7:15])
@@ -317,7 +312,7 @@ def test_assemble_batch_normalization_span_excludes_targets():
     # stats must come from the window minus its final h points
     cfg = tiny_cfg(input_patch_len=2, output_patch_len=2, feature_dim=0)
     vals = np.array([1.0, 3.0, 1.0, 3.0, 100.0, -100.0])
-    inputs, _, _ = assemble_batch([windows_of(vals)], cfg, "per-window")
+    inputs, _ = assemble_batch([windows_of(vals)], cfg, "per-window")
     ctx = vals[:4]  # mean 2, std 1
     assert np.allclose(inputs[0].ravel(), (ctx - 2.0) / 1.0, atol=1e-12)
 
@@ -325,7 +320,7 @@ def test_assemble_batch_normalization_span_excludes_targets():
 def test_assemble_batch_mode_none_keeps_raw_values():
     cfg = tiny_cfg(input_patch_len=2, output_patch_len=2, feature_dim=0)
     vals = np.arange(1.0, 9.0)
-    inputs, targets, _ = assemble_batch([windows_of(vals)], cfg, "none")
+    inputs, targets = assemble_batch([windows_of(vals)], cfg, "none")
     assert np.array_equal(inputs[0].ravel(), vals[:6])
     assert np.array_equal(targets[0][2], vals[6:8])
 
@@ -334,7 +329,7 @@ def test_assemble_batch_includes_date_features():
     cfg = tiny_cfg(input_patch_len=2, output_patch_len=2)  # feature_dim=5
     vals = np.arange(1.0, 9.0)
     w = windows_of(vals)
-    inputs, _, _ = assemble_batch([w], cfg, "none")
+    inputs, _ = assemble_batch([w], cfg, "none")
     assert inputs.shape == (1, 3, 2 * 6)  # p*(1+r) = 2*6
     # row 0: two raw values then the two 5-wide feature rows flattened
     assert np.array_equal(inputs[0, 0, :2], vals[:2])
@@ -344,7 +339,7 @@ def test_assemble_batch_includes_date_features():
 def test_assemble_batch_minimum_window_is_one_token():
     cfg = tiny_cfg(feature_dim=0)  # p=4, h=8
     vals = np.arange(12.0)
-    inputs, targets, mask = assemble_batch([windows_of(vals)], cfg, "none")
+    inputs, targets = assemble_batch([windows_of(vals)], cfg, "none")
     assert inputs.shape == (1, 1, 4) and targets.shape == (1, 1, 8)
     with pytest.raises(DegenerateBatchError):
         assemble_batch([windows_of(np.arange(11.0))], cfg, "none")
