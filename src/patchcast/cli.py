@@ -42,7 +42,7 @@ from .evaluation import (
     rolling_eval,
 )
 from .inference import ForecastError, HorizonError, check_horizon, forecast
-from .model import ConfigError, ModelConfig, PRESETS
+from .model import ConfigError, ModelConfig
 from .training import (
     NORMALIZATION_MODES,
     TrainConfig,
@@ -77,6 +77,8 @@ def _load_json(path) -> dict:
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise CLIError(f"{where} must be an object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise CLIError(f"unknown {where} keys: {sorted(unknown)} "
@@ -93,29 +95,57 @@ def _resolve_out_dir(raw: str) -> Path:
 
 def _build_model_config(section: dict) -> ModelConfig:
     _check_keys(section, {"preset", "overrides"}, "model")
-    preset = section.get("preset", "desk")
-    if preset not in PRESETS:
-        raise CLIError(f"unknown model preset {preset!r} (have: {sorted(PRESETS)})")
-    overrides = section.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise CLIError("model overrides must be an object")
     try:
-        return ModelConfig.preset(preset, **overrides)
+        return ModelConfig.preset(section.get("preset", "desk"), **section.get("overrides", {}))
     except (ConfigError, TypeError) as exc:
         raise CLIError(f"bad model config: {exc}") from exc
 
 
+def _checked_int(value, name: str, low: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise CLIError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _build_train_config(raw: dict) -> TrainConfig:
+    """The config's train section with its top-level seed merged in."""
+    try:
+        section = dict(raw.get("train", {}))
+        if "seed" in raw and "seed" not in section:
+            section["seed"] = raw["seed"]
+        return TrainConfig.from_dict(section)
+    except (TrainConfigError, TypeError, ValueError) as exc:
+        raise CLIError(f"bad train config: {exc}") from exc
+
+
+def _build_ablate_eval(ev: dict, suite: str) -> dict:
+    """An ablate config's eval section, defaults filled in and every integer checked."""
+    defaults = {"horizon": 24, "stride": 1, "context_len": 256,
+                "context_lengths": [64, 128, 256, 512], "sizes": None}
+    _check_keys(ev, set(defaults), "ablate eval")
+    out = {key: ev.get(key, default) for key, default in defaults.items()}
+    listed = "context_lengths" if suite == "context" else "sizes"
+    if not isinstance(out[listed], list) or not out[listed]:
+        raise CLIError(f"{suite} suite eval.{listed} must be a non-empty list, got {out[listed]!r}")
+    for key in ("horizon", "stride", "context_len"):
+        _checked_int(out[key], f"eval.{key}")
+    for value in out[listed]:
+        _checked_int(value, f"eval.{listed} entry")
+    return out
+
+
 def _build_corpus(section: dict, config_dir: Path):
     """Returns (train_corpus, holdout_corpus_or_None, manifest_dict)."""
-    kind = section.get("kind")
+    kind = section.get("kind") if isinstance(section, dict) else None
     if kind == "synthetic":
         _check_keys(section, {"kind", "spec", "seed"}, "corpus")
         try:
             spec = GeneratorSpec.from_dict(section.get("spec", {}))
         except Exception as exc:
             raise CLIError(f"bad corpus spec: {exc}") from exc
-        pair = synth_corpus(spec, seed=int(section.get("seed", 0)))
-        manifest = {"kind": "synthetic", "seed": int(section.get("seed", 0)),
+        seed = _checked_int(section.get("seed", 0), "corpus seed", low=0)
+        pair = synth_corpus(spec, seed=seed)
+        manifest = {"kind": "synthetic", "seed": seed,
                     "pretrain": pair.pretrain.manifest(),
                     "holdout": pair.holdout.manifest()}
         holdout = pair.holdout if len(pair.holdout) else None
@@ -169,13 +199,7 @@ def cmd_pretrain(args) -> int:
         raise CLIError("pretrain config needs an output_dir")
     corpus, _, manifest = _build_corpus(raw.get("corpus", {}), cfg_path.parent)
     model_cfg = _build_model_config(raw.get("model", {}))
-    train_section = dict(raw.get("train", {}))
-    if "seed" in raw and "seed" not in train_section:
-        train_section["seed"] = int(raw["seed"])
-    try:
-        train_cfg = TrainConfig.from_dict(train_section)
-    except (TrainConfigError, TypeError) as exc:
-        raise CLIError(f"bad train config: {exc}") from exc
+    train_cfg = _build_train_config(raw)
 
     out_dir = _resolve_out_dir(raw["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -343,19 +367,10 @@ def cmd_ablate(args) -> int:
         raise CLIError(f"unknown suite {suite!r}; available: {', '.join(SUITE_HEADERS)}")
     if "output_dir" not in raw:
         raise CLIError("ablate config needs an output_dir")
+    ev = _build_ablate_eval(raw.get("eval", {}), suite)
+    horizon, stride = ev["horizon"], ev["stride"]
     corpus, holdout, _ = _build_corpus(raw.get("corpus", {}), cfg_path.parent)
     eval_series = holdout.series if holdout is not None else corpus.series
-    ev = dict(raw.get("eval", {}))
-    _check_keys(ev, {"context_lengths", "context_len", "horizon", "stride", "sizes"},
-                "ablate eval")
-    horizon = int(ev.get("horizon", 24))
-    stride = int(ev.get("stride", 1))
-    out_dir = _resolve_out_dir(raw["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    train_section = dict(raw.get("train", {}))
-    if "seed" in raw and "seed" not in train_section:
-        train_section["seed"] = int(raw["seed"])
 
     try:
         if suite == "context":
@@ -364,25 +379,23 @@ def cmd_ablate(args) -> int:
                 weights, model_cfg = bundle.weights, bundle.config
             else:
                 model_cfg = _build_model_config(raw.get("model", {}))
-                train_cfg = TrainConfig.from_dict(train_section)
+                train_cfg = _build_train_config(raw)
+                check_horizon(horizon, model_cfg)
                 weights = train(corpus, model_cfg, train_cfg).weights
                 normalization = train_cfg.normalization
-            lengths = ev.get("context_lengths", [64, 128, 256, 512])
-            rows = context_sweep(weights, model_cfg, eval_series, lengths,
+            rows = context_sweep(weights, model_cfg, eval_series, ev["context_lengths"],
                                  horizon, stride, normalization)
         else:
             which = "input" if suite == "input-patch" else "output"
             model_cfg = _build_model_config(raw.get("model", {}))
-            train_cfg = TrainConfig.from_dict(train_section)
-            sizes = ev.get("sizes")
-            if not sizes:
-                raise CLIError(f"{suite} suite needs eval.sizes")
-            context_len = int(ev.get("context_len", 256))
-            rows = patch_size_comparison(corpus, eval_series, model_cfg, train_cfg,
-                                         which, sizes, context_len, horizon, stride)
-    except (CheckpointError, TrainConfigError, EvalConfigError) as exc:
+            train_cfg = _build_train_config(raw)
+            rows = patch_size_comparison(corpus, eval_series, model_cfg, train_cfg, which,
+                                         ev["sizes"], ev["context_len"], horizon, stride)
+    except (CheckpointError, TrainConfigError, EvalConfigError, HorizonError) as exc:
         raise CLIError(str(exc)) from exc
 
+    out_dir = _resolve_out_dir(raw["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     table = format_table(rows, SUITE_HEADERS[suite])
     print(table, end="")
     (out_dir / f"{suite}_table.txt").write_text(table)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Corpus, TimeSeries
-from .inference import autoregressive_rounds, forecast
+from .inference import autoregressive_rounds, check_horizon, forecast
 from .model import ModelConfig, ModelWeights
 from .training import TrainConfig, train
 
@@ -136,10 +136,6 @@ class EvalReport:
     windows: list[WindowScore] = field(default_factory=list)
     excluded: int = 0  # zero-denominator windows left out of the pool
 
-    @property
-    def n_windows(self) -> int:
-        return len(self.windows)
-
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(format_csv([vars(w) for w in self.windows], WINDOW_COLUMNS))
@@ -226,13 +222,16 @@ def patch_size_comparison(corpus: Corpus, eval_series, base_model: ModelConfig,
                           train_cfg: TrainConfig, which: str, sizes,
                           context_len: int, horizon: int, stride: int = 1) -> list[dict]:
     """Retrain the model per patch-size variant and score each on the same
-    evaluation series. `which` picks the varied side: "input" or "output"."""
+    evaluation series. `which` picks the varied side: "input" or "output".
+    HorizonError before any training if `horizon` is past a variant's bound."""
     if which not in ("input", "output"):
         raise EvalConfigError(f'which must be "input" or "output", got {which!r}')
     fname = "input_patch_len" if which == "input" else "output_patch_len"
+    model_cfgs = [replace(base_model, **{fname: int(size)}) for size in sizes]
+    for model_cfg in model_cfgs:
+        check_horizon(horizon, model_cfg)
     rows = []
-    for size in sizes:
-        model_cfg = replace(base_model, **{fname: int(size)})
+    for size, model_cfg in zip(sizes, model_cfgs):
         result = train(corpus, model_cfg, train_cfg)
         predictor = make_model_predictor(result.weights, model_cfg,
                                          train_cfg.normalization)

@@ -37,6 +37,20 @@ class FeatureShapeError(ValueError):
     """Date-feature matrix does not line up with the values."""
 
 
+def config_fields(cls, d: dict, fixed: dict, error: type[Exception], where: str = "") -> dict:
+    """The fields of config dataclass `cls` in dict `d`, less the keys of `fixed` (retired
+    fields) at their fixed values; `error` names any other value of one, or an unknown key."""
+    d = dict(d)
+    for key, value in fixed.items():
+        got = d.pop(key, value)
+        if got != value:
+            raise error(f"{where}{key} is fixed at {value!r}, got {got!r}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise error(f"{where}unknown {cls.__name__} keys: {sorted(unknown)}")
+    return d
+
+
 @dataclass
 class ModelConfig:
     input_patch_len: int = 4
@@ -74,17 +88,8 @@ class ModelConfig:
         """Build a config from a dict such as a checkpoint's meta. Older metas
         carry ``ffn_hidden`` and ``dropout``: dropped if they hold the only
         values the model has (model_dim and 0.0), rejected otherwise."""
-        d = dict(d)
-        pinned = {"ffn_hidden": d.get("model_dim", cls.model_dim), "dropout": 0.0}
-        for key, value in pinned.items():
-            got = d.pop(key, value)
-            if got != value:
-                raise ConfigError(f"{key} is fixed at {value!r}, got {got!r}")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**d)
+        fixed = {"ffn_hidden": d.get("model_dim", cls.model_dim), "dropout": 0.0}
+        return cls(**config_fields(cls, d, fixed, ConfigError))
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "ModelConfig":

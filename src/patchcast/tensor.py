@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -312,17 +312,6 @@ def sum_exact(x) -> Tensor:
     x = _coerce(x)
     out_data = np.asarray(math.fsum(x.data.ravel().tolist()))
     return _op(out_data, (x,), lambda g, _: (np.full(x.data.shape, float(g)),))
-
-
-# -- shape ops ---------------------------------------------------------------
-
-
-def reshape(x, shape: Sequence[int]) -> Tensor:
-    x = _coerce(x)
-    new_shape = tuple(shape)
-    out_data = x.data.reshape(new_shape)
-    old_shape = x.data.shape
-    return _op(out_data, (x,), lambda g, _: (g.reshape(old_shape),))
 
 
 # -- normalized nonlinearities ----------------------------------------------

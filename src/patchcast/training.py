@@ -26,11 +26,19 @@ from .data import (
     sample_training_windows,
     window_length,
 )
-from .model import ModelConfig, ModelWeights, assemble_patch_inputs, forward
+from .model import ModelConfig, ModelWeights, assemble_patch_inputs, config_fields, forward
 from .tensor import NumericError, Tensor, no_grad, sum_exact
 
 NORMALIZATION_MODES = ("per-window", "none")
 SIGMA_FLOOR = 1e-8
+
+# The fixed recipe. FIXED_TRAIN_KEYS are older TrainConfig fields, each accepted
+# only at the value used here (mixture None: data.default_mixture).
+WARMUP_FRAC, CLIP_NORM, VAL_WINDOWS = 0.05, 1.0, 32
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+FIXED_TRAIN_KEYS = {"warmup_frac": WARMUP_FRAC, "cosine": True, "clip_norm": CLIP_NORM,
+                    "beta1": BETA1, "beta2": BETA2, "eps": EPS, "mixture": None,
+                    "val_windows": VAL_WINDOWS}
 
 
 class DegenerateBatchError(ValueError):
@@ -127,41 +135,34 @@ def global_grad_norm(weights: ModelWeights) -> float:
     return math.sqrt(total)
 
 
-def adam_step(weights: ModelWeights, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-              clip_norm: float | None = 1.0) -> float:
+def adam_step(weights: ModelWeights, state: AdamState, lr: float) -> float:
     """One bias-corrected Adam update in place; returns the pre-clip norm."""
     for name, p in weights.named():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise NonFiniteGradientError(f"non-finite gradient in parameter {name}")
     norm = global_grad_norm(weights)
-    scale = 1.0
-    if clip_norm is not None and norm > clip_norm:
-        scale = clip_norm / norm
+    scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in weights.named():
         g = (p.grad if p.grad is not None else np.zeros_like(p.data)) * scale
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return norm
 
 
-def lr_at(step: int, base_lr: float, total_steps: int, warmup_frac: float = 0.05,
-          cosine: bool = True) -> float:
+def lr_at(step: int, base_lr: float, total_steps: int) -> float:
     """Learning rate for a 1-based step: linear warmup then cosine decay to 0."""
-    warmup = max(1, int(round(warmup_frac * total_steps)))
+    warmup = max(1, int(round(WARMUP_FRAC * total_steps)))
     if step <= warmup:
         return base_lr * step / warmup
-    if not cosine or total_steps == warmup:
-        return base_lr
     progress = (step - warmup) / (total_steps - warmup)
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
@@ -205,39 +206,29 @@ class TrainConfig:
     total_steps: int = 1000
     batch_size: int = 32
     base_lr: float = 3e-3
-    warmup_frac: float = 0.05
-    cosine: bool = True
-    clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     normalization: str = "per-window"
-    mixture: dict[str, float] | None = None
     checkpoint_every: int = 0  # 0: only the final checkpoint
     val_every: int = 100  # 0: never compute validation loss
-    val_windows: int = 32
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise TrainConfigError("total_steps must be >= 1")
-        if self.batch_size < 1:
-            raise TrainConfigError("batch_size must be >= 1")
+        for name, low in (("total_steps", 1), ("batch_size", 1), ("seed", 0),
+                          ("checkpoint_every", 0), ("val_every", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise TrainConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if isinstance(self.base_lr, bool) or not isinstance(self.base_lr, (int, float)):
+            raise TrainConfigError(f"base_lr must be a number, got {self.base_lr!r}")
         if self.normalization not in NORMALIZATION_MODES:
             raise TrainConfigError(f"unknown normalization mode {self.normalization!r}")
-        if not 0.0 <= self.warmup_frac <= 1.0:
-            raise TrainConfigError("warmup_frac must be in [0, 1]")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise TrainConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
+        """Build a config from a dict; FIXED_TRAIN_KEYS pass only at their values."""
+        return cls(**config_fields(cls, d, FIXED_TRAIN_KEYS, TrainConfigError))
 
 
 @dataclass
@@ -253,7 +244,7 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-def _fixed_val_windows(corpus: Corpus, cfg: ModelConfig, limit: int):
+def _fixed_val_windows(corpus: Corpus, cfg: ModelConfig):
     """Deterministic validation windows: the tail of each val split."""
     p, h = cfg.input_patch_len, cfg.output_patch_len
     out = []
@@ -270,7 +261,7 @@ def _fixed_val_windows(corpus: Corpus, cfg: ModelConfig, limit: int):
             series_id=s.series_id, granularity=s.granularity, start=start,
             values=s.values[start:start + w_len],
             features=s.date_features()[start:start + w_len]))
-        if len(out) >= limit:
+        if len(out) >= VAL_WINDOWS:
             break
     return out
 
@@ -324,19 +315,23 @@ def _load_train_state(ckpt_path: Path, weights: ModelWeights) -> AdamState:
 
 
 # TrainConfig fields a resumed run may change: none of them touches the weights.
-RESUME_FREE_FIELDS = ("checkpoint_every", "val_every", "val_windows")
+RESUME_FREE_FIELDS = ("checkpoint_every", "val_every")
 
 
 def _check_resume_schedule(ckpt_path, extra: dict, cfg: TrainConfig) -> None:
     """TrainConfigError naming every weight-affecting field that differs from
-    the train config recorded in a checkpoint; checkpoints without the
-    record pass."""
+    the train config recorded in a checkpoint, or a FIXED_TRAIN_KEYS entry
+    recorded at another value; checkpoints without the record pass. A
+    recorded val_windows may hold any value: it never touched the weights."""
     recorded = extra.get("train_config")
     if recorded is None:
         return
     if not isinstance(recorded, dict):
         raise CheckpointError(f"checkpoint {ckpt_path} records train_config {recorded!r}, "
                               f"not an object")
+    recorded = config_fields(TrainConfig,
+                             {k: v for k, v in recorded.items() if k != "val_windows"},
+                             FIXED_TRAIN_KEYS, TrainConfigError, f"resume checkpoint {ckpt_path}: ")
     differ = [f"{name} {recorded.get(name)!r} -> {value!r}"
               for name, value in cfg.to_dict().items()
               if name not in RESUME_FREE_FIELDS and recorded.get(name) != value]
@@ -359,7 +354,7 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     p, h = model_cfg.input_patch_len, model_cfg.output_patch_len
-    mixture = cfg.mixture if cfg.mixture is not None else default_mixture(corpus, p, h)
+    mixture = default_mixture(corpus, p, h)
 
     if resume_from is not None:
         bundle = load_checkpoint(resume_from)
@@ -381,7 +376,7 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
         state = AdamState.for_weights(weights)
         start_step = 0
 
-    val_windows = _fixed_val_windows(corpus, model_cfg, cfg.val_windows) if cfg.val_every else []
+    val_windows = _fixed_val_windows(corpus, model_cfg) if cfg.val_every else []
     extra_base = {"normalization": cfg.normalization, "train_seed": cfg.seed,
                   "train_config": cfg.to_dict()}
     curve: list[tuple[int, float, float | None]] = []
@@ -406,9 +401,7 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
             raise TrainingDivergedError(
                 f"activations became non-finite at step {step}; "
                 f"last good checkpoint kept on disk") from exc
-        adam_step(weights, state, lr_at(step, cfg.base_lr, cfg.total_steps,
-                                        cfg.warmup_frac, cfg.cosine),
-                  beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps, clip_norm=cfg.clip_norm)
+        adam_step(weights, state, lr_at(step, cfg.base_lr, cfg.total_steps))
         val = None
         if cfg.val_every and step % cfg.val_every == 0:
             val = _val_loss(val_windows, weights, model_cfg, cfg.normalization)

@@ -4,13 +4,16 @@ codes, and deterministic output files."""
 import json
 import math
 import time
+from dataclasses import replace
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patchcast.cli import main
 from patchcast.data import timestamps_for
+from patchcast.training import TrainConfig
 
 
 TINY_MODEL = {"preset": "desk",
@@ -213,8 +216,77 @@ def test_pretrain_resume_with_different_schedule_names_the_field(midway, tmp_pat
 
 def test_pretrain_resume_may_change_cadence_fields(midway, tmp_path, capsys):
     ckpt, _ = midway
-    assert resume_with_train(tmp_path, ckpt, checkpoint_every=1, val_every=2, val_windows=3) == 0
+    assert resume_with_train(tmp_path, ckpt, checkpoint_every=1, val_every=2) == 0
     assert "trained 4 steps" in capsys.readouterr().out
+
+
+def checkpoint_with_train_config(ckpt, out_path, **fields):
+    """A copy of a run's checkpoint and Adam state whose recorded train config
+    gains `fields`, as a checkpoint written by an older version would."""
+    from patchcast.checkpoint import load_checkpoint, save_checkpoint
+
+    bundle = load_checkpoint(ckpt)
+    recorded = {**bundle.extra["train_config"], **fields}
+    out_path.parent.mkdir()
+    save_checkpoint(out_path, bundle.config, bundle.weights,
+                    extra={**bundle.extra, "train_config": recorded})
+    state = ckpt.with_name(ckpt.name.replace("ckpt_", "state_", 1))
+    out_path.with_name(state.name).write_bytes(state.read_bytes())
+    return out_path
+
+
+# the eight train config fields older versions had, at the only value each may hold
+OLD_FIXED = {"warmup_frac": 0.05, "cosine": True, "clip_norm": 1.0, "beta1": 0.9,
+             "beta2": 0.999, "eps": 1e-8, "mixture": None, "val_windows": 32}
+
+
+def test_pretrain_resume_from_checkpoint_recording_all_old_fields(midway, tmp_path, capsys):
+    from patchcast.checkpoint import load_checkpoint
+
+    ckpt, _ = midway
+    # a recorded val_windows never touched the weights, so any value passes
+    old = checkpoint_with_train_config(ckpt, tmp_path / "old" / ckpt.name,
+                                       **{**OLD_FIXED, "val_windows": 3})
+    assert len(load_checkpoint(old).extra["train_config"]) == 15
+    assert resume_with_train(tmp_path, old) == 0
+    assert "trained 4 steps" in capsys.readouterr().out
+
+
+def test_pretrain_resume_from_checkpoint_trained_with_other_beta1_exits_2(
+        midway, tmp_path, capsys):
+    ckpt, _ = midway
+    old = checkpoint_with_train_config(ckpt, tmp_path / "old" / ckpt.name,
+                                       **{**OLD_FIXED, "beta1": 0.8})
+    assert resume_with_train(tmp_path, old) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(old) in err and "beta1" in err
+    assert not (tmp_path / "resumed" / "loss_curve.csv").exists()
+
+
+def test_pretrain_accepts_old_train_keys_at_their_fixed_values(trained, tmp_path):
+    cfg = pretrain_config(tmp_path / "old")
+    cfg["train"].update(OLD_FIXED)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path)]) == 0
+    assert (tmp_path / "old" / "loss_curve.csv").read_bytes() == \
+        (trained / "loss_curve.csv").read_bytes()
+    assert (tmp_path / "old" / "ckpt_final.npz").read_bytes() == \
+        (trained / "ckpt_final.npz").read_bytes()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("warmup_frac", 0.1), ("cosine", False), ("clip_norm", None), ("beta1", 0.8),
+    ("beta2", 0.99), ("eps", 1e-6), ("mixture", {"weekly": 1.0}), ("val_windows", 4)])
+def test_pretrain_rejects_old_train_key_at_another_value(tmp_path, capsys, key, value):
+    cfg = pretrain_config(tmp_path / "out")
+    cfg["train"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad train config") and key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pretrain_resume_from_legacy_checkpoint_skips_schedule_check(midway, tmp_path, capsys):
@@ -642,6 +714,70 @@ def test_ablate_patch_suite_requires_sizes(tmp_path, capsys):
     cfg.write_text(json.dumps(ablate_config(tmp_path / "ab", "input-patch")))
     assert main(["ablate", "--config", str(cfg)]) == 2
     assert "sizes" in capsys.readouterr().err
+
+
+# two series whose 2080-point test splits fit one 2049-step window
+LONG_SPEC = {"pretrain": [{"name": "long", "granularity": "daily", "kind": "sinusoid",
+                           "n_series": 2, "length_range": [10400, 10400],
+                           "period_range": [8.0, 16.0], "noise_level": 0.02}]}
+
+
+@pytest.mark.parametrize("suite,ev", [
+    ("context", {"context_lengths": [16]}),
+    ("input-patch", {"sizes": [4, 2], "context_len": 32}),
+    ("output-patch", {"sizes": [16, 8], "context_len": 32}),  # only size 8 is past it
+])
+def test_ablate_horizon_past_a_models_bound_exits_2_before_training(tmp_path, capsys, suite, ev):
+    # output_patch_len 8 bounds the horizon at MAX_ROUNDS * 8 = 2048 points
+    conf = ablate_config(tmp_path / "ab", suite, horizon=2049, stride=4096, **ev)
+    conf["corpus"]["spec"] = LONG_SPEC
+    cfg = tmp_path / "ablate.json"
+    cfg.write_text(json.dumps(conf))
+    assert main(["ablate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MAX_ROUNDS" in err and "output_patch_len 8" in err
+    assert not (tmp_path / "ab").exists()
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("ablate", "train", "total_steps", "two"),
+    ("ablate", "eval", "horizon", "eight"),
+    ("pretrain", None, "seed", "x"),
+    ("pretrain", "train", "total_steps", 2.5),
+    ("pretrain", "train", "base_lr", "fast"),
+    ("ablate", "eval", "stride", 0),
+    ("ablate", "eval", "context_lengths", [16, "32"]),
+    ("ablate", "corpus", "seed", -1),
+])
+def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command,
+                                                       section, key, value):
+    conf = (ablate_config(tmp_path / "out", "context", context_lengths=[16])
+            if command == "ablate" else pretrain_config(tmp_path / "out"))
+    (conf[section] if section else conf)[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(conf))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_committed_config_builds_its_settings(path):
+    from patchcast.cli import (_build_ablate_eval, _build_model_config,
+                               _build_train_config, _load_json)
+    from patchcast.inference import check_horizon
+
+    raw = _load_json(path)
+    model_cfg = _build_model_config(raw["model"])
+    train_cfg = _build_train_config(raw)
+    assert train_cfg.to_dict() == {**TrainConfig().to_dict(), "seed": raw["seed"], **raw["train"]}
+    if "suite" in raw:
+        ev = _build_ablate_eval(raw["eval"], raw["suite"])
+        sizes = ev["sizes"] if raw["suite"] == "output-patch" else [model_cfg.output_patch_len]
+        for h in sizes:
+            check_horizon(ev["horizon"], replace(model_cfg, output_patch_len=h))
 
 
 # -- parser ---------------------------------------------------------------------

@@ -160,9 +160,9 @@ def test_window_count_closed_form():
     rng = np.random.default_rng(1)
     s = series_of(rng.normal(10.0, 1.0, size=500))
     rep = rolling_eval(repeat_last, s, context_len=48, horizon=24, stride=1)
-    assert rep.n_windows + rep.excluded == 77
+    assert len(rep.windows) + rep.excluded == 77
     rep5 = rolling_eval(repeat_last, s, context_len=48, horizon=24, stride=5)
-    assert rep5.n_windows + rep5.excluded == 16
+    assert len(rep5.windows) + rep5.excluded == 16
     assert [w.origin for w in rep5.windows][:2] == [400, 405]
 
 
@@ -176,7 +176,7 @@ def test_perfect_predictor_scores_zero_everywhere():
         return s.values[o:o + horizon]
 
     rep = rolling_eval(oracle, s, context_len=16, horizon=6)
-    assert rep.n_windows == 15
+    assert len(rep.windows) == 15
     assert all(w.nrmse == 0.0 and w.wape == 0.0 for w in rep.windows)
     pooled = pool_reports([rep])
     assert pooled["nrmse"] == 0.0 and pooled["wape"] == 0.0
@@ -207,7 +207,7 @@ def test_zero_actual_windows_excluded_and_counted():
     rep = rolling_eval(repeat_last, s, context_len=4, horizon=2)
     # origins 16,17,18: actuals [0,0] excluded, [0,0] excluded, [0,5] scored
     assert rep.excluded == 2
-    assert rep.n_windows == 1
+    assert len(rep.windows) == 1
     assert rep.windows[0].origin == 18
 
 
@@ -250,7 +250,7 @@ def test_model_predictor_runs_through_protocol():
     s = series_of(np.sin(np.arange(120) / 6.0) + 3.0 + 0.01 * rng.normal(size=120))
     rep = rolling_eval(make_model_predictor(weights, cfg), s,
                        context_len=32, horizon=8, stride=4)
-    assert rep.n_windows == 5  # origins 96,100,104,108,112
+    assert len(rep.windows) == 5  # origins 96,100,104,108,112
     assert all(math.isfinite(w.nrmse) for w in rep.windows)
 
 

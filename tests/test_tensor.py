@@ -18,7 +18,6 @@ from patchcast.tensor import (
     matmul,
     no_grad,
     relu,
-    reshape,
     softmax_lastdim,
     sum_exact,
 )
@@ -267,7 +266,8 @@ def shifted(shape):
          lambda a: layer_norm(a, Tensor(np.linspace(0.5, 1.5, 5)), Tensor(np.ones(5))),
          [RNG.standard_normal((3, 4, 5))]),
         ("sum_exact", sum_exact, [RNG.standard_normal((6, 6))]),
-        ("reshape", lambda a: reshape(a, (8, 3)), [RNG.standard_normal((4, 6))]),
+        ("sub_constant_left", lambda a: Tensor(np.linspace(-1.0, 1.0, 6)) - a,
+         [RNG.standard_normal((4, 6))]),
         ("attention", lambda q, k, v: causal_attention(q, k, v, 2),
          [RNG.standard_normal((2, 5, 8)) for _ in range(3)]),
         ("softmax", softmax_lastdim, [RNG.standard_normal((5, 8))]),

@@ -5,6 +5,7 @@ Expected values are either worked by hand in comments or recomputed inside
 the test by an independent scalar implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -163,11 +164,27 @@ def one_param_weights(value=0.0):
     return ModelWeights({"w": Tensor(np.array([[value]]), requires_grad=True)})
 
 
+def reference_adam(params, grads, lr):
+    """Independent textbook Adam over a flat list of scalar parameters: the
+    gradient is clipped to global norm 1.0, then betas (0.9, 0.999), eps 1e-8
+    and bias correction. `grads` holds one gradient list per step."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    p, m, v = list(params), [0.0] * len(params), [0.0] * len(params)
+    for t, g in enumerate(grads, start=1):
+        norm = math.sqrt(sum(x * x for x in g))
+        g = [x / norm for x in g] if norm > 1.0 else g
+        for i, gi in enumerate(g):
+            m[i] = b1 * m[i] + (1 - b1) * gi
+            v[i] = b2 * v[i] + (1 - b2) * gi * gi
+            p[i] -= lr * (m[i] / (1 - b1 ** t)) / (math.sqrt(v[i] / (1 - b2 ** t)) + eps)
+    return p
+
+
 def test_adam_first_step_magnitude_is_lr():
-    # constant gradient 1: mhat = 1, vhat = 1 -> step = lr/(1+eps) ~ lr
+    # constant gradient 1 (norm 1, not clipped): mhat = 1, vhat = 1 -> step = lr/(1+eps) ~ lr
     w = one_param_weights(0.0)
     w["w"].grad = np.array([[1.0]])
-    adam_step(w, AdamState.for_weights(w), lr=0.01, clip_norm=None)
+    adam_step(w, AdamState.for_weights(w), lr=0.01)
     assert abs(abs(w["w"].data[0, 0]) - 0.01) < 1e-9
     assert w["w"].data[0, 0] < 0  # moves against the gradient
 
@@ -175,25 +192,20 @@ def test_adam_first_step_magnitude_is_lr():
 def test_adam_zero_gradient_fresh_state_no_move():
     w = one_param_weights(1.5)
     w["w"].grad = np.array([[0.0]])
-    adam_step(w, AdamState.for_weights(w), lr=0.1, clip_norm=None)
+    adam_step(w, AdamState.for_weights(w), lr=0.1)
     assert w["w"].data[0, 0] == 1.5
 
 
 def test_adam_matches_scalar_reference():
-    # independent textbook implementation, five arbitrary gradient values
+    # five arbitrary gradient values; the last (-2.0) is clipped to -1.0
     grads = [1.0, -0.3, 0.7, 0.01, -2.0]
-    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-    p, m, v = 2.0, 0.0, 0.0
-    for t, g in enumerate(grads, start=1):
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        p -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
     w = one_param_weights(2.0)
     state = AdamState.for_weights(w)
     for g in grads:
         w["w"].grad = np.array([[g]])
-        adam_step(w, state, lr=lr, beta1=b1, beta2=b2, eps=eps, clip_norm=None)
-    assert abs(w["w"].data[0, 0] - p) < 1e-15
+        adam_step(w, state, lr=0.05)
+    [want] = reference_adam([2.0], [[g] for g in grads], lr=0.05)
+    assert abs(w["w"].data[0, 0] - want) < 1e-15
     assert state.step == 5
 
 
@@ -203,25 +215,22 @@ def test_clip_scales_gradients_by_norm_ratio():
                             "b": Tensor(np.array([0.0]), requires_grad=True)})
     clipped["a"].grad = np.array([3.0])
     clipped["b"].grad = np.array([4.0])
-    norm = adam_step(clipped, AdamState.for_weights(clipped), lr=0.01, clip_norm=1.0)
+    norm = adam_step(clipped, AdamState.for_weights(clipped), lr=0.01)
     assert norm == 5.0
-    manual = ModelWeights({"a": Tensor(np.array([0.0]), requires_grad=True),
-                           "b": Tensor(np.array([0.0]), requires_grad=True)})
-    manual["a"].grad = np.array([0.6])
-    manual["b"].grad = np.array([0.8])
-    adam_step(manual, AdamState.for_weights(manual), lr=0.01, clip_norm=None)
-    assert clipped["a"].data[0] == manual["a"].data[0]
-    assert clipped["b"].data[0] == manual["b"].data[0]
+    want = reference_adam([0.0, 0.0], [[3.0, 4.0]], lr=0.01)
+    # first step: mhat = g, vhat = g^2, so each moves by lr * g / (|g| + eps)
+    assert abs(want[0] + 0.01 * 0.6 / (0.6 + 1e-8)) < 1e-15
+    assert abs(clipped["a"].data[0] - want[0]) < 1e-15
+    assert abs(clipped["b"].data[0] - want[1]) < 1e-15
 
 
 def test_clip_leaves_small_gradients_alone():
     w = one_param_weights(0.0)
     w["w"].grad = np.array([[0.5]])
-    ref = one_param_weights(0.0)
-    ref["w"].grad = np.array([[0.5]])
-    adam_step(w, AdamState.for_weights(w), lr=0.01, clip_norm=1.0)
-    adam_step(ref, AdamState.for_weights(ref), lr=0.01, clip_norm=None)
-    assert w["w"].data[0, 0] == ref["w"].data[0, 0]
+    norm = adam_step(w, AdamState.for_weights(w), lr=0.01)
+    assert norm == 0.5
+    [want] = reference_adam([0.0], [[0.5]], lr=0.01)
+    assert abs(w["w"].data[0, 0] - want) < 1e-15
 
 
 def test_global_grad_norm_value():
@@ -257,11 +266,6 @@ def test_lr_monotone_up_then_down():
     warmup = 10
     assert all(vals[i] < vals[i + 1] for i in range(warmup - 1))
     assert all(vals[i] > vals[i + 1] for i in range(warmup, 199))
-
-
-def test_lr_without_cosine_holds_base():
-    assert lr_at(100, 0.3, 200, cosine=False) == 0.3
-    assert lr_at(200, 0.3, 200, cosine=False) == 0.3
 
 
 def test_lr_tiny_run_has_at_least_one_warmup_step():
@@ -359,6 +363,20 @@ def test_train_config_round_trip_and_unknown_key():
         TrainConfig(normalization="bogus")
 
 
+def test_train_config_has_only_the_varied_fields():
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "total_steps", "batch_size", "base_lr", "seed", "normalization",
+        "checkpoint_every", "val_every"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("total_steps", 2.5), ("batch_size", "4"), ("seed", -1), ("seed", True),
+    ("checkpoint_every", -2), ("val_every", None), ("base_lr", "fast")])
+def test_train_config_rejects_malformed_value_naming_the_field(field, value):
+    with pytest.raises(TrainConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
 # -- train loop -----------------------------------------------------------------------
 
 
@@ -412,7 +430,7 @@ def test_write_loss_curve_exact_bytes(tmp_path):
 
 
 def test_validation_rows_at_cadence(corpus):
-    res = quick_train(corpus, steps=6, val_every=3, val_windows=4)
+    res = quick_train(corpus, steps=6, val_every=3)
     by_step = {s: v for s, _, v in res.loss_curve}
     assert by_step[3] is not None and by_step[6] is not None
     assert by_step[1] is None and by_step[2] is None
