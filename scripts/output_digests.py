@@ -5,11 +5,16 @@ One JSON object on stdout, keys sorted:
 
 - ``pretrain_short.loss_curve`` / ``pretrain_short.weights`` and the same
   for ``pretrain_long``: run 0 of that workload's training runs;
+- ``pretrain_short.val_loss_curve``: that run again with ``val_every=5``, so
+  the validation windows pass through batch assembly too;
 - ``forecast_stream.forecasts``: every request of one pass, in order;
 - ``evaluate_cli.summary.json`` and ``evaluate_cli.windows_<id>.csv``: the
-  files ``patchcast evaluate`` writes.
+  files ``patchcast evaluate`` writes;
+- ``features.<granularity>``: the calendar-feature table of 2,000 points
+  from a fixed start, for every granularity (the workloads use only daily
+  and hourly data).
 
-The inputs come from the builders in ``perfbench/workloads.py``, so the
+The other inputs come from the builders in ``perfbench/workloads.py``, so the
 digests cover exactly what the benchmark runs. Two checkouts whose outputs
 are bit-identical print the same JSON, and so do two runs of one checkout:
 
@@ -21,10 +26,12 @@ The checkout's own ``src/`` is imported, wherever the command runs from.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 import tempfile
+from datetime import datetime
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +40,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from patchcast import training  # noqa: E402
+from patchcast import data, training  # noqa: E402
+
+# before the epoch, late in a 31-day month and off the hour
+FEATURE_START = datetime(1969, 12, 31, 22, 45)
 
 
 def sha256(*chunks: bytes) -> str:
@@ -55,6 +65,18 @@ def pretrain_digests(name: str, seed: int) -> dict:
                for chunk in (key.encode(), array_bytes(p.data))]
     return {f"{name}.loss_curve": sha256(repr(result.loss_curve).encode()),
             f"{name}.weights": sha256(*weights)}
+
+
+def validation_digests(seed: int) -> dict:
+    w = workloads.WORKLOADS["pretrain_short"](seed)
+    w.setup()
+    result = training.train(w.corpus, w.cfg, dataclasses.replace(w.train_cfgs[0], val_every=5))
+    return {"pretrain_short.val_loss_curve": sha256(repr(result.loss_curve).encode())}
+
+
+def feature_digests() -> dict:
+    return {f"features.{g}": sha256(array_bytes(data.derive_date_features(FEATURE_START, g, 2000)))
+            for g in data.GRANULARITIES}
 
 
 def forecast_digests(seed: int) -> dict:
@@ -85,9 +107,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="input seed of every workload")
     args = ap.parse_args(argv)
     digests = {**pretrain_digests("pretrain_short", args.seed),
+               **validation_digests(args.seed),
                **pretrain_digests("pretrain_long", args.seed),
                **forecast_digests(args.seed),
-               **evaluate_digests(args.seed)}
+               **evaluate_digests(args.seed),
+               **feature_digests()}
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 

@@ -152,8 +152,10 @@ def _build_corpus(section: dict, config_dir: Path):
         return pair.pretrain, holdout, manifest
     if kind == "csv":
         _check_keys(section, {"kind", "path", "granularity", "log_transform"}, "corpus")
-        raw = Path(section.get("path", ""))
-        path = raw if raw.is_absolute() else config_dir / raw
+        raw = section.get("path", "")
+        if not isinstance(raw, str):
+            raise CLIError(f"corpus path must be a string, got {raw!r}")
+        path = config_dir / raw  # an absolute path replaces config_dir
         try:
             report = ingest_csv(path, granularity=section.get("granularity"),
                                 log_transform=bool(section.get("log_transform", False)))
@@ -298,12 +300,16 @@ def _forecast_record(line: str, line_no: int, bundle, horizon: int,
     if not isinstance(record, dict) or "values" not in record:
         return {"line": line_no, "error": 'record must be an object with "values"'}
     rid = record.get("id", f"line-{line_no}")
+    values = record["values"]
+    if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        return {"id": rid, "error": '"values" must be an array of numbers'}
     try:
-        values = np.asarray(record["values"], dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
         feats = _record_features(record, bundle.config, horizon, default_granularity)
         res = forecast(bundle.weights, bundle.config, values, horizon,
                        features=feats, normalization=normalization)
-    except (ForecastError, ValueError) as exc:
+    except (ForecastError, ValueError, OverflowError) as exc:
         return {"id": rid, "error": str(exc)}
     return {"id": rid, "forecast": [float(v) for v in res.values],
             "rounds": res.rounds}
@@ -313,6 +319,8 @@ def _forecast_record(line: str, line_no: int, bundle, horizon: int,
 
 
 def cmd_evaluate(args) -> int:
+    if args.season is not None and args.season < 1:
+        raise CLIError(f"--season must be >= 1, got {args.season}")
     bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
     try:
         report = ingest_csv(args.data)

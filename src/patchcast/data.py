@@ -75,11 +75,10 @@ def advance(ts: datetime, granularity: str, steps: int = 1) -> datetime:
     return ts + timedelta(seconds=STRIDE_SECONDS[granularity] * steps)
 
 
-def timestamps_for(start: datetime, granularity: str, length: int) -> list[datetime]:
-    if granularity == "monthly":
-        return [advance(start, "monthly", k) for k in range(length)]
-    step = timedelta(seconds=STRIDE_SECONDS[granularity])
-    return [start + k * step for k in range(length)]
+# column -> (datetime64 unit counted from the epoch, that count's offset, period);
+# 1970-01-01 was a Thursday, weekday 3
+CALENDAR_UNITS = {"month_of_year": ("M", 0, 12), "day_of_week": ("D", 3, 7),
+                  "hour_of_day": ("h", 0, 24), "minute_of_hour": ("m", 0, 60)}
 
 
 def derive_date_features(start: datetime, granularity: str, length: int) -> np.ndarray:
@@ -87,25 +86,24 @@ def derive_date_features(start: datetime, granularity: str, length: int) -> np.n
 
     Each relevant column is the raw calendar value divided by its period
     minus 0.5 (month uses month-1 over 12); columns finer than the
-    granularity are -1 everywhere. Every entry is therefore exactly -1 or
+    granularity are -1 everywhere, and ``second_of_minute`` is masked at
+    every supported granularity. Every entry is therefore exactly -1 or
     inside [-0.5, 0.5].
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
-    relevant = RELEVANT_COLUMNS[granularity]
     out = np.full((length, len(FEATURE_COLUMNS)), MASKED)
-    col = {name: idx for idx, name in enumerate(FEATURE_COLUMNS)}
-    for row, ts in enumerate(timestamps_for(start, granularity, length)):
-        if "month_of_year" in relevant:
-            out[row, col["month_of_year"]] = (ts.month - 1) / 12.0 - 0.5
-        if "day_of_week" in relevant:
-            out[row, col["day_of_week"]] = ts.weekday() / 7.0 - 0.5
-        if "hour_of_day" in relevant:
-            out[row, col["hour_of_day"]] = ts.hour / 24.0 - 0.5
-        if "minute_of_hour" in relevant:
-            out[row, col["minute_of_hour"]] = ts.minute / 60.0 - 0.5
-        if "second_of_minute" in relevant:
-            out[row, col["second_of_minute"]] = ts.second / 60.0 - 0.5
+    steps = np.arange(length)
+    if granularity == "monthly":  # month is its only column, so advance's day clamp never shows
+        out[:, 0] = (start.month - 1 + steps) % 12 / 12.0 - 0.5
+        return out
+    # wall-clock fields, as datetime + timedelta gives them for an aware start
+    stamps = (np.datetime64(start.replace(tzinfo=None), "us")
+              + steps * np.timedelta64(STRIDE_SECONDS[granularity], "s"))
+    for name in RELEVANT_COLUMNS[granularity]:
+        unit, offset, period = CALENDAR_UNITS[name]
+        count = stamps.astype(f"datetime64[{unit}]").astype(np.int64) + offset
+        out[:, FEATURE_COLUMNS.index(name)] = count % period / period - 0.5
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .model import ContextTooShortError, ModelConfig, ModelWeights, assemble_patch_inputs, forward
 from .tensor import no_grad
-from .training import ScaleRecord, invert_scale, normalize_window
+from .training import ScaleRecord, apply_scale, invert_scale, scale_record
 
 __all__ = [
     "ForecastError",
@@ -113,9 +113,9 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
         if features is not None:
             features = features[drop:]
 
-    normed, rec = normalize_window(values, normalization)
+    rec = scale_record(values, normalization)
     rounds = autoregressive_rounds(int(horizon), h)
-    work = normed
+    work = apply_scale(values, rec)
     preds = []
     cache: list = []
     with no_grad():

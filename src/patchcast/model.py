@@ -212,44 +212,45 @@ class ModelWeights:
 
 
 def patchify(values: np.ndarray, patch_len: int) -> np.ndarray:
-    """Cut a 1-d series into consecutive patches, newest data preserved.
+    """Cut series [.., L] into patches [.., N, patch_len], newest data preserved.
 
     When the length is not a multiple of ``patch_len`` the oldest remainder
     is dropped, so the final patch always ends at the final point.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ContextTooShortError(f"patchify expects a 1-d series, got shape {values.shape}")
-    n = values.size // patch_len
+    if values.ndim < 1:
+        raise ContextTooShortError(f"patchify expects a series, got shape {values.shape}")
+    length = values.shape[-1]
+    n = length // patch_len
     if n < 1:
         raise ContextTooShortError(
-            f"context of {values.size} points is shorter than one patch ({patch_len})")
-    return values[values.size - n * patch_len:].reshape(n, patch_len)
+            f"context of {length} points is shorter than one patch ({patch_len})")
+    return values[..., length - n * patch_len:].reshape(*values.shape[:-1], n, patch_len)
 
 
 def assemble_patch_inputs(values: np.ndarray, features: np.ndarray | None,
                           cfg: ModelConfig) -> np.ndarray:
     """Build the per-token input rows: flattened patch ++ flattened features.
 
-    ``features`` holds one row of ``feature_dim`` values per point of
-    ``values``; None stands for all-masked (-1) features. Returns an array
-    of shape [num_patches, input_width].
+    ``values`` is [.., L] and ``features`` holds one row of ``feature_dim``
+    values per point, [.., L, feature_dim]; None stands for all-masked (-1)
+    features. Returns an array of shape [.., num_patches, input_width].
     """
+    values = np.asarray(values, dtype=np.float64)
     patches = patchify(values, cfg.input_patch_len)
-    n = patches.shape[0]
     if cfg.feature_dim == 0:
         return patches
-    length = np.asarray(values).size
     if features is None:
-        feat = np.full((length, cfg.feature_dim), -1.0)
+        flat = np.full(patches.shape[:-1] + (cfg.input_patch_len * cfg.feature_dim,), -1.0)
     else:
         feat = np.asarray(features, dtype=np.float64)
-        if feat.shape != (length, cfg.feature_dim):
-            raise FeatureShapeError(
-                f"features shape {feat.shape} does not match ({length}, {cfg.feature_dim})")
-    feat = feat[length - n * cfg.input_patch_len:]
-    flat = feat.reshape(n, cfg.input_patch_len * cfg.feature_dim)
-    return np.concatenate([patches, flat], axis=1)
+        if feat.shape != values.shape + (cfg.feature_dim,):
+            raise FeatureShapeError(f"features shape {feat.shape} does not match "
+                                    f"{values.shape + (cfg.feature_dim,)}")
+        # a patch's p feature rows, flattened, are a patch of p * feature_dim entries
+        flat = patchify(feat.reshape(*values.shape[:-1], values.shape[-1] * cfg.feature_dim),
+                        cfg.input_patch_len * cfg.feature_dim)
+    return np.concatenate([patches, flat], axis=-1)
 
 
 def positional_encoding(n_positions: int, dim: int, start: int = 0) -> np.ndarray:

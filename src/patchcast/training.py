@@ -67,24 +67,26 @@ class ScaleRecord:
     sigma is already floored at 1e-8, so inversion never divides by zero.
     """
 
-    mu: float
-    sigma: float
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
 
 
 IDENTITY_SCALE = ScaleRecord(mu=0.0, sigma=1.0)
 
 
-def normalize_window(values: np.ndarray, mode: str = "per-window") -> tuple[np.ndarray, ScaleRecord]:
-    """Standardize a context span and return the record that undoes it."""
+def scale_record(values: np.ndarray, mode: str = "per-window") -> ScaleRecord:
+    """The record that standardizes a context span [.., L] along its last axis:
+    mu and sigma are floats for one series and arrays [.., 1] for a stack."""
     if mode not in NORMALIZATION_MODES:
         raise TrainConfigError(f"unknown normalization mode {mode!r}")
-    values = np.asarray(values, dtype=np.float64)
     if mode == "none":
-        return values.copy(), IDENTITY_SCALE
-    mu = float(values.mean())
-    sigma = max(float(values.std()), SIGMA_FLOOR)
-    rec = ScaleRecord(mu=mu, sigma=sigma)
-    return (values - mu) / sigma, rec
+        return IDENTITY_SCALE
+    values = np.asarray(values, dtype=np.float64)
+    mu = values.mean(axis=-1, keepdims=True)
+    sigma = np.maximum(values.std(axis=-1, keepdims=True), SIGMA_FLOOR)
+    if values.ndim == 1:
+        return ScaleRecord(mu=float(mu[0]), sigma=float(sigma[0]))
+    return ScaleRecord(mu=mu, sigma=sigma)
 
 
 def apply_scale(values: np.ndarray, rec: ScaleRecord) -> np.ndarray:
@@ -183,19 +185,16 @@ def assemble_batch(windows, cfg: ModelConfig, normalization: str):
     n_tok = (w_len - h) // p
     if n_tok < 1:
         raise DegenerateBatchError(f"window of {w_len} points fits no token with a {h}-step target")
-    offset = w_len - h - n_tok * p  # oldest points dropped
-    inputs, targets = [], []
-    for w in windows:
-        if len(w.values) != w_len:
-            raise ValueError("windows in a batch must share one length")
-        normed_ctx, rec = normalize_window(w.values[:w_len - h], normalization)
-        normed = apply_scale(w.values, rec)
-        token_span = normed[offset:offset + n_tok * p]
-        feats = w.features[offset:offset + n_tok * p] if cfg.feature_dim else None
-        inputs.append(assemble_patch_inputs(token_span, feats, cfg))
-        tails = np.lib.stride_tricks.sliding_window_view(normed, h)
-        targets.append(tails[offset + p::p][:n_tok])
-    return np.stack(inputs), np.stack(targets)
+    if any(len(w.values) != w_len for w in windows):
+        raise ValueError("windows in a batch must share one length")
+    values = np.stack([w.values for w in windows])
+    normed = apply_scale(values, scale_record(values[:, :w_len - h], normalization))
+    feats = np.stack([w.features[:w_len - h] for w in windows]) if cfg.feature_dim else None
+    inputs = assemble_patch_inputs(normed[:, :w_len - h], feats, cfg)
+    # token j's target is the h points after its patch; the last token's ends the window
+    tails = np.lib.stride_tricks.sliding_window_view(normed, h, axis=-1)
+    targets = tails[:, w_len - h - (n_tok - 1) * p::p]
+    return np.ascontiguousarray(inputs), targets.copy()
 
 
 # -- train loop ------------------------------------------------------------------------

@@ -5,14 +5,13 @@ import json
 import math
 import time
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patchcast.cli import main
-from patchcast.data import timestamps_for
 from patchcast.training import TrainConfig
 
 
@@ -114,6 +113,15 @@ def test_pretrain_rejects_unknown_preset(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["pretrain", "--config", str(path)]) == 2
     assert "preset" in capsys.readouterr().err
+
+
+def test_pretrain_rejects_non_string_csv_path(tmp_path, capsys):
+    cfg = pretrain_config(tmp_path / "out")
+    cfg["corpus"] = {"kind": "csv", "path": 5}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path)]) == 2
+    assert "corpus path must be a string" in capsys.readouterr().err
 
 
 def test_pretrain_needs_config_or_show_defaults(capsys):
@@ -342,6 +350,26 @@ def test_forecast_jsonl_with_per_record_errors(trained, tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_forecast_names_values_that_are_not_an_array_of_numbers(trained, tmp_path, capsys):
+    calendar = {"start": "2020-01-06T00:00:00", "granularity": "daily"}
+    rows = [{"id": "object", "values": {"x": 1}},
+            {"id": "scalar", "values": 3.0, **calendar},
+            {"id": "strings", "values": ["1.0"] * 24, **calendar},
+            {"id": "huge", "values": [10 ** 400] + [1.0] * 23},
+            {"id": "good", "values": list(np.arange(24.0)), **calendar}]
+    inp = tmp_path / "in.jsonl"
+    inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["forecast", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--input", str(inp), "--horizon", "8", "--output", str(out)]) == 1
+    by_id = {e["id"]: e for e in map(json.loads, out.read_text().splitlines())}
+    for rid in ("object", "scalar", "strings"):
+        assert "values" in by_id[rid]["error"] and "array of numbers" in by_id[rid]["error"]
+    assert "error" in by_id["huge"]
+    assert len(by_id["good"]["forecast"]) == 8
+    assert "4 record(s) failed" in capsys.readouterr().err
+
+
 def test_forecast_all_good_exits_zero(trained, tmp_path):
     inp = tmp_path / "in.jsonl"
     inp.write_text(json.dumps({"id": "a", "values": list(np.arange(24.0))}) + "\n")
@@ -512,7 +540,7 @@ def test_forecast_unknown_granularity_flag(trained, tmp_path, capsys):
 def write_eval_csv(path, n_series=2, length=120):
     rows = ["id,timestamp,value"]
     for i in range(n_series):
-        stamps = timestamps_for(datetime(2020, 1, 6), "daily", length)
+        stamps = [datetime(2020, 1, 6) + timedelta(days=k) for k in range(length)]
         vals = np.sin(np.arange(length) / 5.0 + i) + 3.0
         rows.extend(f"s{i},{ts.isoformat()},{float(v)!r}" for ts, v in zip(stamps, vals))
     path.write_text("\n".join(rows) + "\n")
@@ -598,7 +626,7 @@ def test_evaluate_skips_and_reports_infinite_series(trained, tmp_path, capsys):
 def test_evaluate_names_series_too_short_to_score(trained, tmp_path, capsys):
     rows = ["id,timestamp,value"]
     for sid, length in (("long", 200), ("short", 6)):
-        stamps = timestamps_for(datetime(2021, 3, 1), "hourly", length)
+        stamps = [datetime(2021, 3, 1) + timedelta(hours=k) for k in range(length)]
         rows.extend(f"{sid},{ts.isoformat()},{3.0 + math.sin(i / 4.0)!r}"
                     for i, ts in enumerate(stamps))
     data = tmp_path / "eval.csv"
@@ -617,6 +645,16 @@ def test_evaluate_too_long_horizon_fails_cleanly(trained, tmp_path, capsys):
     assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
                  "--data", str(data), "--context", "32", "--horizon", "99"]) == 2
     assert "fits no" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("season", ["0", "-3"])
+def test_evaluate_rejects_season_below_one(trained, tmp_path, capsys, season):
+    data = tmp_path / "eval.csv"
+    write_eval_csv(data, n_series=1)
+    assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--data", str(data), "--context", "32", "--horizon", "8",
+                 "--season", season]) == 2
+    assert "--season must be >= 1" in capsys.readouterr().err
 
 
 def test_evaluate_missing_data_file(trained, tmp_path, capsys):

@@ -1,5 +1,5 @@
 import math
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from patchcast.data import (
     GeneratorSpec,
     GeneratorSpecError,
     IngestError,
+    RELEVANT_COLUMNS,
     SamplingError,
     SplitError,
     StrideError,
@@ -127,6 +128,41 @@ def test_feature_entries_masked_or_in_range(granularity, offset, length):
     in_range = (feats >= -0.5) & (feats <= 0.5)
     assert np.all(masked | in_range)
     assert feats.shape == (length, 5)
+
+
+def features_by_loop(start, granularity, length):
+    """Oracle: one datetime per point, its calendar fields written row by row."""
+    relevant = RELEVANT_COLUMNS[granularity]
+    out = np.full((length, len(FEATURE_COLUMNS)), -1.0)
+    for row in range(length):
+        ts = advance(start, granularity, row)
+        fields = {"month_of_year": (ts.month - 1) / 12.0, "day_of_week": ts.weekday() / 7.0,
+                  "hour_of_day": ts.hour / 24.0, "minute_of_hour": ts.minute / 60.0,
+                  "second_of_minute": ts.second / 60.0}
+        for name in relevant:
+            out[row, COL[name]] = fields[name] - 0.5
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GRANULARITIES),
+       st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 12, 31)),
+       st.integers(min_value=0, max_value=300))
+def test_features_match_per_timestamp_loop(granularity, start, length):
+    got = derive_date_features(start, granularity, length)
+    assert np.array_equal(got, features_by_loop(start, granularity, length))
+
+
+@pytest.mark.parametrize("start", [datetime(1969, 12, 31, 23, 45, 0, 999_999),
+                                   datetime(1901, 3, 4, 5, 6, 7, 8),
+                                   datetime(2020, 1, 29), datetime(2019, 1, 30, 12),
+                                   datetime(2021, 8, 31, 23, 59, 59),
+                                   datetime(2021, 3, 28, 0, 30, tzinfo=timezone(timedelta(hours=5)))])
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_features_match_loop_before_1970_with_microseconds_and_late_month_days(
+        start, granularity):
+    got = derive_date_features(start, granularity, 2000)
+    assert np.array_equal(got, features_by_loop(start, granularity, 2000))
 
 
 # -- splits ------------------------------------------------------------------------

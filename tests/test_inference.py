@@ -29,7 +29,7 @@ from patchcast.model import (
     forward,
 )
 from patchcast.tensor import active_tape
-from patchcast.training import apply_scale, invert_scale, normalize_window
+from patchcast.training import apply_scale, invert_scale, scale_record
 
 
 def tiny_cfg(**over):
@@ -103,9 +103,9 @@ def manual_forecast(weights, cfg, values, horizon):
     p, h = cfg.input_patch_len, cfg.output_patch_len
     cap = p * cfg.max_positions
     values = values[-cap:] if len(values) > cap else values
-    normed, rec = normalize_window(values)
+    rec = scale_record(values)
     out = []
-    work = normed
+    work = apply_scale(values, rec)
     while len(out) * h < horizon:
         cur = work[-cap:]
         pred = forward(weights, cfg, assemble_patch_inputs(cur, None, cfg)).data[-1]
@@ -189,7 +189,8 @@ def test_second_round_consumes_first_round_output(rig):
     cfg, weights = rig
     vals = wave(40, seed=6)
     honest = forecast(weights, cfg, vals, 16)
-    normed, rec = normalize_window(vals)
+    rec = scale_record(vals)
+    normed = apply_scale(vals, rec)
     pred1 = forward(weights, cfg, assemble_patch_inputs(normed, None, cfg)).data[-1]
     tampered = pred1 + 0.5
     work = np.concatenate([normed, tampered])
@@ -227,7 +228,7 @@ def test_scale_record_comes_from_clamped_context(rig):
     cfg, weights = rig
     vals = wave(60, seed=5)
     res = forecast(weights, cfg, vals, 8)
-    _, rec = normalize_window(vals)  # 60 < cap, no clamp
+    rec = scale_record(vals)  # 60 < cap, no clamp
     assert res.scale == rec
 
 

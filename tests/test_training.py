@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchcast.data import Corpus, FamilySpec, GeneratorSpec, synth_corpus
 from patchcast.model import ModelConfig, ModelWeights, forward
@@ -18,6 +20,7 @@ from patchcast.training import (
     AdamState,
     DegenerateBatchError,
     IDENTITY_SCALE,
+    NORMALIZATION_MODES,
     NonFiniteGradientError,
     ScaleRecord,
     TrainConfig,
@@ -29,8 +32,8 @@ from patchcast.training import (
     global_grad_norm,
     invert_scale,
     lr_at,
-    normalize_window,
     rng_for,
+    scale_record,
     train,
     train_loss,
     write_loss_curve,
@@ -57,37 +60,51 @@ def tiny_corpus(n=6, length=(110, 130), seed=7):
 
 def test_normalize_two_points():
     # [0, 2]: mean 1, population std 1 -> exactly [-1, 1]
-    normed, rec = normalize_window(np.array([0.0, 2.0]))
+    rec = scale_record(np.array([0.0, 2.0]))
+    normed = apply_scale(np.array([0.0, 2.0]), rec)
     assert rec == ScaleRecord(mu=1.0, sigma=1.0)
     assert normed.tolist() == [-1.0, 1.0]
 
 
 def test_normalize_constant_window_uses_sigma_floor():
-    normed, rec = normalize_window(np.array([5.0, 5.0, 5.0]))
+    rec = scale_record(np.array([5.0, 5.0, 5.0]))
+    normed = apply_scale(np.array([5.0, 5.0, 5.0]), rec)
     assert rec.mu == 5.0 and rec.sigma == 1e-8
     assert normed.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_normalize_mode_none_is_identity():
     x = np.array([3.0, -4.0, 10.0])
-    normed, rec = normalize_window(x, mode="none")
+    rec = scale_record(x, mode="none")
+    normed = apply_scale(x, rec)
     assert rec == IDENTITY_SCALE
     assert normed.tolist() == x.tolist()
 
 
 def test_normalize_rejects_unknown_mode():
     with pytest.raises(TrainConfigError, match="mode"):
-        normalize_window(np.ones(4), mode="zscore")
+        scale_record(np.ones(4), mode="zscore")
 
 
 def test_scale_round_trip():
     rng = np.random.default_rng(0)
     x = rng.normal(3.0, 7.0, size=50)
-    normed, rec = normalize_window(x)
+    rec = scale_record(x)
+    normed = apply_scale(x, rec)
     assert np.allclose(invert_scale(normed, rec), x, atol=1e-12)
-    assert np.allclose(apply_scale(x, rec), normed, atol=0)
+    assert type(rec.mu) is float and type(rec.sigma) is float
     # the record standardizes: mean ~0, std ~1
     assert abs(normed.mean()) < 1e-12 and abs(normed.std() - 1.0) < 1e-12
+
+
+def test_scale_record_of_a_stack_is_each_rows_record():
+    rows = np.random.default_rng(2).normal(4.0, 9.0, size=(7, 33))[:, 5:]
+    rec = scale_record(rows)
+    assert rec.mu.shape == rec.sigma.shape == (7, 1)
+    for i, row in enumerate(rows):
+        one = scale_record(row)
+        assert (rec.mu[i, 0], rec.sigma[i, 0]) == (one.mu, one.sigma)
+        assert np.array_equal(apply_scale(rows, rec)[i], apply_scale(row, one))
 
 
 # -- loss -----------------------------------------------------------------------
@@ -347,6 +364,57 @@ def test_assemble_batch_minimum_window_is_one_token():
     assert inputs.shape == (1, 1, 4) and targets.shape == (1, 1, 8)
     with pytest.raises(DegenerateBatchError):
         assemble_batch([windows_of(np.arange(11.0))], cfg, "none")
+
+
+def assemble_by_loop(windows, cfg, normalization):
+    """Oracle: each window standardized, patched and cut into targets on its own."""
+    p, h = cfg.input_patch_len, cfg.output_patch_len
+    w_len = len(windows[0].values)
+    n_tok = (w_len - h) // p
+    offset = w_len - h - n_tok * p
+    inputs, targets = [], []
+    for w in windows:
+        ctx = w.values[:w_len - h]
+        mu, sigma = (float(ctx.mean()), max(float(ctx.std()), 1e-8)) \
+            if normalization == "per-window" else (0.0, 1.0)
+        normed = (w.values - mu) / sigma
+        rows = normed[offset:offset + n_tok * p].reshape(n_tok, p)
+        if cfg.feature_dim:
+            feats = w.features[offset:offset + n_tok * p].reshape(n_tok, p * cfg.feature_dim)
+            rows = np.concatenate([rows, feats], axis=1)
+        inputs.append(rows)
+        tails = np.lib.stride_tricks.sliding_window_view(normed, h)
+        targets.append(tails[offset + p::p][:n_tok])
+    return np.stack(inputs), np.stack(targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=st.integers(1, 12), p=st.integers(1, 8), h=st.integers(1, 16),
+       n_tok=st.integers(1, 40), drop=st.integers(0, 7), feature_dim=st.sampled_from([0, 5]),
+       normalization=st.sampled_from(NORMALIZATION_MODES), seed=st.integers(0, 2**32 - 1))
+def test_assemble_batch_matches_per_window_loop(batch, p, h, n_tok, drop, feature_dim,
+                                                normalization, seed):
+    from patchcast.data import TrainingWindow
+
+    cfg = tiny_cfg(input_patch_len=p, output_patch_len=h, feature_dim=feature_dim)
+    w_len = h + n_tok * p + drop % p
+    rng = np.random.default_rng(seed)
+    windows = [TrainingWindow(series_id=f"w{i}", granularity="daily", start=0,
+                              values=rng.normal(rng.normal(0, 50), rng.uniform(1e-3, 40), w_len),
+                              features=rng.uniform(-0.5, 0.5, (w_len, 5)))
+               for i in range(batch)]
+    inputs, targets = assemble_batch(windows, cfg, normalization)
+    want_inputs, want_targets = assemble_by_loop(windows, cfg, normalization)
+    assert np.array_equal(inputs, want_inputs) and np.array_equal(targets, want_targets)
+    for out in (inputs, targets):
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert not any(np.shares_memory(out, w.values) for w in windows)
+
+
+def test_assemble_batch_rejects_unequal_windows():
+    cfg = tiny_cfg(feature_dim=0)
+    with pytest.raises(ValueError, match="share one length"):
+        assemble_batch([windows_of(np.arange(20.0)), windows_of(np.arange(21.0))], cfg, "none")
 
 
 # -- train config --------------------------------------------------------------------
