@@ -77,7 +77,7 @@ def load_checkpoint(path) -> CheckpointBundle:
         raise CheckpointError(f"{path} meta extra is not a JSON object")
     try:
         config = ModelConfig.from_dict(meta["config"])
-    except (ConfigError, TypeError) as err:
+    except ConfigError as err:
         raise CheckpointError(f"invalid model config in {path}: {err}") from err
     try:
         weights = ModelWeights.from_arrays(config, arrays)

@@ -23,6 +23,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .data import (
     GRANULARITIES,
     GeneratorSpec,
+    GeneratorSpecError,
     IngestError,
     derive_date_features,
     ingest_csv,
@@ -42,7 +43,7 @@ from .evaluation import (
     rolling_eval,
 )
 from .inference import ForecastError, HorizonError, check_horizon, forecast
-from .model import ConfigError, ModelConfig
+from .model import ConfigError, ModelConfig, check_int, config_fields
 from .training import (
     NORMALIZATION_MODES,
     TrainConfig,
@@ -76,13 +77,11 @@ def _load_json(path) -> dict:
     return loaded
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise CLIError(f"{where} must be an object, got {section!r}")
-    unknown = set(section) - allowed
-    if unknown:
-        raise CLIError(f"unknown {where} keys: {sorted(unknown)} "
-                       f"(allowed: {sorted(allowed)})")
+def _config_str(section: dict, key: str, where: str, default=None) -> str:
+    value = section.get(key, default)
+    if not isinstance(value, str):
+        raise CLIError(f"{where} {key} must be a string, got {value!r}")
+    return value
 
 
 def _resolve_out_dir(raw: str) -> Path:
@@ -94,27 +93,23 @@ def _resolve_out_dir(raw: str) -> Path:
 
 
 def _build_model_config(section: dict) -> ModelConfig:
-    _check_keys(section, {"preset", "overrides"}, "model")
     try:
-        return ModelConfig.preset(section.get("preset", "desk"), **section.get("overrides", {}))
-    except (ConfigError, TypeError) as exc:
+        section = config_fields({"preset", "overrides"}, section, ConfigError, "model")
+        overrides = config_fields(ModelConfig, section.get("overrides", {}), ConfigError,
+                                  "model overrides")
+        return ModelConfig.preset(section.get("preset", "desk"), **overrides)
+    except ConfigError as exc:
         raise CLIError(f"bad model config: {exc}") from exc
-
-
-def _checked_int(value, name: str, low: int = 1) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise CLIError(f"{name} must be an integer >= {low}, got {value!r}")
-    return value
 
 
 def _build_train_config(raw: dict) -> TrainConfig:
     """The config's train section with its top-level seed merged in."""
+    section = raw.get("train", {})
+    if "seed" in raw and isinstance(section, dict):
+        section = {"seed": raw["seed"], **section}
     try:
-        section = dict(raw.get("train", {}))
-        if "seed" in raw and "seed" not in section:
-            section["seed"] = raw["seed"]
         return TrainConfig.from_dict(section)
-    except (TrainConfigError, TypeError, ValueError) as exc:
+    except TrainConfigError as exc:
         raise CLIError(f"bad train config: {exc}") from exc
 
 
@@ -122,15 +117,15 @@ def _build_ablate_eval(ev: dict, suite: str) -> dict:
     """An ablate config's eval section, defaults filled in and every integer checked."""
     defaults = {"horizon": 24, "stride": 1, "context_len": 256,
                 "context_lengths": [64, 128, 256, 512], "sizes": None}
-    _check_keys(ev, set(defaults), "ablate eval")
+    config_fields(set(defaults), ev, CLIError, "ablate eval")
     out = {key: ev.get(key, default) for key, default in defaults.items()}
     listed = "context_lengths" if suite == "context" else "sizes"
     if not isinstance(out[listed], list) or not out[listed]:
         raise CLIError(f"{suite} suite eval.{listed} must be a non-empty list, got {out[listed]!r}")
     for key in ("horizon", "stride", "context_len"):
-        _checked_int(out[key], f"eval.{key}")
+        check_int(out[key], f"eval.{key}", CLIError)
     for value in out[listed]:
-        _checked_int(value, f"eval.{listed} entry")
+        check_int(value, f"eval.{listed} entry", CLIError)
     return out
 
 
@@ -138,12 +133,12 @@ def _build_corpus(section: dict, config_dir: Path):
     """Returns (train_corpus, holdout_corpus_or_None, manifest_dict)."""
     kind = section.get("kind") if isinstance(section, dict) else None
     if kind == "synthetic":
-        _check_keys(section, {"kind", "spec", "seed"}, "corpus")
+        config_fields({"kind", "spec", "seed"}, section, CLIError, "corpus")
         try:
             spec = GeneratorSpec.from_dict(section.get("spec", {}))
-        except Exception as exc:
+        except GeneratorSpecError as exc:
             raise CLIError(f"bad corpus spec: {exc}") from exc
-        seed = _checked_int(section.get("seed", 0), "corpus seed", low=0)
+        seed = check_int(section.get("seed", 0), "corpus seed", CLIError, low=0)
         pair = synth_corpus(spec, seed=seed)
         manifest = {"kind": "synthetic", "seed": seed,
                     "pretrain": pair.pretrain.manifest(),
@@ -151,14 +146,15 @@ def _build_corpus(section: dict, config_dir: Path):
         holdout = pair.holdout if len(pair.holdout) else None
         return pair.pretrain, holdout, manifest
     if kind == "csv":
-        _check_keys(section, {"kind", "path", "granularity", "log_transform"}, "corpus")
-        raw = section.get("path", "")
-        if not isinstance(raw, str):
-            raise CLIError(f"corpus path must be a string, got {raw!r}")
-        path = config_dir / raw  # an absolute path replaces config_dir
+        config_fields({"kind", "path", "granularity", "log_transform"}, section, CLIError, "corpus")
+        # an absolute path replaces config_dir
+        path = config_dir / _config_str(section, "path", "corpus", "")
+        log_transform = section.get("log_transform", False)
+        if not isinstance(log_transform, bool):
+            raise CLIError(f"corpus log_transform must be true or false, got {log_transform!r}")
         try:
             report = ingest_csv(path, granularity=section.get("granularity"),
-                                log_transform=bool(section.get("log_transform", False)))
+                                log_transform=log_transform)
         except (OSError, IngestError) as exc:
             raise CLIError(f"cannot ingest {path}: {exc}") from exc
         manifest = {"kind": "csv", "path": str(path),
@@ -196,14 +192,12 @@ def cmd_pretrain(args) -> int:
         raise CLIError("pretrain needs --config (or --show-defaults)")
     cfg_path = Path(args.config)
     raw = _load_json(cfg_path)
-    _check_keys(raw, {"seed", "output_dir", "corpus", "model", "train"}, "pretrain config")
-    if "output_dir" not in raw:
-        raise CLIError("pretrain config needs an output_dir")
+    config_fields({"seed", "output_dir", "corpus", "model", "train"}, raw, CLIError, "pretrain config")
+    out_dir = _resolve_out_dir(_config_str(raw, "output_dir", "pretrain config"))
     corpus, _, manifest = _build_corpus(raw.get("corpus", {}), cfg_path.parent)
     model_cfg = _build_model_config(raw.get("model", {}))
     train_cfg = _build_train_config(raw)
 
-    out_dir = _resolve_out_dir(raw["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "manifest.json", manifest)
     _write_json(out_dir / "resolved_config.json", {
@@ -252,11 +246,11 @@ def _record_features(record: dict, cfg: ModelConfig, horizon: int,
 
 def _load_for_horizon(path, horizon: int):
     """The checkpoint at `path` and its normalization mode; CLIError if it is
-    unusable, records an unknown mode, or `horizon` needs more than
-    MAX_ROUNDS rounds of its model (a horizon < 1 is reported by the caller)."""
+    unusable, records an unknown mode, or `horizon` is < 1 or needs more than
+    MAX_ROUNDS rounds of its model."""
     try:
         bundle = load_checkpoint(path)
-        check_horizon(max(horizon, 1), bundle.config)
+        check_horizon(horizon, bundle.config)
     except (CheckpointError, HorizonError) as exc:
         raise CLIError(str(exc)) from exc
     normalization = bundle.extra.get("normalization", "per-window")
@@ -266,8 +260,6 @@ def _load_for_horizon(path, horizon: int):
 
 
 def cmd_forecast(args) -> int:
-    if args.horizon < 1:
-        raise CLIError(f"--horizon must be >= 1, got {args.horizon}")
     if args.granularity is not None and args.granularity not in GRANULARITIES:
         raise CLIError(f"unknown --granularity {args.granularity!r}")
     bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
@@ -368,13 +360,12 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg_path = Path(args.config)
     raw = _load_json(cfg_path)
-    _check_keys(raw, {"suite", "seed", "output_dir", "corpus", "model",
-                      "train", "checkpoint", "eval"}, "ablate config")
+    config_fields({"suite", "seed", "output_dir", "corpus", "model", "train", "checkpoint",
+                   "eval"}, raw, CLIError, "ablate config")
     suite = raw.get("suite")
-    if suite not in SUITE_HEADERS:
+    if not isinstance(suite, str) or suite not in SUITE_HEADERS:
         raise CLIError(f"unknown suite {suite!r}; available: {', '.join(SUITE_HEADERS)}")
-    if "output_dir" not in raw:
-        raise CLIError("ablate config needs an output_dir")
+    out_dir = _resolve_out_dir(_config_str(raw, "output_dir", "ablate config"))
     ev = _build_ablate_eval(raw.get("eval", {}), suite)
     horizon, stride = ev["horizon"], ev["stride"]
     corpus, holdout, _ = _build_corpus(raw.get("corpus", {}), cfg_path.parent)
@@ -383,7 +374,8 @@ def cmd_ablate(args) -> int:
     try:
         if suite == "context":
             if "checkpoint" in raw:
-                bundle, normalization = _load_for_horizon(raw["checkpoint"], horizon)
+                bundle, normalization = _load_for_horizon(
+                    _config_str(raw, "checkpoint", "ablate config"), horizon)
                 weights, model_cfg = bundle.weights, bundle.config
             else:
                 model_cfg = _build_model_config(raw.get("model", {}))
@@ -402,7 +394,6 @@ def cmd_ablate(args) -> int:
     except (CheckpointError, TrainConfigError, EvalConfigError, HorizonError) as exc:
         raise CLIError(str(exc)) from exc
 
-    out_dir = _resolve_out_dir(raw["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     table = format_table(rows, SUITE_HEADERS[suite])
     print(table, end="")

@@ -14,10 +14,12 @@ from __future__ import annotations
 import calendar
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+
+from .model import check_fields, config_fields
 
 GRANULARITIES = ("15min", "hourly", "daily", "weekly", "monthly")
 
@@ -346,41 +348,27 @@ class FamilySpec:
     noise_level: float = 0.05
 
     def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise GeneratorSpecError(f"{self.name}: unknown granularity {self.granularity!r}")
-        if self.kind not in ("sinusoid", "seasonal_dummy"):
-            raise GeneratorSpecError(f"{self.name}: unknown kind {self.kind!r}")
-        if self.trend not in ("none", "linear", "piecewise"):
-            raise GeneratorSpecError(f"{self.name}: unknown trend {self.trend!r}")
-        if self.n_series < 1:
-            raise GeneratorSpecError(f"{self.name}: n_series must be >= 1")
-        if self.length_range[0] < 10 or self.length_range[0] > self.length_range[1]:
-            raise GeneratorSpecError(f"{self.name}: bad length_range {self.length_range}")
+        where = f"family {self.name!r}: "
+        check_fields(self, GeneratorSpecError, {"n_series": 1, "length_range": 10,
+                                                "n_components": 1, "noise_level": 0}, where)
+        for name, allowed in (("granularity", GRANULARITIES), ("kind", ("sinusoid", "seasonal_dummy")),
+                              ("trend", ("none", "linear", "piecewise"))):
+            if getattr(self, name) not in allowed:
+                raise GeneratorSpecError(f"{where}unknown {name} {getattr(self, name)!r}")
+        if self.length_range[0] > self.length_range[1]:
+            raise GeneratorSpecError(f"{where}bad length_range {self.length_range}")
         if not (0 < self.period_range[0] <= self.period_range[1]):
-            raise GeneratorSpecError(f"{self.name}: bad period_range {self.period_range}")
-        if self.n_components < 1:
-            raise GeneratorSpecError(f"{self.name}: n_components must be >= 1")
-        if self.noise_level < 0:
-            raise GeneratorSpecError(f"{self.name}: noise_level must be >= 0")
+            raise GeneratorSpecError(f"{where}bad period_range {self.period_range}")
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilySpec":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(d) - known
-        if unknown:
-            raise GeneratorSpecError(f"unknown family spec keys: {sorted(unknown)}")
-        kw = dict(d)
-        for name in ("length_range", "period_range", "amplitude_range", "drift_range", "level_range"):
-            if name in kw:
-                kw[name] = tuple(kw[name])
-        return cls(**kw)
+        # a left-out name reaches check_fields as None, which it names
+        kw = {"name": None, **config_fields(cls, d, GeneratorSpecError, "family spec")}
+        return cls(**{k: tuple(v) if k.endswith("_range") and isinstance(v, list) else v
+                      for k, v in kw.items()})
 
 
 @dataclass
@@ -412,11 +400,12 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        unknown = set(d) - {"pretrain", "holdout"}
-        if unknown:
-            raise GeneratorSpecError(f"unknown generator spec keys: {sorted(unknown)}")
-        return cls(pretrain=[FamilySpec.from_dict(x) for x in d.get("pretrain", [])],
-                   holdout=[FamilySpec.from_dict(x) for x in d.get("holdout", [])])
+        d = config_fields(cls, d, GeneratorSpecError, "generator spec")
+        for role, families in d.items():
+            if not isinstance(families, list):
+                raise GeneratorSpecError(f"generator spec {role} must be a list, got {families!r}")
+        return cls(**{role: [FamilySpec.from_dict(x) for x in families]
+                      for role, families in d.items()})
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Corpus, TimeSeries
 from .inference import autoregressive_rounds, check_horizon, forecast
-from .model import ModelConfig, ModelWeights
+from .model import ModelConfig, ModelWeights, check_int
 from .training import TrainConfig, train
 
 
@@ -88,8 +88,7 @@ def make_seasonal_naive(season: int):
     When the context is shorter than one season there is nothing to repeat:
     the predictor warns and degrades to repeat-last.
     """
-    if season < 1:
-        raise EvalConfigError(f"season must be >= 1, got {season}")
+    check_int(season, "season", EvalConfigError)
 
     def predictor(values, horizon: int, features=None) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
@@ -151,12 +150,8 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     the train and validation spans). Windows whose actuals are all zero have
     no defined normalized error; they are excluded and counted.
     """
-    if context_len < 1:
-        raise EvalConfigError(f"context_len must be >= 1, got {context_len}")
-    if horizon < 1:
-        raise EvalConfigError(f"horizon must be >= 1, got {horizon}")
-    if stride < 1:
-        raise EvalConfigError(f"stride must be >= 1, got {stride}")
+    for name, value in (("context_len", context_len), ("horizon", horizon), ("stride", stride)):
+        check_int(value, name, EvalConfigError)
     bounds = series.split()
     total = len(series)
     origins = range(bounds.val_end, total - horizon + 1, stride)

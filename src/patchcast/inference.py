@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ContextTooShortError, ModelConfig, ModelWeights, assemble_patch_inputs, forward
+from .model import (ContextTooShortError, ModelConfig, ModelWeights, assemble_patch_inputs,
+                    check_int, forward)
 from .tensor import no_grad
 from .training import ScaleRecord, apply_scale, invert_scale, scale_record
 
@@ -64,10 +65,7 @@ def autoregressive_rounds(horizon: int, output_patch_len: int) -> int:
 
 def check_horizon(horizon, cfg: ModelConfig) -> None:
     """HorizonError unless horizon is an integer in [1, MAX_ROUNDS * output_patch_len]."""
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
-        raise HorizonError(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 1:
-        raise HorizonError(f"horizon must be >= 1, got {horizon}")
+    check_int(horizon, "horizon", HorizonError)
     limit = MAX_ROUNDS * cfg.output_patch_len
     if horizon > limit:
         raise HorizonError(f"horizon {horizon} exceeds {limit} points: MAX_ROUNDS = {MAX_ROUNDS} "

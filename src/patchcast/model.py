@@ -12,6 +12,7 @@ an output residual block turns every output token j into a forecast of the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from itertools import islice
 
@@ -37,18 +38,55 @@ class FeatureShapeError(ValueError):
     """Date-feature matrix does not line up with the values."""
 
 
-def config_fields(cls, d: dict, fixed: dict, error: type[Exception], where: str = "") -> dict:
-    """The fields of config dataclass `cls` in dict `d`, less the keys of `fixed` (retired
-    fields) at their fixed values; `error` names any other value of one, or an unknown key."""
+def config_fields(spec, d, error: type[Exception], section: str, fixed: dict | None = None) -> dict:
+    """The entries of config section `d` for `spec`, a config dataclass or a set of
+    allowed names, less the keys of `fixed` (retired fields) at their fixed values;
+    `error` names a `d` that is not a dict, an unknown key, or another fixed value."""
+    names = {f.name for f in fields(spec)} if isinstance(spec, type) else set(spec)
+    if not isinstance(d, dict):
+        raise error(f"{section} must be an object, got {d!r}")
     d = dict(d)
-    for key, value in fixed.items():
+    for key, value in (fixed or {}).items():
         got = d.pop(key, value)
         if got != value:
-            raise error(f"{where}{key} is fixed at {value!r}, got {got!r}")
-    unknown = set(d) - {f.name for f in fields(cls)}
+            raise error(f"{section} {key} is fixed at {value!r}, got {got!r}")
+    unknown = set(d) - names
     if unknown:
-        raise error(f"{where}unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise error(f"unknown {section} keys: {sorted(unknown)} (allowed: {sorted(names)})")
     return d
+
+
+def _check_value(value, kind: str, name: str, error: type[Exception], low=None):
+    """`value` if it is of `kind` ("int": never a bool; "float": finite, an int passes;
+    "str") and at least `low` where one is given; else `error` naming `name`."""
+    want, types = {"int": ("an integer", (int, np.integer)), "str": ("a string", str),
+                   "float": ("a finite number", (int, float, np.integer, np.floating))}[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or kind == "float" and not abs(value) <= sys.float_info.max
+            or low is not None and value < low):
+        raise error(f"{name} must be {want}{'' if low is None else f' >= {low}'}, got {value!r}")
+    return value
+
+
+def check_int(value, name: str, error: type[Exception], low: int = 1):
+    """`value` if it is an integer (never a bool) of at least `low`; else `error` naming `name`."""
+    return _check_value(value, "int", name, error, low)
+
+
+def check_fields(obj, error: type[Exception], low: dict, where: str = "") -> None:
+    """`error` naming the first field of config dataclass `obj` whose value does not fit
+    its annotation (see _check_value; a ``tuple[...]`` is a tuple or list checked entry
+    by entry) or is below its bound in `low`; the message starts with `where`."""
+    for f in fields(obj):
+        value, name, bound = getattr(obj, f.name), where + f.name, low.get(f.name)
+        if not f.type.startswith("tuple["):
+            _check_value(value, f.type, name, error, bound)
+            continue
+        kinds = f.type[len("tuple["):-1].split(", ")
+        if not isinstance(value, (tuple, list)) or len(value) != len(kinds):
+            raise error(f"{name} must be a list of {len(kinds)} values, got {value!r}")
+        for i, (item, kind) in enumerate(zip(value, kinds)):
+            _check_value(item, kind, f"{name}[{i}]", error, bound)
 
 
 @dataclass
@@ -63,13 +101,7 @@ class ModelConfig:
     max_positions: int = 256
 
     def __post_init__(self):
-        positive = ("input_patch_len", "output_patch_len", "model_dim", "num_layers",
-                    "num_heads", "residual_hidden", "max_positions")
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.feature_dim < 0:
-            raise ConfigError(f"feature_dim must be >= 0, got {self.feature_dim}")
+        check_fields(self, ConfigError, {f.name: int(f.name != "feature_dim") for f in fields(self)})
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} is not divisible by num_heads {self.num_heads}")
@@ -89,15 +121,15 @@ class ModelConfig:
         carry ``ffn_hidden`` and ``dropout``: dropped if they hold the only
         values the model has (model_dim and 0.0), rejected otherwise."""
         fixed = {"ffn_hidden": d.get("model_dim", cls.model_dim), "dropout": 0.0}
-        return cls(**config_fields(cls, d, fixed, ConfigError))
+        return cls(**config_fields(cls, d, ConfigError, "ModelConfig", fixed))
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "ModelConfig":
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
         if not overrides:
             return PRESETS[name]
-        return replace(PRESETS[name], **overrides)
+        return replace(PRESETS[name], **config_fields(cls, overrides, ConfigError, "overrides"))
 
 
 PRESETS = {

@@ -26,7 +26,8 @@ from .data import (
     sample_training_windows,
     window_length,
 )
-from .model import ModelConfig, ModelWeights, assemble_patch_inputs, config_fields, forward
+from .model import (ModelConfig, ModelWeights, assemble_patch_inputs, check_fields, check_int,
+                    config_fields, forward)
 from .tensor import NumericError, Tensor, no_grad, sum_exact
 
 NORMALIZATION_MODES = ("per-window", "none")
@@ -211,13 +212,8 @@ class TrainConfig:
     val_every: int = 100  # 0: never compute validation loss
 
     def __post_init__(self):
-        for name, low in (("total_steps", 1), ("batch_size", 1), ("seed", 0),
-                          ("checkpoint_every", 0), ("val_every", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise TrainConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if isinstance(self.base_lr, bool) or not isinstance(self.base_lr, (int, float)):
-            raise TrainConfigError(f"base_lr must be a number, got {self.base_lr!r}")
+        check_fields(self, TrainConfigError, {"total_steps": 1, "batch_size": 1, "base_lr": 0,
+                                              "seed": 0, "checkpoint_every": 0, "val_every": 0})
         if self.normalization not in NORMALIZATION_MODES:
             raise TrainConfigError(f"unknown normalization mode {self.normalization!r}")
 
@@ -227,7 +223,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         """Build a config from a dict; FIXED_TRAIN_KEYS pass only at their values."""
-        return cls(**config_fields(cls, d, FIXED_TRAIN_KEYS, TrainConfigError))
+        return cls(**config_fields(cls, d, TrainConfigError, "TrainConfig", FIXED_TRAIN_KEYS))
 
 
 @dataclass
@@ -330,7 +326,8 @@ def _check_resume_schedule(ckpt_path, extra: dict, cfg: TrainConfig) -> None:
                               f"not an object")
     recorded = config_fields(TrainConfig,
                              {k: v for k, v in recorded.items() if k != "val_windows"},
-                             FIXED_TRAIN_KEYS, TrainConfigError, f"resume checkpoint {ckpt_path}: ")
+                             TrainConfigError, f"resume checkpoint {ckpt_path} train_config",
+                             FIXED_TRAIN_KEYS)
     differ = [f"{name} {recorded.get(name)!r} -> {value!r}"
               for name, value in cfg.to_dict().items()
               if name not in RESUME_FREE_FIELDS and recorded.get(name) != value]
@@ -363,10 +360,8 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
         _check_resume_schedule(resume_from, bundle.extra, cfg)
         weights = bundle.weights
         state = _load_train_state(Path(resume_from), weights)
-        start_step = bundle.extra.get("step", state.step)
-        if isinstance(start_step, bool) or not isinstance(start_step, int) or start_step < 0:
-            raise CheckpointError(
-                f"checkpoint {resume_from} records step {start_step!r}, not a non-negative integer")
+        start_step = check_int(bundle.extra.get("step", state.step),
+                               f"checkpoint {resume_from} step", CheckpointError, low=0)
         if start_step >= cfg.total_steps:
             raise TrainConfigError(f"resume checkpoint {resume_from} is at step {start_step}; "
                                    f"total_steps {cfg.total_steps} leaves no step to train")

@@ -1,6 +1,8 @@
 """Command-line interface: config handling, the four subcommands, exit
 codes, and deterministic output files."""
 
+import contextlib
+import dataclasses
 import json
 import math
 import time
@@ -10,9 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patchcast.cli import main
-from patchcast.training import TrainConfig
+from patchcast.cli import CLIError, _build_model_config, _build_train_config, main
+from patchcast.data import FamilySpec, GeneratorSpec, GeneratorSpecError
+from patchcast.model import ConfigError, ModelConfig
+from patchcast.training import FIXED_TRAIN_KEYS, TrainConfig
 
 
 TINY_MODEL = {"preset": "desk",
@@ -122,6 +128,18 @@ def test_pretrain_rejects_non_string_csv_path(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["pretrain", "--config", str(path)]) == 2
     assert "corpus path must be a string" in capsys.readouterr().err
+
+
+def test_pretrain_rejects_non_bool_log_transform(tmp_path, capsys):
+    write_eval_csv(tmp_path / "series.csv")
+    cfg = pretrain_config(tmp_path / "out")
+    cfg["corpus"] = {"kind": "csv", "path": "series.csv", "log_transform": "no"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "log_transform" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pretrain_needs_config_or_show_defaults(capsys):
@@ -452,6 +470,8 @@ def corrupt_checkpoint(good, path, kind):
             meta["config"]["num_heads"] = 3
         elif kind == "no-config":
             del meta["config"]
+        elif kind == "float-patch-len":
+            meta["config"]["input_patch_len"] = 4.0
         elif kind == "extra-not-object":
             meta["extra"] = ["x"]
         elif kind == "unknown-normalization":
@@ -487,7 +507,7 @@ def run_with_checkpoint(command, ckpt, tmp_path) -> int:
 
 @pytest.mark.parametrize("command", ["forecast", "evaluate"])
 @pytest.mark.parametrize("kind", ["truncated", "meta-not-json", "bad-config", "no-config",
-                                  "extra-not-object"])
+                                  "float-patch-len", "extra-not-object"])
 def test_corrupt_checkpoint_exits_2_with_named_error(trained, tmp_path, capsys, command, kind):
     ckpt = corrupt_checkpoint(trained / "ckpt_final.npz", tmp_path / f"{kind}.npz", kind)
     assert run_with_checkpoint(command, ckpt, tmp_path) == 2
@@ -777,21 +797,49 @@ def test_ablate_horizon_past_a_models_bound_exits_2_before_training(tmp_path, ca
     assert not (tmp_path / "ab").exists()
 
 
-@pytest.mark.parametrize("command,section,key,value", [
-    ("ablate", "train", "total_steps", "two"),
-    ("ablate", "eval", "horizon", "eight"),
-    ("pretrain", None, "seed", "x"),
-    ("pretrain", "train", "total_steps", 2.5),
-    ("pretrain", "train", "base_lr", "fast"),
-    ("ablate", "eval", "stride", 0),
-    ("ablate", "eval", "context_lengths", [16, "32"]),
-    ("ablate", "corpus", "seed", -1),
+FAMILY = "corpus.spec.pretrain.0"
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("ablate", "train.total_steps", "two"),
+    ("ablate", "eval.horizon", "eight"),
+    ("pretrain", "seed", "x"),
+    ("pretrain", "train.total_steps", 2.5),
+    ("pretrain", "train.base_lr", "fast"),
+    ("ablate", "eval.stride", 0),
+    ("ablate", "eval.context_lengths", [16, "32"]),
+    ("ablate", "corpus.seed", -1),
+    # an int field given a float or a bool
+    ("pretrain", "model.overrides.input_patch_len", 2.5),
+    ("pretrain", "model.overrides.num_heads", 2.0),
+    ("pretrain", "model.overrides.feature_dim", True),
+    ("pretrain", "model.overrides.max_positions", 1e9),
+    ("pretrain", f"{FAMILY}.n_series", 2.5),
+    ("pretrain", f"{FAMILY}.n_components", 1.5),
+    ("pretrain", f"{FAMILY}.length_range", [100.5, 120]),
+    # a float field that is not finite or is below its bound, a str field given a list
+    ("pretrain", "train.base_lr", math.nan),
+    ("pretrain", "train.base_lr", -1.0),
+    ("pretrain", f"{FAMILY}.name", [1]),
+    # unknown keys, and sections or values of the wrong JSON type
+    ("pretrain", "model.overrides.bogus", 1),
+    ("pretrain", "model.overrides", 5),
+    ("pretrain", "model.preset", [1]),
+    ("pretrain", f"{FAMILY}.length_range", 5),
+    ("pretrain", "corpus.spec.pretrain", 5),
+    ("pretrain", "output_dir", 5),
+    ("ablate", "suite", [1]),
+    ("ablate", "checkpoint", 5),
 ])
-def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command,
-                                                       section, key, value):
-    conf = (ablate_config(tmp_path / "out", "context", context_lengths=[16])
-            if command == "ablate" else pretrain_config(tmp_path / "out"))
-    (conf[section] if section else conf)[key] = value
+def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, path, value):
+    conf = json.loads(json.dumps(  # a deep copy: the templates share nested dicts
+        ablate_config(tmp_path / "out", "context", context_lengths=[16])
+        if command == "ablate" else pretrain_config(tmp_path / "out")))
+    *parents, key = path.split(".")
+    section = conf
+    for name in parents:
+        section = section[int(name) if name.isdigit() else name]
+    section[key] = value
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(conf))
     assert main([command, "--config", str(cfg)]) == 2
@@ -816,6 +864,61 @@ def test_committed_config_builds_its_settings(path):
         sizes = ev["sizes"] if raw["suite"] == "output-patch" else [model_cfg.output_patch_len]
         for h in sizes:
             check_horizon(ev["horizon"], replace(model_cfg, output_patch_len=h))
+
+
+# Any JSON value a config may hold: some well-formed, most not.
+JSON_VALUES = st.one_of(
+    st.integers(-2, 600), st.floats(), st.booleans(), st.none(), st.text(max_size=2),
+    st.sampled_from(["desk", "full", "hourly", "sinusoid", "linear", "per-window"]),
+    st.lists(st.integers(-2, 600) | st.floats(-1.0, 100.0), max_size=3))
+
+
+def json_sections(names):
+    """Objects over `names` plus one unknown key, or any other JSON value."""
+    keys = st.sampled_from(sorted(names) + ["bogus"])
+    return st.dictionaries(keys, JSON_VALUES, max_size=len(names)) | JSON_VALUES
+
+
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+@FUZZ
+@given(st.fixed_dictionaries({}, optional={
+    "preset": JSON_VALUES, "overrides": json_sections(field_names(ModelConfig)),
+    "bogus": JSON_VALUES}) | JSON_VALUES)
+def test_fuzzed_model_section_raises_only_cli_error(section):
+    with contextlib.suppress(CLIError):
+        _build_model_config(section)
+
+
+@FUZZ
+@given(st.fixed_dictionaries({}, optional={
+    "seed": JSON_VALUES, "train": json_sections(field_names(TrainConfig) | set(FIXED_TRAIN_KEYS))}))
+def test_fuzzed_train_section_raises_only_cli_error(raw):
+    with contextlib.suppress(CLIError):
+        _build_train_config(raw)
+
+
+@FUZZ
+@given(st.fixed_dictionaries({}, optional={
+    role: st.lists(json_sections(field_names(FamilySpec)), max_size=2) | JSON_VALUES
+    for role in ("pretrain", "holdout", "bogus")}) | JSON_VALUES)
+def test_fuzzed_generator_spec_raises_only_its_error(spec):
+    with contextlib.suppress(GeneratorSpecError):
+        GeneratorSpec.from_dict(spec)
+
+
+@FUZZ
+@given(st.dictionaries(st.sampled_from(sorted(field_names(ModelConfig)) + ["ffn_hidden", "dropout",
+                                                                           "bogus"]),
+                       JSON_VALUES))
+def test_fuzzed_checkpoint_model_config_raises_only_config_error(config):
+    with contextlib.suppress(ConfigError):
+        ModelConfig.from_dict(config)
 
 
 # -- parser ---------------------------------------------------------------------

@@ -461,6 +461,10 @@ def test_checkpoint_version_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad)
     assert zipfile.is_zipfile(path)  # documented container format
+    meta["format_version"], meta["config"]["input_patch_len"] = 1, 4.0
+    np.savez(bad, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    with pytest.raises(CheckpointError, match="input_patch_len must be an integer"):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_missing_weight_rejected(tmp_path):
