@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .model import check_fields, config_fields
+from .model import FEATURE_COLUMNS, check_fields, config_fields
 
 GRANULARITIES = ("15min", "hourly", "daily", "weekly", "monthly")
 
@@ -27,9 +27,6 @@ STRIDE_SECONDS = {"15min": 900, "hourly": 3600, "daily": 86400, "weekly": 604800
 
 # longest context the model is fed, per granularity
 CONTEXT_CAPS = {"15min": 512, "hourly": 512, "daily": 512, "weekly": 256, "monthly": 64}
-
-FEATURE_COLUMNS = ("month_of_year", "day_of_week", "hour_of_day",
-                   "minute_of_hour", "second_of_minute")
 
 # columns finer than the sampling granularity stay masked at -1
 RELEVANT_COLUMNS = {

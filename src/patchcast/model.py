@@ -89,6 +89,11 @@ def check_fields(obj, error: type[Exception], low: dict, where: str = "") -> Non
             _check_value(item, kind, f"{name}[{i}]", error, bound)
 
 
+# the per-point calendar features data.derive_date_features yields, in column order
+FEATURE_COLUMNS = ("month_of_year", "day_of_week", "hour_of_day",
+                   "minute_of_hour", "second_of_minute")
+
+
 @dataclass
 class ModelConfig:
     input_patch_len: int = 4
@@ -102,6 +107,9 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self, ConfigError, {f.name: int(f.name != "feature_dim") for f in fields(self)})
+        if self.feature_dim not in (0, len(FEATURE_COLUMNS)):
+            raise ConfigError(f"feature_dim must be 0 or {len(FEATURE_COLUMNS)} "
+                              f"(the calendar features), got {self.feature_dim}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} is not divisible by num_heads {self.num_heads}")
@@ -120,7 +128,8 @@ class ModelConfig:
         """Build a config from a dict such as a checkpoint's meta. Older metas
         carry ``ffn_hidden`` and ``dropout``: dropped if they hold the only
         values the model has (model_dim and 0.0), rejected otherwise."""
-        fixed = {"ffn_hidden": d.get("model_dim", cls.model_dim), "dropout": 0.0}
+        width = d.get("model_dim", cls.model_dim) if isinstance(d, dict) else None
+        fixed = {"ffn_hidden": width, "dropout": 0.0}
         return cls(**config_fields(cls, d, ConfigError, "ModelConfig", fixed))
 
     @classmethod
@@ -302,14 +311,15 @@ def positional_encoding(n_positions: int, dim: int, start: int = 0) -> np.ndarra
 
 def residual_block(v: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                    wskip: Tensor | None) -> Tensor:
-    """out = w2 @ relu(w1 @ v + b1) + b2 + skip(v), for rows v [.., d].
+    """out = w2 @ relu(w1 @ v + b1) + b2 + skip(v), for rows v [.., d]; each
+    dense layer is one ``tt.matmul`` record with its bias.
 
     The skip path is the identity when input and output widths agree
     (wskip None) and a learned linear map otherwise.
     """
-    hidden = tt.relu(v @ w1 + b1)
-    out = hidden @ w2 + b2
-    skip = v if wskip is None else v @ wskip
+    hidden = tt.relu(tt.matmul(v, w1, b1))
+    out = tt.matmul(hidden, w2, b2)
+    skip = v if wskip is None else tt.matmul(v, wskip)
     return out + skip
 
 
@@ -344,9 +354,8 @@ def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
     for i in range(cfg.num_layers):
         lp = f"layer{i}"
         normed = tt.layer_norm(x, weights[f"{lp}.ln1.gain"], weights[f"{lp}.ln1.bias"])
-        q = normed @ weights[f"{lp}.attn.wq"] + weights[f"{lp}.attn.bq"]
-        k = normed @ weights[f"{lp}.attn.wk"] + weights[f"{lp}.attn.bk"]
-        v = normed @ weights[f"{lp}.attn.wv"] + weights[f"{lp}.attn.bv"]
+        q, k, v = (tt.matmul(normed, weights[f"{lp}.attn.w{n}"], weights[f"{lp}.attn.b{n}"])
+                   for n in "qkv")
         if cache is not None:
             if i < len(cache):
                 k, v = (Tensor(np.concatenate([old, new.data], axis=-2))
@@ -355,10 +364,10 @@ def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
             else:
                 cache.append((k.data, v.data))
         ctx = tt.causal_attention(q, k, v, cfg.num_heads)
-        x = x + (ctx @ weights[f"{lp}.attn.wo"] + weights[f"{lp}.attn.bo"])
+        x = x + tt.matmul(ctx, weights[f"{lp}.attn.wo"], weights[f"{lp}.attn.bo"])
         normed = tt.layer_norm(x, weights[f"{lp}.ln2.gain"], weights[f"{lp}.ln2.bias"])
-        hidden = tt.relu(normed @ weights[f"{lp}.ffn.w1"] + weights[f"{lp}.ffn.b1"])
-        x = x + (hidden @ weights[f"{lp}.ffn.w2"] + weights[f"{lp}.ffn.b2"])
+        hidden = tt.relu(tt.matmul(normed, weights[f"{lp}.ffn.w1"], weights[f"{lp}.ffn.b1"]))
+        x = x + tt.matmul(hidden, weights[f"{lp}.ffn.w2"], weights[f"{lp}.ffn.b2"])
     return x
 
 

@@ -118,29 +118,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / float(other))
-        raise TypeError("tensor division is only supported by python scalars")
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -270,11 +252,6 @@ def mul(a, b) -> Tensor:
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def neg(x) -> Tensor:
-    x = _coerce(x)
-    return _op(-x.data, (x,), lambda g, _: (-g,))
-
-
 def relu(x) -> Tensor:
     x = _coerce(x)
     out_data = np.maximum(x.data, 0.0)
@@ -284,13 +261,16 @@ def relu(x) -> Tensor:
 # -- contractions and reductions -------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with optional leading batch dimensions.
+def matmul(a, b, bias=None) -> Tensor:
+    """Matrix product with optional leading batch dimensions, plus an
+    optional 1-d ``bias`` over the product's last axis (a dense layer).
 
     Both operands must be at least 2-d; the trailing two axes contract as
-    usual and leading axes follow the suffix-broadcast rule. Gradients are
-    g @ b^T and a^T @ g, summed over broadcast batch axes; a constant
-    operand (an input batch) gets None.
+    usual and leading axes follow the suffix-broadcast rule. The bias is
+    added in place in the same record, so the result equals ``matmul(a, b)
+    + bias`` bit for bit. Gradients are g @ b^T and a^T @ g, summed over
+    broadcast batch axes, and g summed down to the bias; a constant operand
+    (an input batch) gets None.
     """
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -298,9 +278,19 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
     _check_suffix_broadcast(a.data.shape[:-2], b.data.shape[:-2], "matmul(batch dims)")
-    return _op(a.data @ b.data, (a, b), lambda g, live: (
+    out = a.data @ b.data
+    inputs = (a, b)
+    if bias is not None:
+        bias = _coerce(bias)
+        if bias.data.shape != out.shape[-1:]:
+            raise ShapeError(f"matmul bias shape {bias.data.shape} does not match "
+                             f"the last axis of the product {out.shape}")
+        out += bias.data
+        inputs += (bias,)
+    return _op(out, inputs, lambda g, live: (
         _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if live[0] else None,
-        _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if live[1] else None))
+        _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if live[1] else None,
+        *(_reduce_to(g, bias.data.shape) if need else None for need in live[2:])))
 
 
 def sum_exact(x) -> Tensor:

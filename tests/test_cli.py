@@ -476,6 +476,11 @@ def corrupt_checkpoint(good, path, kind):
             meta["extra"] = ["x"]
         elif kind == "unknown-normalization":
             meta["extra"]["normalization"] = "bogus"
+        elif kind == "feature-dim-3":  # weights consistent with 3 features per point
+            meta["config"]["feature_dim"] = 3
+            rows = meta["config"]["input_patch_len"] * (1 + 3)
+            for name in ("param/input.w1", "param/input.wskip"):
+                arrays[name] = arrays[name][:rows]
         else:  # legacy keys, as "<ffn_hidden>,<dropout>"
             ffn, dropout = kind.split(",")
             meta["config"].update(ffn_hidden=int(ffn), dropout=float(dropout))
@@ -523,6 +528,15 @@ def test_unknown_normalization_exits_2_naming_the_mode(trained, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'bogus'" in err and str(ckpt) in err
     assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate"])
+def test_checkpoint_with_unsupported_feature_dim_exits_2_naming_it(trained, tmp_path, capsys,
+                                                                  command):
+    ckpt = corrupt_checkpoint(trained / "ckpt_final.npz", tmp_path / "fd3.npz", "feature-dim-3")
+    assert run_with_checkpoint(command, ckpt, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "feature_dim" in err and str(ckpt) in err
 
 
 def forecast_with(ckpt, tmp_path):
@@ -813,6 +827,8 @@ FAMILY = "corpus.spec.pretrain.0"
     ("pretrain", "model.overrides.input_patch_len", 2.5),
     ("pretrain", "model.overrides.num_heads", 2.0),
     ("pretrain", "model.overrides.feature_dim", True),
+    # calendar features are 5 wide: any feature_dim but 0 and 5 cannot be fed
+    ("pretrain", "model.overrides.feature_dim", 3),
     ("pretrain", "model.overrides.max_positions", 1e9),
     ("pretrain", f"{FAMILY}.n_series", 2.5),
     ("pretrain", f"{FAMILY}.n_components", 1.5),
@@ -915,7 +931,7 @@ def test_fuzzed_generator_spec_raises_only_its_error(spec):
 @FUZZ
 @given(st.dictionaries(st.sampled_from(sorted(field_names(ModelConfig)) + ["ffn_hidden", "dropout",
                                                                            "bogus"]),
-                       JSON_VALUES))
+                       JSON_VALUES) | JSON_VALUES)
 def test_fuzzed_checkpoint_model_config_raises_only_config_error(config):
     with contextlib.suppress(ConfigError):
         ModelConfig.from_dict(config)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import reference_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchcast import model as M
 from patchcast import tensor as tt
@@ -24,6 +27,7 @@ from patchcast.model import (
     weight_shapes,
 )
 from patchcast.tensor import Tensor, no_grad, sum_exact
+from patchcast.training import train_loss
 
 
 def tiny_cfg(**kw):
@@ -111,6 +115,51 @@ def test_forward_matches_reference_with_features():
     with no_grad():
         got = forward(weights, cfg, inp).data
     assert np.allclose(got, reference_forward(cfg, weights.as_arrays(), inp), atol=1e-10)
+
+
+# -- the op-by-op reference model: bitwise ----------------------------------------
+
+
+REFERENCE_CONFIGS = [
+    ModelConfig.preset("desk"),  # learned skip projections on both residual blocks
+    tiny_cfg(input_patch_len=8, model_dim=8, output_patch_len=8, num_heads=2,
+             residual_hidden=6),  # identity skips: input width = model_dim = h
+]
+
+
+def random_weights(cfg, seed):
+    """Two parameter sets holding the same random values, biases and gains
+    included, so that a dropped bias or gain changes the result."""
+    rng = np.random.default_rng(seed)
+    arrays = {name: rng.standard_normal(shape) / math.sqrt(shape[0])
+              for name, shape in weight_shapes(cfg).items()}
+    return ModelWeights.from_arrays(cfg, arrays), ModelWeights.from_arrays(cfg, arrays)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(cfg=st.sampled_from(REFERENCE_CONFIGS), batch=st.integers(1, 3),
+       n=st.integers(1, 12), split=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_forward_gradients_and_cache_equal_reference_model_bitwise(cfg, batch, n, split, seed):
+    model_w, ref_w = random_weights(cfg, seed)
+    rng = np.random.default_rng(seed + 1)
+    inputs = rng.standard_normal((batch, n, cfg.input_width))
+    targets = rng.standard_normal((batch, n, cfg.output_patch_len))
+    outs = []
+    for run, weights in ((forward, model_w), (reference_model.forward, ref_w)):
+        outs.append(run(weights, cfg, inputs))
+        train_loss(outs[-1], targets).backward()
+    assert np.array_equal(outs[0].data, outs[1].data)
+    for name, p in model_w.named():
+        assert np.array_equal(p.grad, ref_w[name].grad), name
+    m = min(split, n)
+    got_cache, want_cache = [], []
+    with no_grad():
+        for chunk in (inputs[:, :m], inputs[:, m:]) if m < n else (inputs,):
+            got = forward(model_w, cfg, chunk, got_cache)
+            want = reference_model.forward(ref_w, cfg, chunk, want_cache)
+            assert np.array_equal(got.data, want.data)
+    for got_kv, want_kv in zip(got_cache, want_cache, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got_kv, want_kv))
 
 
 # -- patchify -------------------------------------------------------------------
@@ -362,12 +411,12 @@ def test_assemble_with_masked_features():
 
 
 def test_assemble_feature_rows_follow_truncation():
-    cfg = tiny_cfg(feature_dim=1)
+    cfg = tiny_cfg(feature_dim=5)
     values = np.arange(1.0, 10.0)  # drops the oldest point
-    feats = np.arange(9.0).reshape(9, 1) * 0.01
+    feats = np.arange(45.0).reshape(9, 5) * 0.01
     rows = assemble_patch_inputs(values, feats, cfg)
-    assert rows.shape == (2, 8)
-    assert np.allclose(rows[0], [2, 3, 4, 5, 0.01, 0.02, 0.03, 0.04])
+    assert rows.shape == (2, 24)
+    assert np.allclose(rows[0], np.concatenate([[2, 3, 4, 5], feats[1:5].ravel()]))
 
 
 def test_assemble_feature_shape_error():

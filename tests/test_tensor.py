@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchcast import tensor as T
+from patchcast.model import ModelConfig, ModelWeights, forward
 from patchcast.tensor import (
     LAYER_NORM_EPS,
     NumericError,
@@ -21,6 +22,7 @@ from patchcast.tensor import (
     softmax_lastdim,
     sum_exact,
 )
+from patchcast.training import train_loss
 
 
 def fd_grad(f, arrays, idx, step=1e-5):
@@ -254,14 +256,15 @@ def shifted(shape):
         ("sub", lambda a, b: a - b, [RNG.standard_normal((6,)), RNG.standard_normal((6,))]),
         ("mul", lambda a, b: a * b, [RNG.standard_normal((4, 8)), RNG.standard_normal((4, 8))]),
         ("mul_scalar", lambda a: a * 3.5, [RNG.standard_normal((3, 3))]),
-        ("neg", lambda a: -a, [RNG.standard_normal((2, 5))]),
+        ("sub_scalar", lambda a: a - 2.0, [RNG.standard_normal((2, 5))]),
         ("relu", relu, [shifted((6, 6))]),
         ("matmul_2d", matmul, [RNG.standard_normal((5, 4)), RNG.standard_normal((4, 7))]),
         ("matmul_batched", matmul, [RNG.standard_normal((3, 5, 4)), RNG.standard_normal((4, 6))]),
         ("matmul_3d3d", matmul, [RNG.standard_normal((2, 4, 3)), RNG.standard_normal((2, 3, 5))]),
         # constant operands: each live operand still gets its gradient
         ("mul_constant", lambda a: a * Tensor(np.arange(5.0)), [RNG.standard_normal((4, 5))]),
-        ("matmul_constant_left", lambda a: Tensor(np.ones((3, 4))) @ a, [RNG.standard_normal((4, 5))]),
+        ("matmul_constant_left", lambda a: matmul(Tensor(np.ones((3, 4))), a),
+         [RNG.standard_normal((4, 5))]),
         ("layer_norm_constant_affine",
          lambda a: layer_norm(a, Tensor(np.linspace(0.5, 1.5, 5)), Tensor(np.ones(5))),
          [RNG.standard_normal((3, 4, 5))]),
@@ -273,12 +276,14 @@ def shifted(shape):
         ("softmax", softmax_lastdim, [RNG.standard_normal((5, 8))]),
         ("layer_norm", layer_norm,
          [RNG.standard_normal((4, 8)), RNG.standard_normal(8), RNG.standard_normal(8)]),
-        ("composite", lambda a, b: relu(matmul(a, b)) + a @ b,
+        ("composite", lambda a, b: relu(matmul(a, b)) + matmul(a, b),
          [shifted((4, 4)), shifted((4, 4))]),
         ("attention_unbatched", lambda q, k, v: causal_attention(q, k, v, 2),
          [RNG.standard_normal((5, 8)) for _ in range(3)]),
         ("attention_offset", lambda q, k, v: causal_attention(q, k, v, 2),
          [RNG.standard_normal((2, 3, 8))] + [RNG.standard_normal((2, 5, 8)) for _ in range(2)]),
+        ("matmul_bias", matmul,
+         [RNG.standard_normal((3, 5, 4)), RNG.standard_normal((4, 6)), RNG.standard_normal(6)]),
     ],
 )
 def test_gradients_match_finite_differences(name, build, arrays):
@@ -474,7 +479,7 @@ def test_causal_attention_rejects_infinite_score():
 def test_matmul_vjp_skips_constant_operand():
     x = Tensor(np.ones((3, 5, 4)))  # an input batch: no grad, not from the tape
     w = Tensor(np.ones((4, 6)), requires_grad=True)
-    x @ w
+    matmul(x, w)
     gx, gw = last_record_vjp(np.ones((3, 5, 6)))
     assert gx is None
     assert gw.shape == (4, 6)
@@ -488,11 +493,13 @@ def attention2(q, k, v):
     (T.add, [(3, 4), (4,)], (False, True)),
     (T.mul, [(3, 4), (3, 4)], (True, False)),
     (matmul, [(3, 4), (4, 5)], (True, False)),
+    (matmul, [(2, 3, 4), (4, 5), (5,)], (False, True, True)),
+    (matmul, [(2, 3, 4), (4, 5), (5,)], (True, True, False)),
     (layer_norm, [(3, 4), (4,), (4,)], (False, True, True)),
     (layer_norm, [(3, 4), (4,), (4,)], (True, False, False)),
     (attention2, [(2, 5, 8)] * 3, (False, True, True)),
     (attention2, [(2, 5, 8)] * 3, (True, False, False)),
-], ids=["add", "mul", "matmul_right", "layer_norm_x", "layer_norm_affine",
+], ids=["add", "mul", "matmul_right", "matmul_bias_x", "matmul_bias_bias", "layer_norm_x", "layer_norm_affine",
         "attention_q", "attention_kv"])
 def test_vjp_skips_constant_operand(op, shapes, live):
     # A constant operand gets None; every live one gets the gradient it gets
@@ -509,3 +516,57 @@ def test_vjp_skips_constant_operand(op, shapes, live):
     for x, want, need in zip(got, full, live):
         if need:
             assert np.array_equal(x, want)
+
+
+# -- matmul with a bias: one record, bitwise equal to matmul then add ---------------
+
+
+def dense_grads(x, w, b, x_live, fused):
+    """Forward value and the (x, w, b) gradients of sum_exact(probe * dense(x, w, b)),
+    by one fused matmul record or by matmul then a bias add."""
+    probe = Tensor(np.random.default_rng(52).standard_normal(x.shape[:-1] + w.shape[-1:]))
+    leaves = (Tensor(x, requires_grad=x_live), Tensor(w, requires_grad=True),
+              Tensor(b, requires_grad=True))
+    out = matmul(*leaves) if fused else matmul(*leaves[:2]) + leaves[2]
+    value = out.data.copy()
+    sum_exact(out * probe).backward()
+    return value, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("x_shape", [(3, 5, 4), (5, 4)])
+@pytest.mark.parametrize("x_live", [True, False])
+def test_matmul_bias_bitwise_equal_to_matmul_then_add(x_shape, x_live):
+    rng = np.random.default_rng(51)
+    x, w, b = rng.standard_normal(x_shape), rng.standard_normal((4, 6)), rng.standard_normal(6)
+    fused_out, fused = dense_grads(x, w, b, x_live, fused=True)
+    pair_out, pair = dense_grads(x, w, b, x_live, fused=False)
+    assert np.array_equal(fused_out, pair_out)
+    assert (fused[0] is None) == (not x_live)
+    for got, want in zip(fused, pair):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_matmul_with_bias_is_one_tape_record():
+    rng = np.random.default_rng(53)
+    x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 5, 4), (4, 3), (3,)))
+    before = len(active_tape())
+    matmul(x, w, b)
+    assert len(active_tape()) == before + 1
+    active_tape().records.clear()
+
+
+@pytest.mark.parametrize("bias_shape", [(1, 6), (5,), (7,)])
+def test_matmul_bias_of_wrong_shape_is_rejected(bias_shape):
+    with pytest.raises(ShapeError, match="bias"):
+        matmul(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 6))), Tensor(np.zeros(bias_shape)))
+
+
+def test_desk_forward_and_loss_record_39_tape_entries():
+    # 16 dense layers, one record each; 2 skip projections; 21 other ops
+    cfg = ModelConfig.preset("desk")
+    weights = ModelWeights.initialize(cfg, seed=0)
+    inputs = np.random.default_rng(54).standard_normal((2, 6, cfg.input_width))
+    before = len(active_tape())
+    loss = train_loss(forward(weights, cfg, inputs), np.zeros((2, 6, cfg.output_patch_len)))
+    assert len(active_tape()) - before == 39
+    loss.backward()
