@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -331,13 +332,18 @@ def cmd_evaluate(args) -> int:
     if args.season:
         predictors.append((f"seasonal_naive({args.season})",
                            make_seasonal_naive(args.season)))
-    try:
-        reports = {name: [rolling_eval(predictor, s, args.context, args.horizon, args.stride)
-                          for s in series]
-                   for name, predictor in predictors}
-    except EvalConfigError as exc:
-        raise CLIError(str(exc)) from exc
-    rows = [{"predictor": name, **pool_reports(reps)} for name, reps in reports.items()]
+    reports, rows = {}, []
+    for name, predictor in predictors:
+        start = time.perf_counter()
+        try:
+            reports[name] = [rolling_eval(predictor, s, args.context, args.horizon, args.stride)
+                             for s in series]
+        except EvalConfigError as exc:
+            raise CLIError(str(exc)) from exc
+        seconds = time.perf_counter() - start
+        rows.append({"predictor": name, **pool_reports(reports[name])})
+        print(f"{name}: {rows[-1]['n_windows']} windows scored, {rows[-1]['excluded']} "
+              f"excluded, {seconds:.3f} s in rolling_eval", file=sys.stderr)
     print(format_table(rows, ["predictor", *POOLED_COLUMNS]), end="")
 
     if args.out_dir:

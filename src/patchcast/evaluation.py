@@ -1,13 +1,15 @@
 """Normalized forecast metrics, the rolling-window evaluation protocol,
 naive reference predictors, and ablation tables.
 
-A predictor is any callable (context_values, horizon, features) -> [horizon]
-array; the trained model and the naive baselines all conform, so every
+A predictor is any callable (contexts [B, L], horizon, features
+[B, L + horizon, F]) -> [B, horizon] array over a stack of equal-length
+contexts; the trained model and the naive baselines all conform, so every
 comparison runs through the identical protocol.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -75,15 +77,16 @@ def wape(actual, predicted) -> float:
 
 
 def repeat_last(values, horizon: int, features=None) -> np.ndarray:
-    """Persistence: every future step equals the final observed value."""
+    """Persistence: every future step equals the final observed value, for a
+    context [.., L] -> [.., horizon]."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    if values.ndim < 1 or values.shape[-1] == 0:
         raise MetricError("repeat-last needs at least one context point")
-    return np.full(int(horizon), values[-1])
+    return np.repeat(values[..., -1:], int(horizon), axis=-1)
 
 
 def make_seasonal_naive(season: int):
-    """Predictor repeating the final season of the context.
+    """Predictor repeating the final season of a context [.., L] -> [.., horizon].
 
     When the context is shorter than one season there is nothing to repeat:
     the predictor warns and degrades to repeat-last.
@@ -92,21 +95,21 @@ def make_seasonal_naive(season: int):
 
     def predictor(values, horizon: int, features=None) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
-        if len(values) < season:
+        if values.shape[-1] < season:
             warnings.warn(
-                f"context of {len(values)} points is shorter than season {season}; "
+                f"context of {values.shape[-1]} points is shorter than season {season}; "
                 f"using repeat-last instead", SeasonFallbackWarning, stacklevel=2)
             return repeat_last(values, horizon)
-        cycle = values[-season:]
         reps = -(-int(horizon) // season)
-        return np.tile(cycle, reps)[:int(horizon)]
+        return np.tile(values[..., -season:], reps)[..., :int(horizon)]
 
     return predictor
 
 
 def make_model_predictor(weights: ModelWeights, cfg: ModelConfig,
                          normalization: str = "per-window"):
-    """Adapt a trained model to the (values, horizon, features) protocol."""
+    """Adapt a trained model to the (contexts, horizon, features) protocol:
+    the stack goes to `forecast` whole."""
 
     def predictor(values, horizon: int, features=None) -> np.ndarray:
         feats = features if cfg.feature_dim else None
@@ -147,8 +150,11 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     Forecast origins start at the first test point and advance by `stride`
     while a full horizon still fits. The context is the `context_len` points
     before the origin (clipped at the series start, so it may reach back into
-    the train and validation spans). Windows whose actuals are all zero have
-    no defined normalized error; they are excluded and counted.
+    the train and validation spans). The predictor gets one stack per context
+    length: every origin with a full `context_len` context in one call, and
+    each clipped context in a call of its own. Windows whose actuals are all
+    zero have no defined normalized error; they are predicted with their
+    stack, then excluded and counted.
     """
     for name, value in (("context_len", context_len), ("horizon", horizon), ("stride", stride)):
         check_int(value, name, EvalConfigError)
@@ -162,22 +168,33 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     feats_all = series.date_features()
     report = EvalReport(series_id=series.series_id, context_len=context_len,
                         horizon=horizon, stride=stride)
-    for origin in origins:
-        ctx_start = max(0, origin - context_len)
-        ctx = series.values[ctx_start:origin]
-        actual = series.values[origin:origin + horizon]
-        if float(np.sum(np.abs(actual))) == 0.0:
-            report.excluded += 1
-            continue
-        feats = feats_all[ctx_start:origin + horizon]
-        predicted = np.asarray(predictor(ctx, horizon, feats), dtype=np.float64)
-        if predicted.shape != (horizon,):
+    full = bisect.bisect_left(origins, context_len)  # origins from here on see context_len points
+    groups = [(o, origins[i:i + 1]) for i, o in enumerate(origins[:full])]
+    if full < len(origins):
+        groups.append((context_len, origins[full:]))
+    for length, group in groups:
+        contexts = _windows(series.values, length, group, length)
+        actuals = _windows(series.values, horizon, group, 0)
+        feats = _windows(feats_all, length + horizon, group, length)
+        predicted = np.asarray(predictor(contexts, horizon, feats), dtype=np.float64)
+        if predicted.shape != actuals.shape:
             raise EvalConfigError(
-                f"predictor returned shape {predicted.shape}, wanted ({horizon},)")
-        report.windows.append(WindowScore(origin=origin,
-                                          nrmse=nrmse(actual, predicted),
-                                          wape=wape(actual, predicted)))
+                f"predictor returned shape {predicted.shape}, wanted {actuals.shape}")
+        for origin, actual, pred in zip(group, actuals, predicted):
+            if float(np.sum(np.abs(actual))) == 0.0:
+                report.excluded += 1
+                continue
+            report.windows.append(WindowScore(origin=origin, nrmse=nrmse(actual, pred),
+                                              wape=wape(actual, pred)))
     return report
+
+
+def _windows(array: np.ndarray, width: int, origins: range, back: int) -> np.ndarray:
+    """``array[o - back:o - back + width]`` for every origin o, as one strided
+    view [len(origins), width, ..] of `array` (no copy)."""
+    view = np.lib.stride_tricks.sliding_window_view(array, width, axis=0)
+    view = view[origins.start - back:origins.stop - back:origins.step]
+    return np.moveaxis(view, -1, 1)  # the window axis follows the stack axis
 
 
 def pool_reports(reports) -> dict:

@@ -15,11 +15,17 @@ window, when the window slides past input_patch_len * max_positions points
 rounds agree with it within 1e-12 relative, since the full recompute
 re-rounds the older tokens' states (numpy's pairwise row sum in the softmax
 regroups past 128 elements).
+
+A round reads one output row, the last token's, so its forward runs the last
+layer's queries, attention and FFN, and the output block, on the trailing
+LAST_ROWS tokens only. A stack of equal-length contexts [B, L] runs the same
+rounds on all rows at once, split into chunks of rows whose attention scores
+fit SCORES_BUDGET bytes; each row equals the 1-d forecast of its context bit
+for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +39,24 @@ __all__ = [
     "ForecastError",
     "HorizonError",
     "ForecastResult",
+    "LAST_ROWS",
     "MAX_ROUNDS",
+    "SCORES_BUDGET",
     "autoregressive_rounds",
     "check_horizon",
     "forecast",
 ]
 
 MAX_ROUNDS = 256  # autoregressive rounds one forecast may take (desk: 2048 points)
+# Trailing rows each round's forward computes past the last layer's keys and values. The
+# round reads one, but numpy sends a 1-row product to BLAS gemv, which rounds differently
+# from the full product's gemm; from 2 rows on the rows match the full forward bit for bit.
+LAST_ROWS = 2
+# Bytes a chunk of a stack may spend on one layer's [rows, heads, N, N] attention scores.
+# Measured on evaluate_cli (ctx 512, N = 128, desk): 256 KB (one row a chunk) ran 1.3x
+# the per-window loop's throughput, 512 KB (two rows) 1.8x for +0.9 MB peak RSS, and
+# 1 MB (four rows) no faster than 512 KB within the noise for +2.4 MB.
+SCORES_BUDGET = 512 * 1024
 
 
 class ForecastError(ValueError):
@@ -52,10 +69,11 @@ class HorizonError(ForecastError):
 
 @dataclass
 class ForecastResult:
-    values: np.ndarray       # [horizon] forecast on the original scale
+    values: np.ndarray       # [horizon] or [B, horizon] forecast on the original scale
     rounds: int              # autoregressive rounds taken
     round_index: np.ndarray  # [horizon] round that produced each step
-    scale: ScaleRecord       # record used to normalize context / invert output
+    scale: ScaleRecord       # record used to normalize context / invert output (mu, sigma
+                             # [B, 1] for a stack)
 
 
 def autoregressive_rounds(horizon: int, output_patch_len: int) -> int:
@@ -74,62 +92,89 @@ def check_horizon(horizon, cfg: ModelConfig) -> None:
 
 def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
              features=None, normalization: str = "per-window") -> ForecastResult:
-    """Forecast `horizon` future points from a 1-d context.
+    """Forecast `horizon` future points from a context [L] or a stack of
+    equal-length contexts [B, L]; the values come back as [horizon] or
+    [B, horizon], each row equal bit for bit to the 1-d call on its context.
 
     `features` covers the context and the forecast span: shape
-    [len(values) + horizon, feature_dim], or None to mark every calendar
-    column unavailable. Contexts longer than input_patch_len * max_positions
-    are clamped to their most recent points, and the working window keeps
-    sliding under that cap as predictions are appended. A horizon past
-    MAX_ROUNDS rounds raises HorizonError before any work.
+    [L + horizon, feature_dim] (per row for a stack: [B, L + horizon,
+    feature_dim]), or None to mark every calendar column unavailable.
+    Contexts longer than input_patch_len * max_positions are clamped to their
+    most recent points, and the working window keeps sliding under that cap
+    as predictions are appended. A stack is decoded in chunks of rows whose
+    attention scores fit SCORES_BUDGET, each chunk scaled, decoded with its
+    own KV cache and inverted on its own. A horizon past MAX_ROUNDS rounds
+    raises HorizonError before any work.
     """
     check_horizon(horizon, cfg)
+    horizon = int(horizon)
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ForecastError(f"context must be 1-d, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ForecastError("context contains non-finite values")
+    if values.ndim not in (1, 2):
+        raise ForecastError(f"context must be 1-d [L] or a stack [B, L], got shape {values.shape}")
+    finite = np.isfinite(values).all(axis=-1)
+    if not finite.all():
+        row = "" if values.ndim == 1 else f" in row {int(np.argmin(finite))}"
+        raise ForecastError(f"context contains non-finite values{row}")
     p, h = cfg.input_patch_len, cfg.output_patch_len
-    if len(values) < p:
+    length = values.shape[-1]
+    if length < p:
         raise ContextTooShortError(
-            f"context of {len(values)} points is shorter than one {p}-point patch")
+            f"context of {length} points is shorter than one {p}-point patch")
 
     if cfg.feature_dim == 0:
         if features is not None:
             raise ForecastError("model takes no calendar features, but features were given")
     elif features is not None:
         features = np.asarray(features, dtype=np.float64)
-        want = (len(values) + int(horizon), cfg.feature_dim)
+        want = values.shape[:-1] + (length + horizon, cfg.feature_dim)
         if features.shape != want:
             raise ForecastError(
                 f"features shape {features.shape} does not match context+horizon {want}")
 
     cap_points = p * cfg.max_positions
-    if len(values) > cap_points:
-        drop = len(values) - cap_points
-        values = values[drop:]
-        if features is not None:
-            features = features[drop:]
+    drop = max(0, length - cap_points)
+    values = values[..., drop:]
+    if features is not None:
+        features = features[..., drop:, :]
+    rounds = autoregressive_rounds(horizon, h)
+    if values.ndim == 1:
+        out, scale = _decode(weights, cfg, values, features, rounds, normalization)
+    else:
+        # the widest window any round encodes sets the largest scores array
+        n = min(values.shape[-1] + (rounds - 1) * h, cap_points) // p
+        rows = max(1, SCORES_BUDGET // (8 * cfg.num_heads * n * n))
+        parts = [_decode(weights, cfg, np.ascontiguousarray(values[i:i + rows]),
+                         None if features is None else features[i:i + rows], rounds,
+                         normalization)
+                 for i in range(0, len(values), rows)]
+        out = np.concatenate([chunk for chunk, _ in parts])
+        scale = parts[0][1] if normalization == "none" else ScaleRecord(
+            *(np.concatenate([getattr(rec, f) for _, rec in parts]) for f in ("mu", "sigma")))
+    return ForecastResult(values=out[..., :horizon], rounds=rounds,
+                          round_index=np.arange(horizon) // h, scale=scale)
 
+
+def _decode(weights: ModelWeights, cfg: ModelConfig, values: np.ndarray, features,
+            rounds: int, normalization: str) -> tuple[np.ndarray, ScaleRecord]:
+    """`rounds` rounds of forecasts from clamped contexts [.., L] and their
+    features [.., L + horizon, F] or None: ([.., rounds * h] on the original
+    scale, the scale record of the contexts)."""
+    p, h = cfg.input_patch_len, cfg.output_patch_len
+    cap_points = p * cfg.max_positions
     rec = scale_record(values, normalization)
-    rounds = autoregressive_rounds(int(horizon), h)
     work = apply_scale(values, rec)
     preds = []
     cache: list = []
     with no_grad():
         for _ in range(rounds):
-            if len(work) > cap_points or h % p:
+            end = work.shape[-1]
+            if end > cap_points or h % p:
                 cache.clear()  # positions shift or patch boundaries move: re-encode the window
-            span = h if cache else min(len(work), cap_points)
-            end = len(work)
-            feats_cur = None if features is None else features[end - span:end]
-            out = forward(weights, cfg, assemble_patch_inputs(work[end - span:], feats_cur, cfg),
-                          cache)
-            step = out.data[-1]  # last token: the h points after the context
+            span = h if cache else min(end, cap_points)
+            feats_cur = None if features is None else features[..., end - span:end, :]
+            inputs = assemble_patch_inputs(work[..., end - span:], feats_cur, cfg)
+            out = forward(weights, cfg, inputs, cache, last=min(LAST_ROWS, inputs.shape[-2]))
+            step = out.data[..., -1, :]  # last token: the h points after the context
             preds.append(step)
-            work = np.concatenate([work, step])
-    normed_pred = np.concatenate(preds)[:horizon]
-    return ForecastResult(values=invert_scale(normed_pred, rec),
-                          rounds=rounds,
-                          round_index=np.arange(int(horizon)) // h,
-                          scale=rec)
+            work = np.concatenate([work, step], axis=-1)
+    return invert_scale(np.concatenate(preds, axis=-1), rec), rec

@@ -340,12 +340,15 @@ def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig, start: int = 0
 
 
 def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
-                        cache: list | None = None) -> Tensor:
+                        cache: list | None = None, last: int | None = None) -> Tensor:
     """Causally masked pre-norm stack: x += MHA(LN(x)); x += FFN(LN(x)).
 
     With a ``cache`` (see :func:`forward`), the tokens follow the cached
     positions: they attend to the cached keys and values plus their own, and
-    their keys and values are appended to the cache.
+    their keys and values are appended to the cache. With ``last``, the final
+    layer still projects keys and values for every token, but its queries,
+    attention, out-projection and FFN run on the trailing ``last`` rows only,
+    and only those rows are returned.
     """
     n = _cached_len(cache) + tokens.shape[-2]
     if n > cfg.max_positions:
@@ -354,8 +357,12 @@ def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
     for i in range(cfg.num_layers):
         lp = f"layer{i}"
         normed = tt.layer_norm(x, weights[f"{lp}.ln1.gain"], weights[f"{lp}.ln1.bias"])
-        q, k, v = (tt.matmul(normed, weights[f"{lp}.attn.w{n}"], weights[f"{lp}.attn.b{n}"])
-                   for n in "qkv")
+        rows = normed
+        if last is not None and i == cfg.num_layers - 1:
+            x, rows = (Tensor(t.data[..., -last:, :]) for t in (x, normed))
+        q = tt.matmul(rows, weights[f"{lp}.attn.wq"], weights[f"{lp}.attn.bq"])
+        k, v = (tt.matmul(normed, weights[f"{lp}.attn.w{n}"], weights[f"{lp}.attn.b{n}"])
+                for n in "kv")
         if cache is not None:
             if i < len(cache):
                 k, v = (Tensor(np.concatenate([old, new.data], axis=-2))
@@ -383,7 +390,8 @@ def _cached_len(cache: list | None) -> int:
     return cache[0][0].shape[-2] if cache else 0
 
 
-def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: list | None = None) -> Tensor:
+def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: list | None = None,
+            last: int | None = None) -> Tensor:
     """Assembled patch inputs [.., N, input_width] -> forecasts [.., N, h].
 
     Row j depends only on patches 1..j; it is the model's prediction of the
@@ -394,9 +402,20 @@ def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: list | None 
     patches that follow the cached positions, and the result holds their
     rows only. An empty list encodes from position 0 and fills the cache.
     Cached keys and values are constants, so a cache needs ``no_grad``.
+
+    ``last`` (1 <= last <= N) returns the trailing ``last`` rows [.., last, h]
+    only: the final layer and the output block skip every other row (see
+    :func:`stacked_transformer`), and the cache is still filled for all N.
+    Rows from a product of two or more rows equal the full forward's bit for
+    bit; a 1-row product goes to BLAS gemv, which rounds differently. The
+    slice cuts the tape, so ``last`` needs ``no_grad``.
     """
     if cache is not None and tt.grad_enabled():
         raise tt.TapeError("a KV cache holds constants; decode with it under no_grad")
+    if last is not None and tt.grad_enabled():
+        raise tt.TapeError("last drops rows from the tape; run it under no_grad")
     toks = input_tokens(inputs, weights, cfg, _cached_len(cache))
-    out = stacked_transformer(toks, weights, cfg, cache)
+    if last is not None and check_int(last, "last", tt.ShapeError) > toks.shape[-2]:
+        raise tt.ShapeError(f"last must be at most the {toks.shape[-2]} input rows, got {last}")
+    out = stacked_transformer(toks, weights, cfg, cache, last)
     return output_forecasts(out, weights, cfg)

@@ -262,14 +262,19 @@ def _fixed_val_windows(corpus: Corpus, cfg: ModelConfig):
 
 
 def _val_loss(val_windows, weights, model_cfg, normalization) -> float | None:
+    """Mean over the windows of each window's own loss, with one forward per
+    window length."""
     if not val_windows:
         return None
+    by_length: dict[int, list] = {}
+    for w in val_windows:
+        by_length.setdefault(len(w.values), []).append(w)
     losses = []
     with no_grad():
-        for w in val_windows:
-            inputs, targets = assemble_batch([w], model_cfg, normalization)
-            out = forward(weights, model_cfg, inputs)
-            losses.append(train_loss(out, targets).item())
+        for group in by_length.values():
+            inputs, targets = assemble_batch(group, model_cfg, normalization)
+            out = forward(weights, model_cfg, inputs).data
+            losses.extend(train_loss(out[i], targets[i]).item() for i in range(len(group)))
     return math.fsum(losses) / len(losses)
 
 

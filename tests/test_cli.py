@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import re
 import time
 from dataclasses import replace
 from datetime import datetime, timedelta
@@ -617,14 +618,24 @@ def test_evaluate_forecasts_each_model_window_once(trained, tmp_path, monkeypatc
     real = evaluation.forecast
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(len(args[2]))  # the rows of the stack
         return real(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "forecast", counting)
     out_dir = evaluate_with_out_dir(trained, tmp_path)
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["predictors"]["model"]["n_windows"] > 0
-    assert len(calls) == summary["predictors"]["model"]["n_windows"]
+    assert sum(calls) == summary["predictors"]["model"]["n_windows"]
+    assert len(calls) == 2  # one stack per series: no context is clipped
+
+
+def test_evaluate_reports_each_predictor_on_stderr(trained, tmp_path, capsys):
+    evaluate_with_out_dir(trained, tmp_path)
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["model", "repeat_last"]
+    for line in lines:
+        assert re.fullmatch(r"[a-z_]+: 12 windows scored, 0 excluded, "
+                            r"\d+\.\d{3} s in rolling_eval", line), line
 
 
 def test_evaluate_summary_pools_the_window_files(trained, tmp_path, capsys):

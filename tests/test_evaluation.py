@@ -6,6 +6,7 @@ arithmetic; window counts come from closed-form counting.
 
 import math
 from datetime import datetime
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -172,8 +173,7 @@ def test_perfect_predictor_scores_zero_everywhere():
     origins = iter(range(80, 100 - 6 + 1))
 
     def oracle(ctx, horizon, feats=None):
-        o = next(origins)
-        return s.values[o:o + horizon]
+        return np.stack([s.values[o:o + horizon] for o in islice(origins, len(ctx))])
 
     rep = rolling_eval(oracle, s, context_len=16, horizon=6)
     assert len(rep.windows) == 15
@@ -216,15 +216,15 @@ def test_context_clipped_at_series_start():
     seen = []
 
     def probe(ctx, horizon, feats=None):
-        seen.append(len(ctx))
-        assert feats.shape == (len(ctx) + horizon, 5)
+        seen.append(ctx.shape)
+        assert feats.shape == (len(ctx), ctx.shape[-1] + horizon, 5)
         return repeat_last(ctx, horizon)
 
     rolling_eval(probe, s, context_len=100, horizon=2)
-    assert seen == [16, 17, 18]
+    assert seen == [(1, 16), (1, 17), (1, 18)]  # a clipped context is a stack of its own
     seen.clear()
     rolling_eval(probe, s, context_len=8, horizon=2)
-    assert seen == [8, 8, 8]
+    assert seen == [(3, 8)]
 
 
 def test_predictor_shape_checked():
@@ -241,6 +241,50 @@ def test_too_short_test_split_rejected():
         rolling_eval(repeat_last, s, 0, 1)
     with pytest.raises(EvalConfigError):
         rolling_eval(repeat_last, s, 4, 1, stride=0)
+
+
+def per_window_eval(predictor, series, context_len, horizon, stride=1):
+    """The per-window loop the stacked protocol replaced: one 1-d predictor
+    call per scored window, none for a zero-actual one."""
+    report = EvalReport(series_id=series.series_id, context_len=context_len,
+                        horizon=horizon, stride=stride)
+    feats_all = series.date_features()
+    for origin in range(series.split().val_end, len(series) - horizon + 1, stride):
+        ctx_start = max(0, origin - context_len)
+        actual = series.values[origin:origin + horizon]
+        if float(np.sum(np.abs(actual))) == 0.0:
+            report.excluded += 1
+            continue
+        predicted = predictor(series.values[ctx_start:origin], horizon,
+                              feats_all[ctx_start:origin + horizon])
+        report.windows.append(WindowScore(origin=origin, nrmse=nrmse(actual, predicted),
+                                          wape=wape(actual, predicted)))
+    return report
+
+
+@pytest.mark.parametrize("context_len,horizon,stride", [(70, 4, 1), (70, 10, 3), (24, 10, 2)])
+def test_stacked_protocol_equals_the_per_window_loop(context_len, horizon, stride):
+    # 80 points: origins from 64; context 70 clips those before 70 at the series
+    # start. The zeros make the windows at origins 66 and 67 zero-actual for
+    # every horizon here.
+    cfg = tiny_cfg()
+    rng = np.random.default_rng(5)
+    vals = np.sin(np.arange(80) / 5.0) + 3.0 + 0.1 * rng.normal(size=80)
+    vals[66:77] = 0.0
+    s = series_of(vals)
+    predictors = [make_model_predictor(ModelWeights.initialize(cfg, seed=2), cfg),
+                  repeat_last, make_seasonal_naive(7)]
+    for predictor in predictors:
+        got = rolling_eval(predictor, s, context_len, horizon, stride)
+        assert got == per_window_eval(predictor, s, context_len, horizon, stride)
+        assert got.excluded > 0 and got.windows
+
+
+def test_baselines_take_stacks():
+    stack = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    assert repeat_last(stack, 3).tolist() == [[4.0] * 3, [8.0] * 3]
+    assert make_seasonal_naive(3)(stack, 4).tolist() == [[2.0, 3.0, 4.0, 2.0],
+                                                         [6.0, 7.0, 8.0, 6.0]]
 
 
 def test_model_predictor_runs_through_protocol():

@@ -8,12 +8,18 @@ contract.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import patchcast.inference as inference
 
 from patchcast.inference import (
     MAX_ROUNDS,
+    SCORES_BUDGET,
     ForecastError,
     ForecastResult,
     HorizonError,
@@ -159,9 +165,9 @@ def test_rounds_after_the_first_encode_only_new_patches(monkeypatch, desk_rig):
 
     rows = []
 
-    def spy(weights, cfg, inputs, cache=None):
+    def spy(weights, cfg, inputs, cache=None, last=None):
         rows.append(np.shape(inputs)[-2])
-        return forward(weights, cfg, inputs, cache)
+        return forward(weights, cfg, inputs, cache, last)
 
     monkeypatch.setattr(inference, "forward", spy)
     cfg, weights = desk_rig
@@ -350,7 +356,101 @@ def test_featureless_model_rejects_features(rig):
         forecast(weights, cfg, wave(40), 8, features=np.zeros((48, 5)))
 
 
-def test_context_must_be_one_dimensional(rig):
+def test_context_must_be_a_series_or_a_stack(rig):
     cfg, weights = rig
-    with pytest.raises(ForecastError, match="1-d"):
-        forecast(weights, cfg, np.ones((8, 2)), 8)
+    with pytest.raises(ForecastError, match=r"1-d \[L\] or a stack \[B, L\]"):
+        forecast(weights, cfg, np.ones((2, 8, 4)), 8)
+
+
+# -- stacks of contexts ---------------------------------------------------------------
+
+
+STACK_CONFIGS = [
+    tiny_cfg(),
+    tiny_cfg(output_patch_len=6),  # h % p != 0: every round resets the cache
+    tiny_cfg(max_positions=4),  # 16-point cap: long contexts clamp, the window slides
+    tiny_cfg(feature_dim=5, num_layers=2),
+]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cfg=st.sampled_from(STACK_CONFIGS), batch=st.integers(1, 5),
+       length=st.integers(4, 40), horizon=st.integers(1, 20),
+       with_features=st.booleans(), normalization=st.sampled_from(["per-window", "none"]),
+       budget=st.sampled_from([1, SCORES_BUDGET]), seed=st.integers(0, 2**16))
+def test_each_stack_row_equals_the_series_forecast_bitwise(
+        cfg, batch, length, horizon, with_features, normalization, budget, seed):
+    """Budget 1 decodes every row as a chunk of its own; SCORES_BUDGET takes
+    them all in one chunk."""
+    weights = ModelWeights.initialize(cfg, seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(3.0, 1.0, size=(batch, length))
+    features = None
+    if with_features and cfg.feature_dim:
+        features = rng.uniform(-0.5, 0.5, size=(batch, length + horizon, cfg.feature_dim))
+    with mock.patch.object(inference, "SCORES_BUDGET", budget):
+        got = forecast(weights, cfg, values, horizon, features=features,
+                       normalization=normalization)
+    assert got.values.shape == (batch, horizon)
+    for i in range(batch):
+        one = forecast(weights, cfg, values[i], horizon,
+                       features=None if features is None else features[i],
+                       normalization=normalization)
+        assert np.array_equal(got.values[i], one.values)
+        assert np.array_equal(got.round_index, one.round_index) and got.rounds == one.rounds
+        if normalization == "per-window":
+            assert (got.scale.mu[i, 0], got.scale.sigma[i, 0]) == (one.scale.mu, one.scale.sigma)
+        else:
+            assert got.scale == one.scale
+
+
+def test_stack_splits_into_chunks_within_the_scores_budget(monkeypatch, desk_rig):
+    rows = []
+
+    def spy(weights, cfg, inputs, cache=None, last=None):
+        rows.append(np.shape(inputs)[:-1])
+        return forward(weights, cfg, inputs, cache, last)
+
+    monkeypatch.setattr(inference, "forward", spy)
+    cfg, weights = desk_rig
+    n = 512 // cfg.input_patch_len
+    per_row = 8 * cfg.num_heads * n * n  # one row's [heads, N, N] scores
+    monkeypatch.setattr(inference, "SCORES_BUDGET", 2 * per_row + per_row // 2)
+    forecast(weights, cfg, np.tile(wave(512), (5, 1)), cfg.output_patch_len)
+    assert rows == [(2, n), (2, n), (1, n)]
+
+
+def test_forecast_runs_only_the_rows_a_round_reads(monkeypatch, desk_rig):
+    lasts = []
+
+    def spy(weights, cfg, inputs, cache=None, last=None):
+        lasts.append(last)
+        return forward(weights, cfg, inputs, cache, last)
+
+    monkeypatch.setattr(inference, "forward", spy)
+    cfg, weights = desk_rig
+    forecast(weights, cfg, wave(512), 2 * cfg.output_patch_len)
+    forecast(weights, cfg, wave(4), 1)  # one token: one row to read
+    assert lasts == [inference.LAST_ROWS, inference.LAST_ROWS, 1]
+
+
+def test_stack_of_more_than_two_dimensions_rejected(rig):
+    cfg, weights = rig
+    with pytest.raises(ForecastError, match="shape"):
+        forecast(weights, cfg, np.ones((2, 3, 40)), 8)
+
+
+def test_stack_features_of_the_wrong_shape_rejected(feat_rig):
+    cfg, weights = feat_rig
+    values = np.tile(wave(40), (3, 1))
+    for bad in (np.zeros((48, 5)), np.zeros((2, 48, 5)), np.zeros((3, 40, 5))):
+        with pytest.raises(ForecastError, match="features shape"):
+            forecast(weights, cfg, values, 8, features=bad)
+
+
+def test_nonfinite_stack_row_is_named(rig):
+    cfg, weights = rig
+    values = np.tile(wave(40), (4, 1))
+    values[2, 5] = math.inf
+    with pytest.raises(ForecastError, match="non-finite values in row 2"):
+        forecast(weights, cfg, values, 8)

@@ -152,14 +152,29 @@ def test_forward_gradients_and_cache_equal_reference_model_bitwise(cfg, batch, n
     for name, p in model_w.named():
         assert np.array_equal(p.grad, ref_w[name].grad), name
     m = min(split, n)
-    got_cache, want_cache = [], []
+    got_cache, want_cache, trimmed_cache = [], [], []
     with no_grad():
         for chunk in (inputs[:, :m], inputs[:, m:]) if m < n else (inputs,):
             got = forward(model_w, cfg, chunk, got_cache)
             want = reference_model.forward(ref_w, cfg, chunk, want_cache)
             assert np.array_equal(got.data, want.data)
-    for got_kv, want_kv in zip(got_cache, want_cache, strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(got_kv, want_kv))
+            rows = min(2, chunk.shape[-2])  # as a forecast round keeps them
+            trimmed = forward(model_w, cfg, chunk, trimmed_cache, last=rows)
+            assert np.array_equal(trimmed.data, want.data[..., -rows:, :])
+    for cache in (got_cache, trimmed_cache):
+        for got_kv, want_kv in zip(cache, want_cache, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got_kv, want_kv))
+    # forward(last=m): the reference's trailing m rows, bitwise from m = 2 on. One
+    # row goes to BLAS gemv, which rounds differently from the full product's gemm.
+    with no_grad():
+        want = reference_model.forward(ref_w, cfg, inputs).data
+        for last in range(1, n + 1):
+            got = forward(model_w, cfg, inputs, last=last).data
+            if last >= 2 or n == 1:
+                assert np.array_equal(got, want[..., -last:, :]), last
+            else:
+                np.testing.assert_allclose(got, want[..., -1:, :], rtol=0,
+                                           atol=1e-14 * np.abs(want).max())
 
 
 # -- patchify -------------------------------------------------------------------
@@ -397,6 +412,19 @@ def test_cached_forward_matches_full_forward():
     assert np.allclose(np.concatenate(chunks, axis=1), full, rtol=0, atol=1e-12)
     with pytest.raises(tt.TapeError):  # cached keys carry no gradient
         forward(weights, cfg, batch[:, :2], [])
+
+
+def test_last_rows_must_lie_in_the_input_and_need_no_grad():
+    cfg = tiny_cfg()
+    weights = ModelWeights.initialize(cfg, seed=25)
+    batch = np.zeros((2, 5, cfg.input_width))
+    with no_grad():
+        for bad in (0, 6, -1, 2.0, True):
+            with pytest.raises(tt.ShapeError, match="last"):
+                forward(weights, cfg, batch, last=bad)
+    with pytest.raises(tt.TapeError, match="last"):  # the slice would cut the tape
+        forward(weights, cfg, batch, last=2)
+    assert tt.active_tape().records == []
 
 
 # -- feature assembly --------------------------------------------------------------

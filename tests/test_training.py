@@ -505,6 +505,30 @@ def test_validation_rows_at_cadence(corpus):
     assert math.isfinite(by_step[3])
 
 
+def test_validation_loss_takes_one_forward_per_window_length(monkeypatch):
+    import patchcast.training as training
+
+    cfg = tiny_cfg()
+    weights = ModelWeights.initialize(cfg, seed=3)
+    rng = np.random.default_rng(4)
+    windows = [windows_of(rng.normal(2.0, 1.0, size=n)) for n in (40, 52, 40, 44, 52, 40)]
+    per_window = []
+    for w in windows:
+        inputs, targets = assemble_batch([w], cfg, "per-window")
+        per_window.append(train_loss(forward(weights, cfg, inputs), targets).item())
+    active_tape().records.clear()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[2])[0])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", spy)
+    got = training._val_loss(windows, weights, cfg, "per-window")
+    assert got == math.fsum(per_window) / len(per_window)
+    assert sorted(calls) == [1, 2, 3]
+
+
 def test_checkpoint_cadence_and_final(corpus, tmp_path):
     res = quick_train(corpus, steps=6, checkpoint_every=2, out_dir=tmp_path)
     names = sorted(p.name for p in res.checkpoints)
