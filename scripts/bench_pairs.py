@@ -5,8 +5,9 @@ Compares a parent checkout with a changed one the way a claimed gain must be
 shown: pair i runs ``perfbench/run.py`` once in each checkout with seed
 ``--seed + i``, the parent first on even pairs and the change first on odd
 ones, so drift on a noisy box falls on both sides alike. Each run records
-the end-to-end metrics of its result line, its wall time and the CPU time of
-the run and its workload process (``getrusage(RUSAGE_CHILDREN)`` deltas).
+the end-to-end metrics of its result line, its wall time, and the CPU time,
+system time and minor page faults of the run and its workload process
+(``getrusage(RUSAGE_CHILDREN)`` deltas).
 The output ``BENCH_<label>.json`` holds every pair's values and, per metric,
 each side's median and quartiles, the ratio of the medians and the pairs the
 change won (ties count for neither side).
@@ -42,18 +43,20 @@ def git_describe(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def child_cpu_s() -> float:
+def child_usage() -> dict[str, float]:
+    """Waited-for children's CPU time, system time and minor page faults so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+    return {"run_cpu_s": usage.ru_utime + usage.ru_stime, "run_sys_s": usage.ru_stime,
+            "run_minflt": usage.ru_minflt}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
     """One untraced benchmark run: (values by metric name, environment)."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    cpu0, t0 = child_cpu_s(), time.perf_counter()
+    usage0, t0 = child_usage(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    wall, cpu = time.perf_counter() - t0, child_cpu_s() - cpu0
+    wall, usage = time.perf_counter() - t0, child_usage()
     lines = proc.stdout.splitlines()
     try:
         result = json.loads(lines[-1])
@@ -64,7 +67,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[di
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines
                 if line.startswith("environment ")), {})
     values = {name: m["value"] for name, m in metrics.items()}
-    values.update(run_wall_s=wall, run_cpu_s=cpu, correct=result.get("correct"))
+    values.update({name: usage[name] - usage0[name] for name in usage},
+                  run_wall_s=wall, correct=result.get("correct"))
     return values, env
 
 
@@ -104,7 +108,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    better.update(run_wall_s="lower", run_cpu_s="lower")
+    better.update(run_wall_s="lower", run_cpu_s="lower", run_sys_s="lower", run_minflt="lower")
 
     pairs, env = [], {}
     for i in range(args.pairs):

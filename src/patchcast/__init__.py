@@ -9,6 +9,7 @@ a small hand-rolled reverse-mode autodiff core (:mod:`patchcast.tensor`).
 __version__ = "0.1.0"
 
 from . import tensor
+from .allocator import keep_freed_memory
 from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 from .data import (
     FamilySpec,
@@ -35,6 +36,8 @@ from .inference import ForecastResult, autoregressive_rounds, forecast
 from .model import ModelConfig, ModelWeights, forward
 from .tensor import Tensor, no_grad
 from .training import TrainConfig, TrainResult, train
+
+keep_freed_memory()
 
 __all__ = [
     "CheckpointBundle",

@@ -158,6 +158,10 @@ def chronological_split(length: int) -> SplitBounds:
 # -- corpus ----------------------------------------------------------------------
 
 
+# granularity -> [(series, its train_end)] of the series that can give a training window
+TrainingPools = dict[str, list[tuple[TimeSeries, int]]]
+
+
 @dataclass
 class Corpus:
     series: list[TimeSeries]
@@ -168,9 +172,26 @@ class Corpus:
             if s.series_id in seen:
                 raise ValueError(f"duplicate series id {s.series_id!r}")
             seen.add(s.series_id)
+        self._pools: dict[tuple[int, int], TrainingPools] = {}
 
     def __len__(self) -> int:
         return len(self.series)
+
+    def training_pools(self, patch_len: int, horizon: int) -> TrainingPools:
+        """Per granularity, the series whose train split fits at least one
+        patch and its target, each with its ``train_end``.
+
+        Computed once per (patch_len, horizon) and kept, so the series list
+        must not change after the first call.
+        """
+        key = (patch_len, horizon)
+        if key not in self._pools:
+            pools: TrainingPools = {}
+            for s in self.series:
+                if len(s) >= 10 and (end := s.split().train_end) >= patch_len + horizon:
+                    pools.setdefault(s.granularity, []).append((s, end))
+            self._pools[key] = pools
+        return self._pools[key]
 
     def get(self, series_id: str) -> TimeSeries:
         for s in self.series:
@@ -475,18 +496,9 @@ def window_length(available: int, cap: int, horizon: int) -> int:
     return min(cap + horizon, available)
 
 
-def eligible_series(corpus: Corpus, patch_len: int, horizon: int) -> dict[str, list[TimeSeries]]:
-    """Series whose train split fits at least one patch and its target."""
-    out: dict[str, list[TimeSeries]] = {}
-    for s in corpus.series:
-        if len(s) >= 10 and s.split().train_end >= patch_len + horizon:
-            out.setdefault(s.granularity, []).append(s)
-    return out
-
-
 def default_mixture(corpus: Corpus, patch_len: int, horizon: int) -> dict[str, float]:
     """Equal weight for every granularity with at least one eligible series."""
-    grans = sorted(eligible_series(corpus, patch_len, horizon))
+    grans = sorted(corpus.training_pools(patch_len, horizon))
     if not grans:
         raise SamplingError("corpus has no series eligible for training windows")
     return {g: 1.0 / len(grans) for g in grans}
@@ -504,7 +516,7 @@ def sample_training_windows(corpus: Corpus, mixture: dict[str, float], batch_siz
     """
     if batch_size < 1:
         raise SamplingError("batch_size must be >= 1")
-    pools = eligible_series(corpus, input_patch_len, output_patch_len)
+    pools = corpus.training_pools(input_patch_len, output_patch_len)
     names, weights = [], []
     for g, w in sorted(mixture.items()):
         if g not in GRANULARITIES:
@@ -523,11 +535,10 @@ def sample_training_windows(corpus: Corpus, mixture: dict[str, float], batch_siz
     pool = pools[gran]
     cap = CONTEXT_CAPS[gran]
     picks = [pool[int(i)] for i in rng.integers(0, len(pool), size=batch_size)]
-    w_len = min(window_length(s.split().train_end, cap, output_patch_len) for s in picks)
+    w_len = min(window_length(end, cap, output_patch_len) for _, end in picks)
     windows = []
-    for s in picks:
-        hi = s.split().train_end - w_len
-        start = int(rng.integers(0, hi + 1))
+    for s, end in picks:
+        start = int(rng.integers(0, end - w_len + 1))
         windows.append(TrainingWindow(
             series_id=s.series_id,
             granularity=gran,

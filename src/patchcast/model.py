@@ -11,6 +11,7 @@ an output residual block turns every output token j into a forecast of the
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -306,6 +307,15 @@ def positional_encoding(n_positions: int, dim: int, start: int = 0) -> np.ndarra
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _pe_table(max_positions: int, dim: int) -> np.ndarray:
+    """Read-only ``positional_encoding(max_positions, dim)``, built once per
+    model shape; row ``pos`` equals ``positional_encoding(1, dim, pos)`` bit for bit."""
+    table = positional_encoding(max_positions, dim)
+    table.flags.writeable = False
+    return table
+
+
 # -- blocks -------------------------------------------------------------------
 
 
@@ -336,7 +346,7 @@ def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig, start: int = 0
     tokens = residual_block(x, weights["input.w1"], weights["input.b1"],
                             weights["input.w2"], weights["input.b2"],
                             weights.get("input.wskip"))
-    return tokens + Tensor(positional_encoding(n, cfg.model_dim, start))
+    return tokens + Tensor(_pe_table(cfg.max_positions, cfg.model_dim)[start:start + n])
 
 
 def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,

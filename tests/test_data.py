@@ -24,7 +24,6 @@ from patchcast.data import (
     chronological_split,
     default_mixture,
     derive_date_features,
-    eligible_series,
     ingest_csv,
     sample_training_windows,
     synth_corpus,
@@ -508,8 +507,56 @@ def test_default_mixture_equal_weights():
 def test_eligible_series_threshold():
     short = TimeSeries("tiny", "hourly", datetime(2020, 1, 6), np.arange(14.0))
     # train_end = floor(0.7*14) = 9 < 4 + 8
-    pools = eligible_series(Corpus([short]), 4, 8)
-    assert pools == {}
+    assert Corpus([short]).training_pools(4, 8) == {}
+    fits = TimeSeries("fits", "hourly", datetime(2020, 1, 6), np.arange(18.0))
+    # train_end = floor(0.7*18) = 12 = 4 + 8
+    assert Corpus([short, fits]).training_pools(4, 8) == {"hourly": [(fits, 12)]}
+
+
+def reference_sample(corpus, mixture, batch_size, rng, *, input_patch_len, output_patch_len):
+    """``sample_training_windows`` as it was before the pools were kept per
+    corpus: every call splits every series again."""
+    pools = {}
+    for s in corpus.series:
+        if len(s) >= 10 and s.split().train_end >= input_patch_len + output_patch_len:
+            pools.setdefault(s.granularity, []).append(s)
+    names = [g for g, w in sorted(mixture.items()) if w > 0]
+    weights = [w for g, w in sorted(mixture.items()) if w > 0]
+    gran = names[int(rng.choice(len(names), p=np.array(weights) / sum(weights)))]
+    pool = pools[gran]
+    picks = [pool[int(i)] for i in rng.integers(0, len(pool), size=batch_size)]
+    w_len = min(window_length(s.split().train_end, CONTEXT_CAPS[gran], output_patch_len)
+                for s in picks)
+    out = []
+    for s in picks:
+        start = int(rng.integers(0, s.split().train_end - w_len + 1))
+        out.append((s.series_id, gran, start, s.values[start:start + w_len],
+                    s.date_features()[start:start + w_len]))
+    return out
+
+
+def test_sampling_from_kept_pools_draws_the_reference_windows():
+    # lengths 14 (no window at p=4, h=8), 30 and 90 (shorter than every cap) and 900
+    series = [TimeSeries(f"{g}-{i}", g, datetime(2020, 1, 6),
+                         np.random.default_rng(i).standard_normal(length))
+              for g in GRANULARITIES for i, length in enumerate((14, 30, 90, 900))]
+    corpus = Corpus(series)
+    mixtures = [default_mixture(corpus, 4, 8), {"hourly": 1.0},
+                {"daily": 0.2, "monthly": 0.8, "weekly": 0.0}]
+    for mixture in mixtures:
+        for seed in range(5):
+            for batch_size, p, h in ((1, 4, 8), (7, 4, 8), (32, 8, 16)):
+                kw = dict(input_patch_len=p, output_patch_len=h)
+                rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_training_windows(corpus, mixture, batch_size, rng_a, **kw)
+                want = reference_sample(corpus, mixture, batch_size, rng_b, **kw)
+                assert len(got) == len(want)
+                for w, (sid, gran, start, values, features) in zip(got, want):
+                    assert (w.series_id, w.granularity, w.start) == (sid, gran, start)
+                    assert np.array_equal(w.values, values)
+                    assert np.array_equal(w.features, features)
+                # the same number of draws: both generators stand at one state
+                assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_series_validation():

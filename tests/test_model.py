@@ -224,6 +224,17 @@ def test_pe_values_bounded():
     assert np.all(np.abs(pe) <= 1.0)
 
 
+def test_kept_pe_table_slices_equal_fresh_encodings():
+    cfg = ModelConfig.preset("desk")
+    table = M._pe_table(cfg.max_positions, cfg.model_dim)
+    assert table is M._pe_table(cfg.max_positions, cfg.model_dim)
+    assert not table.flags.writeable
+    for start in range(cfg.max_positions):
+        for n in range(1, cfg.max_positions - start + 1):
+            assert np.array_equal(table[start:start + n],
+                                  positional_encoding(n, cfg.model_dim, start)), (start, n)
+
+
 def test_zero_weights_tokens_equal_pe_exactly():
     cfg = tiny_cfg()
     weights = ModelWeights.initialize(cfg, seed=0)
