@@ -4,8 +4,8 @@ glibc's malloc serves a block above its mmap threshold with a fresh
 ``mmap`` and unmaps it on free, and it returns free memory at the top of the
 heap to the kernel once that exceeds its trim threshold. A training step
 allocates and frees arrays of 150 KB to 4 MB on every op, so each step would
-get them back as new zero-filled pages and fault every page in again (about
-7,000 minor faults per ``pretrain_long`` step). Raising both thresholds
+get them back as new zero-filled pages and fault every page in again
+(thousands of minor faults per ``pretrain_long`` step). Raising both thresholds
 keeps the freed blocks in the heap, where the next step reuses them.
 Numerics are unaffected; the cost is that resident memory stays near its
 high-water mark instead of shrinking after a large step.
@@ -28,8 +28,8 @@ TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 def keep_freed_memory() -> bool:
     """Set glibc's mmap and trim thresholds for this process.
 
-    Returns True when both were applied, and False, changing nothing, where
-    the C library is not glibc or offers no ``mallopt``.
+    Returns True when both were applied, and False where the C library is
+    not glibc, offers no ``mallopt`` or refuses a setting.
     """
     try:
         libc = ctypes.CDLL(None)
