@@ -137,10 +137,10 @@ def _build_corpus(section: dict, config_dir: Path):
         config_fields({"kind", "spec", "seed"}, section, CLIError, "corpus")
         try:
             spec = GeneratorSpec.from_dict(section.get("spec", {}))
+            seed = check_int(section.get("seed", 0), "corpus seed", CLIError, low=0)
+            pair = synth_corpus(spec, seed=seed)
         except GeneratorSpecError as exc:
             raise CLIError(f"bad corpus spec: {exc}") from exc
-        seed = check_int(section.get("seed", 0), "corpus seed", CLIError, low=0)
-        pair = synth_corpus(spec, seed=seed)
         manifest = {"kind": "synthetic", "seed": seed,
                     "pretrain": pair.pretrain.manifest(),
                     "holdout": pair.holdout.manifest()}
@@ -214,7 +214,7 @@ def cmd_pretrain(args) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CheckpointError, TrainConfigError) as exc:
+    except (CheckpointError, TrainConfigError, ConfigError) as exc:
         raise CLIError(str(exc)) from exc
     last = result.loss_curve[-1]
     print(f"trained {train_cfg.total_steps} steps; "
@@ -397,7 +397,7 @@ def cmd_ablate(args) -> int:
             train_cfg = _build_train_config(raw)
             rows = patch_size_comparison(corpus, eval_series, model_cfg, train_cfg, which,
                                          ev["sizes"], ev["context_len"], horizon, stride)
-    except (CheckpointError, TrainConfigError, EvalConfigError, HorizonError) as exc:
+    except (CheckpointError, TrainConfigError, EvalConfigError, HorizonError, ConfigError) as exc:
         raise CLIError(str(exc)) from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .model import FEATURE_COLUMNS, check_fields, config_fields
+from .model import FEATURE_COLUMNS, check_fields, check_memory, config_fields
 
 GRANULARITIES = ("15min", "hourly", "daily", "weekly", "monthly")
 
@@ -466,7 +466,18 @@ def _generate_series(spec: FamilySpec, role: str, index: int, rng: np.random.Gen
 
 
 def synth_corpus(spec: GeneratorSpec, seed: int) -> CorpusPair:
-    """Deterministically generate the pretrain and holdout corpora."""
+    """Deterministically generate the pretrain and holdout corpora.
+
+    GeneratorSpecError if their points and calendar features could pass
+    MEMORY_CEILING_BYTES, naming the largest family's fields.
+    """
+    families = spec.pretrain + spec.holdout
+    point_bytes = 8 * (1 + len(FEATURE_COLUMNS))
+    largest = max(families, key=lambda f: f.n_series * f.length_range[1])
+    check_memory(point_bytes * sum(f.n_series * f.length_range[1] for f in families),
+                 "the corpus (series points and calendar features)",
+                 f"n_series ({largest.n_series}) or length_range ({largest.length_range[1]} "
+                 f"points at most) of family {largest.name!r}", GeneratorSpecError)
     out: dict[str, list[TimeSeries]] = {"pretrain": [], "holdout": []}
     for role_idx, (role, families) in enumerate((("pretrain", spec.pretrain),
                                                  ("holdout", spec.holdout))):

@@ -90,6 +90,19 @@ def check_fields(obj, error: type[Exception], low: dict, where: str = "") -> Non
             _check_value(item, kind, f"{name}[{i}]", error, bound)
 
 
+# The most bytes a config may ask synth_corpus or ModelWeights.initialize for,
+# checked before allocating. The full preset (about 6 GiB of weights,
+# gradients and Adam moments) is built and shape-checked but never initialized.
+MEMORY_CEILING_BYTES = 4 * 2**30
+
+
+def check_memory(nbytes: int, what: str, fields: str, error: type[Exception]) -> None:
+    """`error` naming `fields` when `what` needs more than MEMORY_CEILING_BYTES."""
+    if nbytes > MEMORY_CEILING_BYTES:
+        raise error(f"{what} needs {nbytes / 2**30:,.1f} GiB, past the "
+                    f"{MEMORY_CEILING_BYTES >> 30} GiB ceiling; lower {fields}")
+
+
 # the per-point calendar features data.derive_date_features yields, in column order
 FEATURE_COLUMNS = ("month_of_year", "day_of_week", "hour_of_day",
                    "minute_of_hour", "second_of_minute")
@@ -157,14 +170,15 @@ PRESETS = {
 # -- weights -----------------------------------------------------------------
 
 
-def _weight_layout(cfg: ModelConfig):
-    """Yield (name, shape) for every weight in canonical order."""
+def _weight_layout(cfg: ModelConfig, num_layers: int | None = None):
+    """Yield (name, shape) for every weight in canonical order; `num_layers`
+    stands in for cfg.num_layers where it is given."""
     w_in, d, rh, h = cfg.input_width, cfg.model_dim, cfg.residual_hidden, cfg.output_patch_len
     yield from (("input.w1", (w_in, rh)), ("input.b1", (rh,)),
                 ("input.w2", (rh, d)), ("input.b2", (d,)))
     if w_in != d:
         yield "input.wskip", (w_in, d)
-    for i in range(cfg.num_layers):
+    for i in range(cfg.num_layers if num_layers is None else num_layers):
         lp = f"layer{i}"
         yield from ((f"{lp}.ln1.{n}", (d,)) for n in ("gain", "bias"))
         yield from ((f"{lp}.attn.{n}", (d, d)) for n in ("wq", "wk", "wv", "wo"))
@@ -176,6 +190,12 @@ def _weight_layout(cfg: ModelConfig):
                 ("output.w2", (rh, h)), ("output.b2", (h,)))
     if d != h:
         yield "output.wskip", (d, h)
+
+
+def parameter_count(cfg: ModelConfig) -> int:
+    """Entries of all weights, counted without listing every layer."""
+    size = [sum(math.prod(shape) for _, shape in _weight_layout(cfg, layers)) for layers in (0, 1)]
+    return size[0] + cfg.num_layers * (size[1] - size[0])
 
 
 def weight_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -214,6 +234,14 @@ class ModelWeights:
 
     @classmethod
     def initialize(cls, cfg: ModelConfig, seed: int) -> "ModelWeights":
+        """Fresh weights; ConfigError if weights, gradients and both Adam
+        moments would pass MEMORY_CEILING_BYTES."""
+        params = parameter_count(cfg)
+        check_memory(params * 8 * 4, f"a model of {params:,} parameters with its gradients "
+                     "and Adam moments", f"model_dim ({cfg.model_dim}), num_layers "
+                     f"({cfg.num_layers}), residual_hidden ({cfg.residual_hidden}), "
+                     f"input_patch_len ({cfg.input_patch_len}) or output_patch_len "
+                     f"({cfg.output_patch_len})", ConfigError)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
         params: dict[str, Tensor] = {}
         for name, shape in weight_shapes(cfg).items():

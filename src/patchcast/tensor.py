@@ -13,12 +13,18 @@ suffix of the larger (leading batch dimensions). Anything fancier raises
 ``ShapeError`` so that every backward rule stays auditable.
 
 Ops are single-threaded per tape; independent tapes may live on separate
-threads, which is why the active-tape pointer is thread-local.
+threads, which is why the active-tape pointer is thread-local. The one
+exception is :func:`_in_halves`: attention and softmax work large arrays in
+two halves of their leading axis, the second half on one worker thread, and
+every value equals the single-call value bit for bit.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 import threading
 from typing import Callable
 
@@ -40,7 +46,19 @@ class TapeError(RuntimeError):
 LAYER_NORM_EPS = 1e-6
 MASK_VALUE = -1e30  # additive causal mask; finite, so softmax_lastdim accepts it
 
+# Arrays of at least this many entries are worked in two halves (_in_halves).
+# One workload on each side of the line, each a 10-round in-process A/B of the
+# split against the single call (2-core x86-64 VM, OPENBLAS_NUM_THREADS=1):
+# evaluate_cli's largest attention calls hold 65,536 score entries and, split,
+# ran at 0.84x (1 of 10 rounds faster); pretrain_long's hold 524,288 and ran
+# at 1.15x (9 of 10). No call of pretrain_short (23,104 entries),
+# forecast_stream (at most 131,072: one series at 256 positions) or
+# evaluate_cli reaches 2^18; every attention call of pretrain_long does.
+SPLIT_MIN_ENTRIES = 1 << 18
+
 _state = threading.local()
+_worker_lock = threading.Lock()
+_worker = None  # the one-thread pool of _second_core
 
 
 def _tls():
@@ -180,6 +198,71 @@ class Tape:
             self.records.clear()
 
 
+# -- the second core -------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _second_core():
+    """The one worker thread, created on first use (with its import, which
+    a process that never splits does not pay)."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="patchcast-half")
+        return _worker
+
+
+def _forget_worker() -> None:
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _in_halves(fn: Callable[[slice], object], arr: np.ndarray) -> None:
+    """Call ``fn(rows)`` so that together the calls cover the leading axis of
+    ``arr`` (one row for a 1-d array): the second half on the worker thread
+    and the first half inline, or one call over every row when ``arr`` holds
+    fewer than SPLIT_MIN_ENTRIES entries, has fewer than 2 rows, or the
+    process may use fewer than 2 CPUs. A second half the worker has not
+    started by the time the first is done runs inline too, so a late worker
+    (a busy or throttled CPU) costs no more than the single call.
+
+    Each call must write only its own rows of preallocated outputs, so the
+    values do not depend on the split. ``fn`` must not run a traced function
+    (matmul, softmax_lastdim, layer_norm): perfbench's tracer keeps one span
+    stack for all threads. The worker's half runs in a copy of the caller's
+    context, so numpy's error state (``np.errstate``) applies to both halves.
+    An exception from either half is raised here once neither half is
+    running.
+    """
+    n = arr.shape[0] if arr.ndim > 1 else 1
+    if arr.size < SPLIT_MIN_ENTRIES or n < 2 or _usable_cpus() < 2:
+        fn(slice(None))
+        return
+    first, second = slice(0, (n + 1) // 2), slice((n + 1) // 2, None)
+    late = _second_core().submit(contextvars.copy_context().run, fn, second)
+    try:
+        fn(first)
+    except BaseException:
+        if not late.cancel():
+            late.exception()  # waits for the worker's half without raising
+        raise
+    if late.cancel():
+        fn(second)
+    else:
+        late.result()
+
+
 # -- shape plumbing --------------------------------------------------------
 
 
@@ -313,16 +396,23 @@ def softmax_lastdim(x) -> Tensor:
     Stable for entries up to +-1e4 via max subtraction. Raises
     ``NumericError`` on non-finite input (an additive mask must therefore
     use a large finite constant, not -inf). The shift, exp and division all
-    run in one output buffer; the input is left unchanged.
+    run in one output buffer, in two halves of the rows for a large input
+    (``_in_halves``); the input is left unchanged.
     """
     x = _coerce(x)
     if x.data.shape == () or x.data.shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty final axis, got shape {x.data.shape}")
-    if not np.isfinite(x.data).all():
-        raise NumericError("softmax input contains non-finite values")
-    y = x.data - x.data.max(axis=-1, keepdims=True)  # the one output buffer
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = np.empty_like(x.data)  # the one output buffer
+
+    def rows(sl):
+        xs, ys = x.data[sl], y[sl]
+        if not np.isfinite(xs).all():
+            raise NumericError("softmax input contains non-finite values")
+        np.subtract(xs, xs.max(axis=-1, keepdims=True), out=ys)
+        np.exp(ys, out=ys)
+        ys /= ys.sum(axis=-1, keepdims=True)
+
+    _in_halves(rows, x.data)
 
     def vjp(g, _):
         gx = g * y
@@ -364,18 +454,29 @@ def layer_norm(x, gain, bias) -> Tensor:
     return _op(xhat * gain.data + bias.data, (x, gain, bias), vjp)
 
 
+@functools.lru_cache(maxsize=None)
+def _mask_table(size: int) -> np.ndarray:
+    """Read-only size x size causal mask: MASK_VALUE above the diagonal."""
+    table = np.triu(np.full((size, size), MASK_VALUE), k=1)
+    table.flags.writeable = False
+    return table
+
+
 def causal_attention(q, k, v, num_heads: int) -> Tensor:
     """Per head of q [.., M, D] against k, v [.., N, D] with M <= N:
     softmax(Q K^T / sqrt(dh) + mask) V, as one tape op.
 
     The M queries sit at the last M of the N key positions, so the mask adds
-    MASK_VALUE wherever a key lies after its query; the mask is built at
-    M x N on each call (a per-N cache costs more resident memory than it
-    saves). ``softmax_lastdim`` on a constant tensor gives the
-    probabilities, so non-finite scores raise ``NumericError``. The VJP uses
-    dS = P * (dP - rowsum(dP * P)), in place in one buffer beside dP. Each of
-    its products keeps a fixed operand order (dK = (Q^T dS)^T, not dS^T Q):
-    another order rounds differently and changes the recorded loss curves.
+    MASK_VALUE wherever a key lies after its query. It is rows [N-M, N) and
+    columns [:N] of one cached table per power of two >= N, at most 512 KB
+    for the desk preset's 256 positions. ``softmax_lastdim`` on a constant
+    tensor gives the probabilities, so non-finite scores raise
+    ``NumericError``. The VJP uses dS = P * (dP - rowsum(dP * P)), in place
+    in one buffer beside dP. Each of its products keeps a fixed operand
+    order and layout (dK is the swapped view of Q^T dS, not dS^T Q): another
+    order rounds differently and changes the recorded loss curves. The
+    score product, the context product and the VJP run in two halves of
+    the leading axis for large calls (``_in_halves``), bit for bit.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     shape, kv_shape = q.data.shape, k.data.shape
@@ -390,26 +491,46 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     split, kv_split = (s[:-1] + (num_heads, dh) for s in (shape, kv_shape))
     qh = q.data.reshape(split).transpose(heads)
     kh, vh = (t.data.reshape(kv_split).transpose(heads) for t in (k, v))
+    lead = qh.shape[:-2]
     scale = 1.0 / math.sqrt(dh)
-    scores = qh @ np.swapaxes(kh, -1, -2)
-    scores *= scale
-    scores += np.triu(np.full((m, n), MASK_VALUE), k=n - m + 1)
+    mask = _mask_table(1 << (n - 1).bit_length())[n - m:n, :n]
+    scores = np.empty(lead + (m, n))
+
+    def score_rows(sl):
+        s = np.matmul(qh[sl], np.swapaxes(kh[sl], -1, -2), out=scores[sl])
+        s *= scale
+        s += mask
+
+    _in_halves(score_rows, scores)
     probs = softmax_lastdim(Tensor(scores)).data
+    out = np.empty(lead + (m, dh))
+    _in_halves(lambda sl: np.matmul(probs[sl], vh[sl], out=out[sl]), probs)
 
     def vjp(g, live):
         dctx = g.reshape(split).transpose(heads)
-        dq = dk = None
-        if live[0] or live[1]:
-            dp = dctx @ np.swapaxes(vh, -1, -2)
-            ds = dp * probs
-            rowsum = ds.sum(axis=-1, keepdims=True)
-            np.subtract(dp, rowsum, out=ds)
-            ds *= probs
-            ds *= scale
-            dq = ds @ kh if live[0] else None
-            dk = np.swapaxes(np.swapaxes(qh, -1, -2) @ ds, -1, -2) if live[1] else None
-        dv = np.swapaxes(probs, -1, -2) @ dctx if live[2] else None
+        dq = np.empty(lead + (m, dh)) if live[0] else None
+        dkt = np.empty(lead + (dh, n)) if live[1] else None  # Q^T dS; dK is its swapped view
+        dv = np.empty(lead + (n, dh)) if live[2] else None
+
+        def grad_rows(sl):
+            p = probs[sl]
+            if dq is not None or dkt is not None:
+                dp = dctx[sl] @ np.swapaxes(vh[sl], -1, -2)
+                ds = dp * p
+                rowsum = ds.sum(axis=-1, keepdims=True)
+                np.subtract(dp, rowsum, out=ds)
+                ds *= p
+                ds *= scale
+                if dq is not None:
+                    np.matmul(ds, kh[sl], out=dq[sl])
+                if dkt is not None:
+                    np.matmul(np.swapaxes(qh[sl], -1, -2), ds, out=dkt[sl])
+            if dv is not None:
+                np.matmul(np.swapaxes(p, -1, -2), dctx[sl], out=dv[sl])
+
+        _in_halves(grad_rows, probs)
+        dk = None if dkt is None else np.swapaxes(dkt, -1, -2)
         return tuple(None if d is None else d.transpose(heads).reshape(s)
                      for d, s in zip((dq, dk, dv), (shape, kv_shape, kv_shape)))
 
-    return _op((probs @ vh).transpose(heads).reshape(shape), (q, k, v), vjp)
+    return _op(out.transpose(heads).reshape(shape), (q, k, v), vjp)

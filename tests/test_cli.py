@@ -143,6 +143,22 @@ def test_pretrain_rejects_non_bool_log_transform(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_pretrain_past_the_memory_ceiling_exits_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(pretrain_config(tmp_path / "out")))  # a deep copy
+    cfg["corpus"]["spec"]["pretrain"][0]["length_range"] = [10, 10**12]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad corpus spec") and "length_range" in err
+    assert not (tmp_path / "out").exists()
+    cfg = json.loads(json.dumps(pretrain_config(tmp_path / "out")))
+    cfg["model"]["overrides"]["num_layers"] = 10**7
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path)]) == 2
+    assert "num_layers (10000000)" in capsys.readouterr().err
+
+
 def test_pretrain_needs_config_or_show_defaults(capsys):
     assert main(["pretrain"]) == 2
     assert "--config" in capsys.readouterr().err
@@ -738,6 +754,17 @@ def test_ablate_context_suite(tmp_path, capsys):
     rows = (out_dir / "context_rows.csv").read_text().splitlines()
     assert rows[0] == "context_len,n_windows,excluded,nrmse,wape"
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("suite", ["context", "input-patch"])
+def test_ablate_model_past_the_memory_ceiling_exits_2(tmp_path, capsys, suite):
+    conf = ablate_config(tmp_path / "ab", suite, **({"sizes": [4]} if suite != "context" else {}))
+    conf["model"] = {"preset": "desk", "overrides": {"model_dim": 2**16}}
+    cfg = tmp_path / "ablate.json"
+    cfg.write_text(json.dumps(conf))
+    assert main(["ablate", "--config", str(cfg)]) == 2
+    assert "model_dim (65536)" in capsys.readouterr().err
+    assert not (tmp_path / "ab").exists()
 
 
 def test_ablate_reruns_identical(tmp_path, capsys):

@@ -367,6 +367,14 @@ def test_synth_empty_spec_rejected():
         GeneratorSpec(pretrain=[], holdout=[])
 
 
+@pytest.mark.parametrize("field,value", [("length_range", (10, 10**12)), ("n_series", 10**9)])
+def test_synth_corpus_past_the_memory_ceiling_names_the_field(field, value):
+    big = FamilySpec(name="big", granularity="daily", **{field: value})
+    spec = GeneratorSpec(pretrain=[FamilySpec(name="small", granularity="hourly"), big])
+    with pytest.raises(GeneratorSpecError, match=f"ceiling; lower n_series .* of family 'big'"):
+        synth_corpus(spec, seed=0)
+
+
 def test_seasonal_dummy_is_periodic_without_noise():
     spec = GeneratorSpec(pretrain=[FamilySpec(
         name="sd", kind="seasonal_dummy", granularity="daily", n_series=2,

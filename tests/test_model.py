@@ -20,6 +20,7 @@ from patchcast.model import (
     forward,
     input_tokens,
     output_forecasts,
+    parameter_count,
     patchify,
     positional_encoding,
     residual_block,
@@ -502,6 +503,20 @@ def test_presets():
 def test_desk_parameter_count_under_100k():
     weights = ModelWeights.initialize(ModelConfig.preset("desk"), seed=0)
     assert 0 < weights.count() < 100_000
+
+
+@pytest.mark.parametrize("name", ["desk", "full"])
+def test_parameter_count_sums_the_weight_shapes(name):
+    cfg = ModelConfig.preset(name)
+    assert parameter_count(cfg) == sum(math.prod(s) for s in weight_shapes(cfg).values())
+
+
+@pytest.mark.parametrize("field,value", [("num_layers", 10**6), ("model_dim", 2**16),
+                                         ("input_patch_len", 10**8)])
+def test_initialize_past_the_memory_ceiling_names_the_field(field, value):
+    cfg = ModelConfig.preset("desk", **{field: value})
+    with pytest.raises(ConfigError, match=f"ceiling; lower .*{field} \\({value}\\)"):
+        ModelWeights.initialize(cfg, seed=0)
 
 
 def test_weight_init_is_seed_deterministic():

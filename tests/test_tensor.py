@@ -1,4 +1,8 @@
 import math
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchcast import tensor as T
+from patchcast.data import FamilySpec, GeneratorSpec, synth_corpus
 from patchcast.model import ModelConfig, ModelWeights, forward
 from patchcast.tensor import (
     LAYER_NORM_EPS,
@@ -22,7 +27,7 @@ from patchcast.tensor import (
     softmax_lastdim,
     sum_exact,
 )
-from patchcast.training import train_loss
+from patchcast.training import TrainConfig, train, train_loss
 
 
 def fd_grad(f, arrays, idx, step=1e-5):
@@ -570,3 +575,199 @@ def test_desk_forward_and_loss_record_39_tape_entries():
     loss = train_loss(forward(weights, cfg, inputs), np.zeros((2, 6, cfg.output_patch_len)))
     assert len(active_tape()) - before == 39
     loss.backward()
+
+
+# -- one causal-mask table ------------------------------------------------------------
+
+
+def test_mask_rows_of_the_table_equal_a_per_call_triu_bitwise():
+    for n in range(1, 257):
+        table = T._mask_table(1 << (n - 1).bit_length())
+        assert not table.flags.writeable
+        for m in range(1, n + 1):
+            want = np.triu(np.full((m, n), T.MASK_VALUE), k=n - m + 1)
+            assert np.array_equal(table[n - m:n, :n].view(np.int64), want.view(np.int64)), (m, n)
+
+
+# -- large calls in two halves: bit for bit the single call ------------------------------
+
+
+class CountingPool:
+    """A one-thread pool that counts submissions."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return self.pool.submit(fn, *args)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """A counting worker on a process that may use 2 CPUs."""
+    counting = CountingPool()
+    monkeypatch.setattr(T, "_second_core", lambda: counting)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    yield counting
+    counting.pool.shutdown()
+
+
+def attention_and_grads(q, k, v, g, live, heads):
+    """Forward output and the gradients of the live inputs (None for the others)."""
+    out = causal_attention(*(Tensor(a, requires_grad=need) for a, need in zip((q, k, v), live)),
+                           heads)
+    grads = last_record_vjp(g)
+    active_tape().records.clear()
+    return out.data, grads
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 17), st.sampled_from([1, 2, 4]), st.integers(1, 4), st.integers(1, 256),
+       st.data())
+def test_split_attention_equals_single_call_bitwise(batch, heads, dh, n, data):
+    m = data.draw(st.integers(1, n), label="m")
+    live = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans())
+                     .filter(any), label="live")
+    rng = np.random.default_rng(batch * 1000 + n)
+    q = rng.standard_normal((batch, m, heads * dh))
+    k, v = (rng.standard_normal((batch, n, heads * dh)) for _ in range(2))
+    g = rng.standard_normal(q.shape)
+    runs = {}
+    for threshold in (1, 2**62):  # every call split, then none
+        with pytest.MonkeyPatch.context() as mp:
+            counting = CountingPool()
+            mp.setattr(T, "_second_core", lambda: counting)
+            mp.setattr(T, "_usable_cpus", lambda: 2)
+            mp.setattr(T, "SPLIT_MIN_ENTRIES", threshold)
+            runs[threshold] = attention_and_grads(q, k, v, g, live, heads)
+            counting.pool.shutdown()
+        # score product, softmax, context product and VJP: 4 submissions when split
+        assert counting.submitted == (4 if threshold == 1 and batch > 1 else 0)
+    (split_out, split_grads), (one_out, one_grads) = runs[1], runs[2**62]
+    assert split_out.tobytes() == one_out.tobytes()
+    for got, want, need in zip(split_grads, one_grads, live):
+        assert (got is None) == (want is None) == (not need)
+        if need:
+            assert got.strides == want.strides and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad_row", [0, 3], ids=["first_half", "second_half"])
+def test_split_nonfinite_score_raises_in_caller(pool, monkeypatch, bad_row):
+    monkeypatch.setattr(T, "SPLIT_MIN_ENTRIES", 1)
+    rng = np.random.default_rng(61)
+    q, k, v = (rng.standard_normal((4, 6, 8)) for _ in range(3))
+    big = q.copy()
+    big[bad_row] = 1e300  # finite input whose scores overflow to inf
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        causal_attention(Tensor(big), Tensor(big), Tensor(v), 2)
+    assert pool.submitted == 2  # the score product and softmax's check
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):  # both halves obey it
+        causal_attention(Tensor(big), Tensor(big), Tensor(v), 2)
+    out = causal_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    assert np.max(np.abs(out - reference_attention(q, k, v, 2))) < 1e-12
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["inline_half", "worker_half"])
+def test_in_halves_raises_after_both_halves_finish(pool, monkeypatch, failing):
+    monkeypatch.setattr(T, "SPLIT_MIN_ENTRIES", 1)
+    started, done = threading.Event(), []
+
+    def rows(sl):
+        inline = threading.current_thread() is threading.main_thread()
+        if not inline:
+            started.set()
+        elif not started.wait(5):  # hold the inline half until the worker runs
+            raise TimeoutError("the worker never started its half")
+        if inline == (failing == 0):
+            raise KeyError(sl.start)
+        time.sleep(0.05)  # the other half is still running when this one fails
+        done.append(inline)
+
+    with pytest.raises(KeyError):
+        T._in_halves(rows, np.zeros((5, 3)))
+    assert done == [failing == 1]  # the half that did not fail had finished
+    assert pool.submitted == 1
+
+
+def test_in_halves_runs_a_half_the_worker_has_not_started_inline(pool, monkeypatch):
+    monkeypatch.setattr(T, "SPLIT_MIN_ENTRIES", 1)
+    release = threading.Event()
+    pool.pool.submit(release.wait, 5)  # keeps the worker busy
+    calls = []
+    T._in_halves(lambda sl: calls.append((sl.start, sl.stop,
+                                           threading.current_thread().name)), np.zeros((5, 3)))
+    release.set()
+    main = threading.main_thread().name
+    assert calls == [(0, 3, main), (3, None, main)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork() of a threaded process
+def test_forked_child_splits_on_a_worker_of_its_own(monkeypatch):
+    monkeypatch.setattr(T, "SPLIT_MIN_ENTRIES", 1)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    T._in_halves(lambda sl: None, np.zeros((2, 1)))  # the parent's worker exists
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: did a thread other than this one run a half?
+        started, names = threading.Event(), []
+
+        def rows(sl):
+            if sl.start:
+                started.set()
+            else:
+                started.wait(5)
+            names.append(threading.current_thread().name)
+
+        T._in_halves(rows, np.zeros((2, 1)))
+        os.write(write_end, b"worker" if len(set(names)) == 2 else b"inline")
+        os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        assert fh.read() == b"worker"
+    assert os.waitpid(pid, 0)[1] == 0
+
+
+def test_below_threshold_or_one_cpu_submits_nothing(monkeypatch):
+    class RefusingPool:
+        def submit(self, *args):
+            raise AssertionError("no call below the threshold reaches the worker")
+
+    monkeypatch.setattr(T, "_second_core", lambda: RefusingPool())
+    rng = np.random.default_rng(62)
+    # pretrain_short's attention call: 32 windows, 2 heads, 19 tokens
+    q, k, v = (Tensor(rng.standard_normal((32, 19, 32)), requires_grad=True) for _ in range(3))
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    assert 32 * 2 * 19 * 19 < T.SPLIT_MIN_ENTRIES
+    sum_exact(causal_attention(q, k, v, 2)).backward()
+    # pretrain_long's call is past the threshold, but the process has one CPU
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+    q, k, v = (Tensor(rng.standard_normal((16, 128, 32)), requires_grad=True) for _ in range(3))
+    assert 16 * 2 * 128 * 128 >= T.SPLIT_MIN_ENTRIES
+    sum_exact(causal_attention(q, k, v, 2)).backward()
+    softmax_lastdim(Tensor(rng.standard_normal((2**10, 2**9))))
+
+
+def long_training_run(tmp_path, corpus):
+    result = train(corpus, ModelConfig.preset("desk"),
+                   TrainConfig(total_steps=3, batch_size=16, base_lr=3e-3, seed=7, val_every=0),
+                   out_dir=tmp_path)
+    weights = b"".join(a.tobytes() for a in result.weights.as_arrays().values())
+    return (tmp_path / "loss_curve.csv").read_bytes(), weights
+
+
+def test_train_on_long_windows_is_byte_identical_with_the_worker_off(pool, monkeypatch, tmp_path):
+    # pretrain_long's geometry: 760-900 points, so windows fill 128 tokens and
+    # every attention call is past the threshold. Pins dK's memory layout: the
+    # attn.bk gradients are rounding noise that Adam turns into full-size steps.
+    family = FamilySpec(name="long", granularity="daily", n_series=6, length_range=(760, 900),
+                        period_range=(100.0, 250.0), amplitude_range=(0.8, 1.5))
+    corpus = synth_corpus(GeneratorSpec(pretrain=[family]), seed=3).pretrain
+    split = long_training_run(tmp_path / "split", corpus)
+    assert pool.submitted > 0
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+    submitted = pool.submitted
+    assert long_training_run(tmp_path / "single", corpus) == split
+    assert pool.submitted == submitted
