@@ -237,11 +237,10 @@ class ModelWeights:
         """Fresh weights; ConfigError if weights, gradients and both Adam
         moments would pass MEMORY_CEILING_BYTES."""
         params = parameter_count(cfg)
-        check_memory(params * 8 * 4, f"a model of {params:,} parameters with its gradients "
-                     "and Adam moments", f"model_dim ({cfg.model_dim}), num_layers "
-                     f"({cfg.num_layers}), residual_hidden ({cfg.residual_hidden}), "
-                     f"input_patch_len ({cfg.input_patch_len}) or output_patch_len "
-                     f"({cfg.output_patch_len})", ConfigError)
+        sizes = ("model_dim", "num_layers", "residual_hidden", "input_patch_len", "output_patch_len")
+        check_memory(params * 8 * 4, f"a model of {params:,} parameters with its gradients and "
+                     "Adam moments", " or ".join(f"{f} ({getattr(cfg, f)})" for f in sizes),
+                     ConfigError)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
         params: dict[str, Tensor] = {}
         for name, shape in weight_shapes(cfg).items():

@@ -630,9 +630,10 @@ def test_split_attention_equals_single_call_bitwise(batch, heads, dh, n, data):
     m = data.draw(st.integers(1, n), label="m")
     live = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans())
                      .filter(any), label="live")
+    lead = data.draw(st.sampled_from([(batch,), ()]), label="batch axes")  # () splits heads
     rng = np.random.default_rng(batch * 1000 + n)
-    q = rng.standard_normal((batch, m, heads * dh))
-    k, v = (rng.standard_normal((batch, n, heads * dh)) for _ in range(2))
+    q = rng.standard_normal(lead + (m, heads * dh))
+    k, v = (rng.standard_normal(lead + (n, heads * dh)) for _ in range(2))
     g = rng.standard_normal(q.shape)
     runs = {}
     for threshold in (1, 2**62):  # every call split, then none
@@ -644,7 +645,7 @@ def test_split_attention_equals_single_call_bitwise(batch, heads, dh, n, data):
             runs[threshold] = attention_and_grads(q, k, v, g, live, heads)
             counting.pool.shutdown()
         # score product, softmax, context product and VJP: 4 submissions when split
-        assert counting.submitted == (4 if threshold == 1 and batch > 1 else 0)
+        assert counting.submitted == (4 if threshold == 1 and (lead or (heads,))[0] > 1 else 0)
     (split_out, split_grads), (one_out, one_grads) = runs[1], runs[2**62]
     assert split_out.tobytes() == one_out.tobytes()
     for got, want, need in zip(split_grads, one_grads, live):
