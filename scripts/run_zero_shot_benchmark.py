@@ -29,7 +29,7 @@ def band(name: str, lo: float, hi: float, n: int) -> FamilySpec:
                       drift_range=(-1.5, 1.5), noise_level=0.05)
 
 
-def run_seed(seed: int, steps: int, context: int, horizon: int) -> dict:
+def run_seed(seed: int, *, steps: int = 800, context: int = 64, horizon: int = 12) -> dict:
     spec = GeneratorSpec(pretrain=[band("fast", 8.0, 20.0, 80),
                                    band("slow", 36.0, 64.0, 80)],
                          holdout=[band("mid", 24.0, 32.0, 20)])
@@ -53,16 +53,15 @@ def run_seed(seed: int, steps: int, context: int, horizon: int) -> dict:
             "n_windows": model["n_windows"]}
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--steps", type=int, default=800)
-    ap.add_argument("--context", type=int, default=64)
-    ap.add_argument("--horizon", type=int, default=12)
+    for name, default in run_seed.__kwdefaults__.items():
+        ap.add_argument(f"--{name}", type=int, default=default)
     ap.add_argument("--out", help="optional JSON results path")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    rows = [run_seed(s, args.steps, args.context, args.horizon)
+    rows = [run_seed(s, steps=args.steps, context=args.context, horizon=args.horizon)
             for s in range(args.seeds)]
     print(f"{'seed':>4}  {'model':>8}  {'repeat':>8}  {'seasonal':>8}  "
           f"{'vs repeat':>9}  {'vs seasonal':>11}")

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +25,10 @@ from .data import (
     GeneratorSpec,
     GeneratorSpecError,
     IngestError,
+    MIN_SPLIT_LENGTH,
     derive_date_features,
     ingest_csv,
+    parse_timestamp,
     synth_corpus,
 )
 from .evaluation import (
@@ -44,7 +45,7 @@ from .evaluation import (
     rolling_eval,
 )
 from .inference import ForecastError, HorizonError, check_horizon, forecast
-from .model import ConfigError, ModelConfig, check_int, config_fields
+from .model import ConfigError, ModelConfig, check_int, check_weights_memory, config_fields
 from .training import (
     NORMALIZATION_MODES,
     TrainConfig,
@@ -199,16 +200,18 @@ def cmd_pretrain(args) -> int:
     model_cfg = _build_model_config(raw.get("model", {}))
     train_cfg = _build_train_config(raw)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "manifest.json", manifest)
-    _write_json(out_dir / "resolved_config.json", {
-        "seed": train_cfg.seed,
-        "output_dir": str(out_dir),
-        "corpus": raw.get("corpus", {}),
-        "model": model_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
-    })
     try:
+        if args.resume_from is None:  # a resumed run loads its weights
+            check_weights_memory(model_cfg)  # before anything is written
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / "manifest.json", manifest)
+        _write_json(out_dir / "resolved_config.json", {
+            "seed": train_cfg.seed,
+            "output_dir": str(out_dir),
+            "corpus": raw.get("corpus", {}),
+            "model": model_cfg.to_dict(),
+            "train": train_cfg.to_dict(),
+        })
         result = train(corpus, model_cfg, train_cfg, out_dir=out_dir,
                        resume_from=args.resume_from)
     except TrainingDivergedError as exc:
@@ -237,11 +240,9 @@ def _record_features(record: dict, cfg: ModelConfig, horizon: int,
     if gran not in GRANULARITIES:
         raise ForecastError(f"unknown granularity {gran!r}")
     try:
-        start = datetime.fromisoformat(str(start_text).replace("Z", "+00:00"))
+        start = parse_timestamp(str(start_text))
     except ValueError as exc:
         raise ForecastError(f"bad start timestamp {start_text!r}") from exc
-    if start.tzinfo is not None:
-        start = start.astimezone(timezone.utc).replace(tzinfo=None)
     return derive_date_features(start, gran, len(record["values"]) + horizon)
 
 
@@ -319,13 +320,13 @@ def cmd_evaluate(args) -> int:
         report = ingest_csv(args.data)
     except (OSError, IngestError) as exc:
         raise CLIError(f"cannot ingest {args.data}: {exc}") from exc
-    skipped = report.skipped + [(s.series_id, "fewer than 10 points")
-                                for s in report.corpus.series if len(s) < 10]
+    skipped = report.skipped + [(s.series_id, f"fewer than {MIN_SPLIT_LENGTH} points")
+                                for s in report.corpus.series if len(s) < MIN_SPLIT_LENGTH]
     for sid, reason in skipped:
         print(f"skipped series {sid}: {reason}", file=sys.stderr)
-    series = [s for s in report.corpus.series if len(s) >= 10]
+    series = [s for s in report.corpus.series if len(s) >= MIN_SPLIT_LENGTH]
     if not series:
-        raise CLIError("no usable series (need at least 10 points each)")
+        raise CLIError(f"no usable series (need at least {MIN_SPLIT_LENGTH} points each)")
     predictors = [("model", make_model_predictor(bundle.weights, bundle.config,
                                                  normalization)),
                   ("repeat_last", repeat_last)]

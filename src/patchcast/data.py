@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .model import FEATURE_COLUMNS, check_fields, check_memory, config_fields
+from .model import FEATURE_COLUMNS, MASKED, check_fields, check_memory, config_fields
 
 GRANULARITIES = ("15min", "hourly", "daily", "weekly", "monthly")
 
@@ -36,8 +36,6 @@ RELEVANT_COLUMNS = {
     "weekly": ("month_of_year", "day_of_week"),
     "monthly": ("month_of_year",),
 }
-
-MASKED = -1.0
 
 
 class IngestError(ValueError):
@@ -148,10 +146,13 @@ class SplitBounds:
     length: int
 
 
+MIN_SPLIT_LENGTH = 10  # fewest points chronological_split accepts
+
+
 def chronological_split(length: int) -> SplitBounds:
     """70/10/20 in time order; boundaries floor(0.7 L) and floor(0.8 L)."""
-    if length < 10:
-        raise SplitError(f"need at least 10 points to split, got {length}")
+    if length < MIN_SPLIT_LENGTH:
+        raise SplitError(f"need at least {MIN_SPLIT_LENGTH} points to split, got {length}")
     return SplitBounds(math.floor(0.7 * length), math.floor(0.8 * length), length)
 
 
@@ -188,7 +189,7 @@ class Corpus:
         if key not in self._pools:
             pools: TrainingPools = {}
             for s in self.series:
-                if len(s) >= 10 and (end := s.split().train_end) >= patch_len + horizon:
+                if len(s) >= MIN_SPLIT_LENGTH and (end := s.split().train_end) >= patch_len + horizon:
                     pools.setdefault(s.granularity, []).append((s, end))
             self._pools[key] = pools
         return self._pools[key]
@@ -202,7 +203,7 @@ class Corpus:
     def manifest(self) -> dict:
         entries = []
         for s in self.series:
-            bounds = s.split() if len(s) >= 10 else None
+            bounds = s.split() if len(s) >= MIN_SPLIT_LENGTH else None
             entries.append({
                 "id": s.series_id,
                 "granularity": s.granularity,
@@ -223,14 +224,12 @@ class IngestReport:
     skipped: list[tuple[str, str]]  # (series_id, reason)
 
 
-def _parse_timestamp(text: str, line_no: int) -> datetime:
+def parse_timestamp(text: str) -> datetime:
+    """ISO-8601 `text` as naive UTC, blanks and a trailing Z or z allowed; else ValueError."""
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
-    try:
-        ts = datetime.fromisoformat(raw)
-    except ValueError as err:
-        raise IngestError(f"line {line_no}: bad timestamp {text!r}: {err}") from err
+    ts = datetime.fromisoformat(raw)
     if ts.tzinfo is not None:
         ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
     return ts
@@ -295,7 +294,10 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
             sid = row[0].strip()
             if not sid:
                 raise IngestError(f"line {line_no}: empty series id")
-            ts = _parse_timestamp(row[1], line_no)
+            try:
+                ts = parse_timestamp(row[1])
+            except ValueError as err:
+                raise IngestError(f"line {line_no}: bad timestamp {row[1]!r}: {err}") from err
             try:
                 value = float(row[2])
             except ValueError as err:
@@ -367,7 +369,7 @@ class FamilySpec:
 
     def __post_init__(self):
         where = f"family {self.name!r}: "
-        check_fields(self, GeneratorSpecError, {"n_series": 1, "length_range": 10,
+        check_fields(self, GeneratorSpecError, {"n_series": 1, "length_range": MIN_SPLIT_LENGTH,
                                                 "n_components": 1, "noise_level": 0}, where)
         for name, allowed in (("granularity", GRANULARITIES), ("kind", ("sinusoid", "seasonal_dummy")),
                               ("trend", ("none", "linear", "piecewise"))):

@@ -102,9 +102,9 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     Contexts longer than input_patch_len * max_positions are clamped to their
     most recent points, and the working window keeps sliding under that cap
     as predictions are appended. A stack is decoded in chunks of rows whose
-    attention scores fit SCORES_BUDGET, each chunk scaled, decoded with its
-    own KV cache and inverted on its own. A horizon past MAX_ROUNDS rounds
-    raises HorizonError before any work.
+    attention scores fit SCORES_BUDGET, each chunk with its own KV cache; the
+    whole stack is scaled once and inverted once. A horizon past MAX_ROUNDS
+    rounds raises HorizonError before any work.
     """
     check_horizon(horizon, cfg)
     horizon = int(horizon)
@@ -137,32 +137,27 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     if features is not None:
         features = features[..., drop:, :]
     rounds = autoregressive_rounds(horizon, h)
+    scale = scale_record(values, normalization)
+    work = apply_scale(values, scale)
     if values.ndim == 1:
-        out, scale = _decode(weights, cfg, values, features, rounds, normalization)
+        chunks = [slice(None)]
     else:
         # the widest window any round encodes sets the largest scores array
         n = min(values.shape[-1] + (rounds - 1) * h, cap_points) // p
         rows = max(1, SCORES_BUDGET // (8 * cfg.num_heads * n * n))
-        parts = [_decode(weights, cfg, np.ascontiguousarray(values[i:i + rows]),
-                         None if features is None else features[i:i + rows], rounds,
-                         normalization)
-                 for i in range(0, len(values), rows)]
-        out = np.concatenate([chunk for chunk, _ in parts])
-        scale = parts[0][1] if normalization == "none" else ScaleRecord(
-            *(np.concatenate([getattr(rec, f) for _, rec in parts]) for f in ("mu", "sigma")))
-    return ForecastResult(values=out[..., :horizon], rounds=rounds,
+        chunks = [slice(i, i + rows) for i in range(0, len(values), rows)]
+    preds = np.concatenate([_decode(weights, cfg, work[c], None if features is None else features[c],
+                                    rounds) for c in chunks])
+    return ForecastResult(values=invert_scale(preds[..., :horizon], scale), rounds=rounds,
                           round_index=np.arange(horizon) // h, scale=scale)
 
 
-def _decode(weights: ModelWeights, cfg: ModelConfig, values: np.ndarray, features,
-            rounds: int, normalization: str) -> tuple[np.ndarray, ScaleRecord]:
-    """`rounds` rounds of forecasts from clamped contexts [.., L] and their
-    features [.., L + horizon, F] or None: ([.., rounds * h] on the original
-    scale, the scale record of the contexts)."""
+def _decode(weights: ModelWeights, cfg: ModelConfig, work: np.ndarray, features,
+            rounds: int) -> np.ndarray:
+    """`rounds` rounds of forecasts [.., rounds * h] on the normalized scale from
+    normalized clamped contexts [.., L] and their features [.., L + horizon, F] or None."""
     p, h = cfg.input_patch_len, cfg.output_patch_len
     cap_points = p * cfg.max_positions
-    rec = scale_record(values, normalization)
-    work = apply_scale(values, rec)
     preds = []
     cache: list = []
     with no_grad():
@@ -177,4 +172,4 @@ def _decode(weights: ModelWeights, cfg: ModelConfig, values: np.ndarray, feature
             step = out.data[..., -1, :]  # last token: the h points after the context
             preds.append(step)
             work = np.concatenate([work, step], axis=-1)
-    return invert_scale(np.concatenate(preds, axis=-1), rec), rec
+    return np.concatenate(preds, axis=-1)

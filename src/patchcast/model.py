@@ -106,6 +106,7 @@ def check_memory(nbytes: int, what: str, fields: str, error: type[Exception]) ->
 # the per-point calendar features data.derive_date_features yields, in column order
 FEATURE_COLUMNS = ("month_of_year", "day_of_week", "hour_of_day",
                    "minute_of_hour", "second_of_minute")
+MASKED = -1.0  # a calendar column that does not apply, or is unknown
 
 
 @dataclass
@@ -207,6 +208,16 @@ def _first(names: list[str], limit: int = 5) -> str:
     return str(names) if len(names) <= limit else str(names[:limit])[:-1] + ", ...]"
 
 
+def check_weights_memory(cfg: ModelConfig) -> None:
+    """ConfigError if the weights of `cfg`, their gradients and both Adam
+    moments would pass MEMORY_CEILING_BYTES."""
+    params = parameter_count(cfg)
+    sizes = ("model_dim", "num_layers", "residual_hidden", "input_patch_len", "output_patch_len")
+    check_memory(params * 8 * 4, f"a model of {params:,} parameters with its gradients and "
+                 "Adam moments", " or ".join(f"{f} ({getattr(cfg, f)})" for f in sizes),
+                 ConfigError)
+
+
 class ModelWeights:
     """Named parameter store; every entry is a gradient-tracked Tensor."""
 
@@ -234,13 +245,8 @@ class ModelWeights:
 
     @classmethod
     def initialize(cls, cfg: ModelConfig, seed: int) -> "ModelWeights":
-        """Fresh weights; ConfigError if weights, gradients and both Adam
-        moments would pass MEMORY_CEILING_BYTES."""
-        params = parameter_count(cfg)
-        sizes = ("model_dim", "num_layers", "residual_hidden", "input_patch_len", "output_patch_len")
-        check_memory(params * 8 * 4, f"a model of {params:,} parameters with its gradients and "
-                     "Adam moments", " or ".join(f"{f} ({getattr(cfg, f)})" for f in sizes),
-                     ConfigError)
+        """Fresh weights; ConfigError past the memory ceiling (see check_weights_memory)."""
+        check_weights_memory(cfg)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
         params: dict[str, Tensor] = {}
         for name, shape in weight_shapes(cfg).items():
@@ -310,7 +316,7 @@ def assemble_patch_inputs(values: np.ndarray, features: np.ndarray | None,
     if cfg.feature_dim == 0:
         return patches
     if features is None:
-        flat = np.full(patches.shape[:-1] + (cfg.input_patch_len * cfg.feature_dim,), -1.0)
+        flat = np.full(patches.shape[:-1] + (cfg.input_patch_len * cfg.feature_dim,), MASKED)
     else:
         feat = np.asarray(features, dtype=np.float64)
         if feat.shape != values.shape + (cfg.feature_dim,):

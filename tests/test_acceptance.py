@@ -6,13 +6,18 @@ experiments sized for a single CPU core; every threshold below was chosen
 before freezing the seeds, and the margins are reported in the verdicts.
 """
 
+import csv
+import json
 import math
+import sys
 import time
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from patchcast import cli
 from patchcast.checkpoint import load_checkpoint, save_checkpoint
 from patchcast.data import (
     FEATURE_COLUMNS,
@@ -23,19 +28,16 @@ from patchcast.data import (
     derive_date_features,
     synth_corpus,
 )
-from patchcast.evaluation import (
-    context_sweep,
-    make_model_predictor,
-    make_seasonal_naive,
-    nrmse,
-    pooled_over_series,
-    repeat_last,
-    wape,
-)
+from patchcast.evaluation import make_model_predictor, nrmse, pooled_over_series, wape
 from patchcast.inference import autoregressive_rounds, forecast
 from patchcast.model import ModelConfig, ModelWeights, forward
 from patchcast.tensor import Tensor, no_grad
 from patchcast.training import TrainConfig, train, train_loss
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import run_zero_shot_benchmark as zero_shot  # noqa: E402
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -43,23 +45,17 @@ def verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def sinusoid_family(name, band, n, *, lengths=(120, 160), trend="linear",
-                    drift=(-1.5, 1.5), noise=0.05):
-    return FamilySpec(name=name, granularity="daily", kind="sinusoid",
-                      n_series=n, length_range=lengths, period_range=band,
-                      amplitude_range=(0.8, 1.5), trend=trend,
-                      drift_range=drift, noise_level=noise)
-
-
-# -- shared trained model for criteria 4 and 11 -----------------------------------
+# -- shared runs -------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def smoke_run(tmp_path_factory):
     """Criterion-4 experiment: desk model on a 200-series sinusoid+trend
     corpus, trained twice at the same seed for the byte-identity check."""
-    spec = GeneratorSpec(pretrain=[sinusoid_family(
-        "st", (8.0, 24.0), 200, lengths=(110, 150), drift=(-2.0, 2.0))])
+    spec = GeneratorSpec(pretrain=[FamilySpec(
+        name="st", granularity="daily", kind="sinusoid", n_series=200,
+        length_range=(110, 150), period_range=(8.0, 24.0), amplitude_range=(0.8, 1.5),
+        trend="linear", drift_range=(-2.0, 2.0), noise_level=0.05)])
     corpus = synth_corpus(spec, seed=11).pretrain
     variance = float(np.var(np.concatenate([s.values for s in corpus.series])))
     cfg = ModelConfig.preset("desk")
@@ -71,6 +67,22 @@ def smoke_run(tmp_path_factory):
     elapsed = time.monotonic() - t0
     return {"corpus": corpus, "variance": variance, "cfg": cfg,
             "results": results, "dirs": dirs, "elapsed": elapsed}
+
+
+@pytest.fixture(scope="module")
+def ablation(tmp_path_factory):
+    """`patchcast ablate` on the committed configs of criteria 6 and 7:
+    suite -> (its <suite>_table.txt, its <suite>_rows.csv rows)."""
+    base, runs = tmp_path_factory.mktemp("ablate"), {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cli.OUTPUT_DIR_ENV, str(base))
+        for suite in ("context", "output-patch"):
+            config = ROOT / "configs" / f"ablate_{suite.replace('-', '_')}.json"
+            assert cli.main(["ablate", "--config", str(config)]) == 0
+            out_dir = base / json.loads(config.read_text())["output_dir"]
+            with open(out_dir / f"{suite}_rows.csv", newline="") as fh:
+                runs[suite] = (out_dir / f"{suite}_table.txt").read_text(), list(csv.DictReader(fh))
+    return runs
 
 
 # -- criteria ----------------------------------------------------------------------
@@ -173,29 +185,14 @@ def test_criterion_04_training_smoke(smoke_run):
 
 
 def test_criterion_05_zero_shot_generalization():
-    # pretrain on fast (8-20) and slow (36-64) period bands; hold out the
-    # untouched middle band (24-32); the same desk config is retrained per
-    # seed and must beat both baselines on the held-out families
+    # the zero-shot script's experiment, seeds 0-4: a desk model pretrained on
+    # fast (8-20) and slow (36-64) period bands must beat both baselines on the
+    # untouched middle band (24-32)
     wins = []
     details = []
     for seed in range(5):
-        spec = GeneratorSpec(
-            pretrain=[sinusoid_family("fast", (8.0, 20.0), 80),
-                      sinusoid_family("slow", (36.0, 64.0), 80)],
-            holdout=[sinusoid_family("mid", (24.0, 32.0), 20)])
-        pair = synth_corpus(spec, seed=100 + seed)
-        cfg = ModelConfig.preset("desk")
-        tc = TrainConfig(total_steps=800, batch_size=32, base_lr=3e-3,
-                         seed=seed, val_every=0)
-        weights = train(pair.pretrain, cfg, tc).weights
-        model = make_model_predictor(weights, cfg)
-        kwargs = dict(context_len=64, horizon=12, stride=4)
-        m = pooled_over_series(model, pair.holdout.series, **kwargs)["nrmse"]
-        r = pooled_over_series(repeat_last, pair.holdout.series, **kwargs)["nrmse"]
-        s = pooled_over_series(make_seasonal_naive(28), pair.holdout.series,
-                               **kwargs)["nrmse"]
-        vs_repeat = 1.0 - m / r
-        vs_seasonal = 1.0 - m / s
+        row = zero_shot.run_seed(seed)
+        vs_repeat, vs_seasonal = row["gain_vs_repeat"], row["gain_vs_seasonal"]
         wins.append(vs_repeat >= 0.20 and vs_seasonal >= 0.05)
         details.append(f"seed{seed}: {100 * vs_repeat:.0f}%/{100 * vs_seasonal:.0f}%")
     verdict(5, sum(wins) >= 4,
@@ -204,41 +201,35 @@ def test_criterion_05_zero_shot_generalization():
             f"need >=20%/>=5% on >=4 of 5 seeds, got {sum(wins)}/5")
 
 
-def test_criterion_06_context_sweep_direction():
-    # long-period series (100-250) on series long enough that every training
-    # batch fills the full context capacity
-    spec = GeneratorSpec(pretrain=[sinusoid_family(
-        "long", (100.0, 250.0), 60, lengths=(760, 900), trend="none")])
-    corpus = synth_corpus(spec, seed=21).pretrain
-    cfg = ModelConfig.preset("desk")
-    tc = TrainConfig(total_steps=500, batch_size=16, base_lr=3e-3,
-                     seed=0, val_every=0)
-    weights = train(corpus, cfg, tc).weights
-    rows = context_sweep(weights, cfg, corpus.series[:12], [96, 192, 320, 512],
-                         horizon=8, stride=12)
-    by_c = {r["context_len"]: r["nrmse"] for r in rows}
+def test_zero_shot_script_prints_and_writes_its_rows(tmp_path, capsys):
+    out = tmp_path / "rows.json"
+    assert zero_shot.main(["--seeds", "1", "--steps", "5", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())
+    assert row["seed"] == 0 and row["n_windows"] > 0
+    gains = [f"{100 * row[k]:.1f}%" for k in ("gain_vs_repeat", "gain_vs_seasonal")]
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"   0  {row['model_nrmse']:>8.4f}  {row['repeat_last_nrmse']:>8.4f}  "
+        f"{row['seasonal_nrmse']:>8.4f}  {gains[0]:>9}  {gains[1]:>11}",
+        f"mean NRMSE gain vs repeat-last over 1 seeds: {gains[0]}", f"wrote {out}"]
+
+
+def test_criterion_06_context_sweep_direction(ablation):
+    # configs/ablate_context.json: long-period series (100-250) on series long
+    # enough that every training batch fills the full context capacity
+    by_c = {int(r["context_len"]): float(r["nrmse"]) for r in ablation["context"][1]}
     verdict(6, by_c[512] <= by_c[96],
             f"long-memory corpus NRMSE by context "
             f"{ {c: round(v, 4) for c, v in by_c.items()} }; "
             f"need NRMSE(512) {by_c[512]:.4f} <= NRMSE(96) {by_c[96]:.4f}")
 
 
-def test_criterion_07_output_patch_direction():
-    # full-scale geometry shrunk 1/16: horizon 32 with h=8 vs h=2 keeps the
-    # exact 4x round-count ratio of h=128 vs h=32 at horizon 512
-    spec = GeneratorSpec(pretrain=[sinusoid_family(
-        "seas", (12.0, 24.0), 80, lengths=(180, 220), drift=(-1.0, 1.0))])
-    corpus = synth_corpus(spec, seed=31).pretrain
-    horizon, scores, rounds = 32, {}, {}
-    for h in (8, 2):
-        cfg = ModelConfig.preset("desk", output_patch_len=h)
-        tc = TrainConfig(total_steps=800, batch_size=32, base_lr=3e-3,
-                         seed=0, val_every=0)
-        weights = train(corpus, cfg, tc).weights
-        model = make_model_predictor(weights, cfg)
-        scores[h] = pooled_over_series(model, corpus.series[:30], 64, horizon,
-                                       stride=4)["nrmse"]
-        rounds[h] = autoregressive_rounds(horizon, h)
+def test_criterion_07_output_patch_direction(ablation):
+    # configs/ablate_output_patch.json: full-scale geometry shrunk 1/16, horizon
+    # 32 with h=8 vs h=2 keeps the exact 4x round-count ratio of h=128 vs h=32
+    # at horizon 512
+    rows = {int(r["output_patch_len"]): r for r in ablation["output-patch"][1]}
+    scores = {h: float(r["nrmse"]) for h, r in rows.items()}
+    rounds = {h: int(r["rounds"]) for h, r in rows.items()}
     ratio = scores[8] / scores[2]
     ok = ratio <= 1.05 and rounds[2] == 4 * rounds[8]
     verdict(7, ok,
@@ -323,3 +314,15 @@ def test_criterion_11_checkpoint_roundtrip(smoke_run, tmp_path):
     verdict(11, before == after and bundle.config == cfg,
             f"pooled NRMSE before save {before!r} == after load {after!r} "
             f"(bit-exact): {before == after}")
+
+
+def test_readme_experiment_tables_match_the_ablate_output(ablation):
+    # README "Experiments" quotes the tables of the suites criteria 6 and 7 run;
+    # its input-patch table is no criterion's and is not rerun here
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Experiments\n")[1].split("\n## ")[0]
+    blocks = section.split("```")[1::2]  # fenced blocks; a table's has no language tag
+    tables = {block.split()[0]: block[1:] for block in blocks if block.startswith("\n")}
+    assert set(tables) == {"context_len", "output_patch_len", "input_patch_len"}
+    assert tables["context_len"] == ablation["context"][0]
+    assert tables["output_patch_len"] == ablation["output-patch"][0]

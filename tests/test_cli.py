@@ -157,6 +157,7 @@ def test_pretrain_past_the_memory_ceiling_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["pretrain", "--config", str(path)]) == 2
     assert "num_layers (10000000)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pretrain_needs_config_or_show_defaults(capsys):
@@ -363,6 +364,10 @@ def jsonl_inputs(tmp_path):
          "start": "2020-01-06T00:00:00", "granularity": "daily"},
         {"id": "bare", "values": list(np.cos(np.arange(30) / 3.0) + 5.0)},
         {"id": "short", "values": [1.0, 2.0]},
+        # the start stamps an evaluate CSV takes, then two it does not
+        *({"id": start, "values": list(np.sin(np.arange(40) / 4.0) + 2.0), "start": start,
+           "granularity": "daily"} for start in ("2020-01-06T00:00:00Z", "2020-01-06T00:00:00z",
+                                                 " 2020-01-06T00:00:00Z", 5, "garbage")),
     ]
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\nnot json\n")
@@ -374,14 +379,18 @@ def test_forecast_jsonl_with_per_record_errors(trained, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     code = main(["forecast", "--checkpoint", str(trained / "ckpt_final.npz"),
                  "--input", str(inp), "--horizon", "12", "--output", str(out)])
-    assert code == 1  # two bad records
-    entries = [json.loads(line) for line in out.read_text().splitlines()]
-    by_id = {e.get("id", e.get("line")): e for e in entries}
+    assert code == 1  # four bad records
+    lines = out.read_text().splitlines()
+    by_id = {e.get("id", e.get("line")): e for e in map(json.loads, lines)}
     assert len(by_id["good"]["forecast"]) == 12
+    for start in ("2020-01-06T00:00:00Z", "2020-01-06T00:00:00z", " 2020-01-06T00:00:00Z"):
+        assert by_id[start]["forecast"] == by_id["good"]["forecast"]
+    assert lines[-3:-1] == ['{"error": "bad start timestamp 5", "id": 5}',
+                            '{"error": "bad start timestamp \'garbage\'", "id": "garbage"}']
     assert by_id["good"]["rounds"] == 2  # h=8, H=12
     assert len(by_id["bare"]["forecast"]) == 12
     assert "shorter than one" in by_id["short"]["error"]
-    assert "invalid JSON" in by_id[4]["error"]
+    assert "invalid JSON" in by_id[9]["error"]
     assert "failed" in capsys.readouterr().err
 
 
