@@ -240,7 +240,9 @@ def _record_features(record: dict, cfg: ModelConfig, horizon: int,
     if gran not in GRANULARITIES:
         raise ForecastError(f"unknown granularity {gran!r}")
     try:
-        start = parse_timestamp(str(start_text))
+        if not isinstance(start_text, str):  # str(20200106) would parse as 2020-01-06
+            raise ValueError("start is not a string")
+        start = parse_timestamp(start_text)
     except ValueError as exc:
         raise ForecastError(f"bad start timestamp {start_text!r}") from exc
     return derive_date_features(start, gran, len(record["values"]) + horizon)

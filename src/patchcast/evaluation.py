@@ -180,13 +180,28 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
         if predicted.shape != actuals.shape:
             raise EvalConfigError(
                 f"predictor returned shape {predicted.shape}, wanted {actuals.shape}")
-        for origin, actual, pred in zip(group, actuals, predicted):
-            if float(np.sum(np.abs(actual))) == 0.0:
-                report.excluded += 1
-                continue
-            report.windows.append(WindowScore(origin=origin, nrmse=nrmse(actual, pred),
-                                              wape=wape(actual, pred)))
+        scored = _window_scores(actuals, predicted)
+        report.excluded += len(group) - len(scored[0])
+        report.windows.extend(WindowScore(origin=group[i], nrmse=e, wape=w)
+                              for i, e, w in zip(*scored))
     return report
+
+
+def _window_scores(actuals: np.ndarray, predicted: np.ndarray) -> tuple[list, list, list]:
+    """(row indices, NRMSE, WAPE) of every window [B, horizon] whose actuals
+    are not all zero, each score equal bit for bit to ``nrmse`` and ``wape``
+    of its row: every reduction runs along a contiguous row, as in the 1-d
+    calls."""
+    absolute = np.abs(actuals)  # a contiguous copy of the strided windows
+    total = absolute.sum(axis=-1)
+    kept = np.flatnonzero(total != 0.0)
+    err = actuals[kept] - predicted[kept]
+    mean_abs = absolute[kept].mean(axis=-1)
+    if not mean_abs.all():  # a subnormal sum whose mean rounds to zero
+        raise MetricError("all actual values are zero; normalized error is undefined")
+    rmse = np.sqrt((err ** 2).mean(axis=-1))
+    wapes = np.abs(err).sum(axis=-1) / total[kept]
+    return kept.tolist(), (rmse / mean_abs).tolist(), wapes.tolist()
 
 
 def _windows(array: np.ndarray, width: int, origins: range, back: int) -> np.ndarray:

@@ -53,10 +53,15 @@ MAX_ROUNDS = 256  # autoregressive rounds one forecast may take (desk: 2048 poin
 # from the full product's gemm; from 2 rows on the rows match the full forward bit for bit.
 LAST_ROWS = 2
 # Bytes a chunk of a stack may spend on one layer's [rows, heads, N, N] attention scores.
-# Measured on evaluate_cli (ctx 512, N = 128, desk): 256 KB (one row a chunk) ran 1.3x
-# the per-window loop's throughput, 512 KB (two rows) 1.8x for +0.9 MB peak RSS, and
-# 1 MB (four rows) no faster than 512 KB within the noise for +2.4 MB.
-SCORES_BUDGET = 512 * 1024
+# Measured on evaluate_cli (ctx 512, N = 128, desk), first against the per-window loop:
+# 256 KB (one row a chunk) ran 1.3x its throughput, 512 KB (two rows) 1.8x for +0.9 MB
+# peak RSS, and 1 MB no faster than 512 KB within the noise. Since freed memory stays in
+# the process and the softmax writes over the scores, 1.5 MB (six rows) ran 1.17x the
+# throughput of 512 KB for +2.0 MB peak RSS, and 1.04x that of 1 MB for +1.1 MB (3
+# alternating 10-s pairs each, 2-core x86-64). Keep it under 2 MB: 8 rows of 128 x 128
+# scores reach SPLIT_MIN_ENTRIES, and evaluate's calls would then split onto the second
+# core, which measured 14% more peak RSS.
+SCORES_BUDGET = 1536 * 1024
 
 
 class ForecastError(ValueError):

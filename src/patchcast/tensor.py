@@ -49,12 +49,21 @@ MASK_VALUE = -1e30  # additive causal mask; finite, so softmax_lastdim accepts i
 # Arrays of at least this many entries are worked in two halves (_in_halves).
 # One workload on each side of the line, each a 10-round in-process A/B of the
 # split against the single call (2-core x86-64 VM, OPENBLAS_NUM_THREADS=1):
-# evaluate_cli's largest attention calls hold 65,536 score entries and, split,
-# ran at 0.84x (1 of 10 rounds faster); pretrain_long's hold 524,288 and ran
-# at 1.15x (9 of 10). No call of pretrain_short (23,104 entries),
-# forecast_stream (at most 131,072: one series at 256 positions) or
-# evaluate_cli reaches 2^18; every attention call of pretrain_long does.
+# evaluate_cli's attention calls, then of 65,536 score entries, split ran at
+# 0.84x (1 of 10 rounds faster); pretrain_long's hold 524,288 and ran at 1.15x
+# (9 of 10). No call of pretrain_short (23,104 entries), forecast_stream (at
+# most 131,072: one series at 256 positions) or evaluate_cli (at most 196,608:
+# six windows of 128 tokens, under inference.SCORES_BUDGET) reaches 2^18;
+# every attention call of pretrain_long does.
 SPLIT_MIN_ENTRIES = 1 << 18
+
+# causal_attention skips the exp of masked scores (softmax_lastdim's keep) on
+# square calls of at least this many keys, where about half the scores are
+# masked. In isolation, on one 2-core x86-64 VM, exp plus the zero fill over
+# [.., 2, N, N] ran at 0.5-0.8x the plain exp's speed for N of 8-24 and at
+# 1.2-1.8x for N of 32-256; calls with few queries (a round's last rows)
+# mask almost nothing, and ran at 0.5x.
+SKIP_MASKED_MIN_KEYS = 32
 
 _state = threading.local()
 _worker_lock = threading.Lock()
@@ -390,26 +399,50 @@ def sum_exact(x) -> Tensor:
 # -- normalized nonlinearities ----------------------------------------------
 
 
-def softmax_lastdim(x) -> Tensor:
+def softmax_lastdim(x, keep=None, out=None) -> Tensor:
     """Row-stabilized softmax over the final axis.
 
     Stable for entries up to +-1e4 via max subtraction. Raises
     ``NumericError`` on non-finite input (an additive mask must therefore
     use a large finite constant, not -inf). The shift, exp and division all
     run in one output buffer, in two halves of the rows for a large input
-    (``_in_halves``); the input is left unchanged.
+    (``_in_halves``): a new array, or ``out`` (x's shape), which may be x's
+    own array; only then is the input overwritten.
+
+    ``keep`` is a boolean array that broadcasts to x's shape, such as one
+    causal table for every head. The exp runs only where it is True,
+    and every other entry is written as +0.0: the exp's own value for an
+    entry more than 746 below its row max, such as one under an additive
+    mask of MASK_VALUE. So wherever ``keep`` is False only on such entries,
+    the result equals the softmax without ``keep`` bit for bit; the finite
+    check still covers every entry.
     """
     x = _coerce(x)
-    if x.data.shape == () or x.data.shape[-1] < 1:
-        raise ShapeError(f"softmax needs a non-empty final axis, got shape {x.data.shape}")
-    y = np.empty_like(x.data)  # the one output buffer
+    shape = x.data.shape
+    if shape == () or shape[-1] < 1:
+        raise ShapeError(f"softmax needs a non-empty final axis, got shape {shape}")
+    if keep is not None:
+        bad = f"softmax keep must be boolean and broadcast to {shape}, got {keep.dtype} {keep.shape}"
+        if keep.dtype != np.bool_:
+            raise ShapeError(bad)
+        try:
+            keep, drop = np.broadcast_to(keep, shape), np.broadcast_to(~keep, shape)
+        except ValueError:
+            raise ShapeError(bad) from None
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
+        raise ShapeError(f"softmax out must be float64 of shape {shape}, got {out.dtype} {out.shape}")
+    y = np.empty_like(x.data) if out is None else out
 
     def rows(sl):
         xs, ys = x.data[sl], y[sl]
         if not np.isfinite(xs).all():
             raise NumericError("softmax input contains non-finite values")
         np.subtract(xs, xs.max(axis=-1, keepdims=True), out=ys)
-        np.exp(ys, out=ys)
+        if keep is None:
+            np.exp(ys, out=ys)
+        else:
+            np.exp(ys, out=ys, where=keep[sl])
+            np.copyto(ys, 0.0, where=drop[sl])
         ys /= ys.sum(axis=-1, keepdims=True)
 
     _in_halves(rows, x.data)
@@ -462,6 +495,15 @@ def _mask_table(size: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _keep_table(size: int) -> np.ndarray:
+    """Read-only size x size boolean table: True on and below the diagonal,
+    where ``_mask_table`` adds 0."""
+    table = np.tri(size, dtype=bool)
+    table.flags.writeable = False
+    return table
+
+
 def causal_attention(q, k, v, num_heads: int) -> Tensor:
     """Per head of q [.., M, D] against k, v [.., N, D] with M <= N:
     softmax(Q K^T / sqrt(dh) + mask) V, as one tape op.
@@ -470,13 +512,17 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     MASK_VALUE wherever a key lies after its query. It is rows [N-M, N) and
     columns [:N] of one cached table per power of two >= N, at most 512 KB
     for the desk preset's 256 positions. ``softmax_lastdim`` on a constant
-    tensor gives the probabilities, so non-finite scores raise
-    ``NumericError``. The VJP uses dS = P * (dP - rowsum(dP * P)), in place
-    in one buffer beside dP. Each of its products keeps a fixed operand
-    order and layout (dK is the swapped view of Q^T dS, not dS^T Q): another
-    order rounds differently and changes the recorded loss curves. The
-    score product, the context product and the VJP run in two halves of
-    the leading axis for large calls (``_in_halves``), bit for bit.
+    tensor writes the probabilities over the scores in their own buffer, so
+    the call holds one [.., H, M, N] array, and non-finite scores raise
+    ``NumericError``. A square call of at least SKIP_MASKED_MIN_KEYS keys
+    passes the matching boolean table as ``keep``, so the exps of the masked
+    half are skipped: their +0.0 is what the exp gives, bit for bit. The
+    VJP uses dS = P * (dP - rowsum(dP * P)), in place in one buffer beside
+    dP. Each of its products keeps a fixed operand order and layout (dK is
+    the swapped view of Q^T dS, not dS^T Q): another order rounds
+    differently and changes the recorded loss curves. The score product,
+    the context product and the VJP run in two halves of the leading axis
+    for large calls (``_in_halves``), bit for bit.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     shape, kv_shape = q.data.shape, k.data.shape
@@ -493,8 +539,10 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     kh, vh = (t.data.reshape(kv_split).transpose(heads) for t in (k, v))
     lead = qh.shape[:-2]
     scale = 1.0 / math.sqrt(dh)
-    mask = _mask_table(1 << (n - 1).bit_length())[n - m:n, :n]
-    scores = np.empty(lead + (m, n))
+    size = 1 << (n - 1).bit_length()
+    mask = _mask_table(size)[n - m:n, :n]
+    keep = _keep_table(size)[:n, :n] if m == n >= SKIP_MASKED_MIN_KEYS else None
+    scores = np.empty(lead + (m, n))  # the scores, then the probabilities
 
     def score_rows(sl):
         s = np.matmul(qh[sl], np.swapaxes(kh[sl], -1, -2), out=scores[sl])
@@ -502,7 +550,7 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
         s += mask
 
     _in_halves(score_rows, scores)
-    probs = softmax_lastdim(Tensor(scores)).data
+    probs = softmax_lastdim(Tensor(scores), keep=keep, out=scores).data
     out = np.empty(lead + (m, dh))
     _in_halves(lambda sl: np.matmul(probs[sl], vh[sl], out=out[sl]), probs)
 

@@ -367,7 +367,8 @@ def jsonl_inputs(tmp_path):
         # the start stamps an evaluate CSV takes, then two it does not
         *({"id": start, "values": list(np.sin(np.arange(40) / 4.0) + 2.0), "start": start,
            "granularity": "daily"} for start in ("2020-01-06T00:00:00Z", "2020-01-06T00:00:00z",
-                                                 " 2020-01-06T00:00:00Z", 5, "garbage")),
+                                                 " 2020-01-06T00:00:00Z", 20200106, 5,
+                                                 "garbage")),
     ]
     path = tmp_path / "in.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\nnot json\n")
@@ -379,18 +380,19 @@ def test_forecast_jsonl_with_per_record_errors(trained, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     code = main(["forecast", "--checkpoint", str(trained / "ckpt_final.npz"),
                  "--input", str(inp), "--horizon", "12", "--output", str(out)])
-    assert code == 1  # four bad records
+    assert code == 1  # five bad records
     lines = out.read_text().splitlines()
     by_id = {e.get("id", e.get("line")): e for e in map(json.loads, lines)}
     assert len(by_id["good"]["forecast"]) == 12
     for start in ("2020-01-06T00:00:00Z", "2020-01-06T00:00:00z", " 2020-01-06T00:00:00Z"):
         assert by_id[start]["forecast"] == by_id["good"]["forecast"]
-    assert lines[-3:-1] == ['{"error": "bad start timestamp 5", "id": 5}',
+    assert lines[-4:-1] == ['{"error": "bad start timestamp 20200106", "id": 20200106}',
+                            '{"error": "bad start timestamp 5", "id": 5}',
                             '{"error": "bad start timestamp \'garbage\'", "id": "garbage"}']
     assert by_id["good"]["rounds"] == 2  # h=8, H=12
     assert len(by_id["bare"]["forecast"]) == 12
     assert "shorter than one" in by_id["short"]["error"]
-    assert "invalid JSON" in by_id[9]["error"]
+    assert "invalid JSON" in by_id[10]["error"]
     assert "failed" in capsys.readouterr().err
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from patchcast.data import TimeSeries
 from patchcast.evaluation import (
+    _window_scores,
     EvalConfigError,
     EvalReport,
     MetricError,
@@ -278,6 +279,36 @@ def test_stacked_protocol_equals_the_per_window_loop(context_len, horizon, strid
         got = rolling_eval(predictor, s, context_len, horizon, stride)
         assert got == per_window_eval(predictor, s, context_len, horizon, stride)
         assert got.excluded > 0 and got.windows
+
+
+def test_window_scores_equal_the_per_window_metrics_bitwise():
+    # stacks of strided windows, as rolling_eval cuts them, over horizons 1-300;
+    # the scores of the rows that are not all zero equal nrmse and wape bitwise
+    rng = np.random.default_rng(8)
+    for horizon in range(1, 301):
+        batch = int(rng.integers(1, 6))
+        series = rng.standard_normal(batch + horizon) * 10.0 ** rng.uniform(-3, 3)
+        series[rng.random(series.size) < 0.3] = 0.0
+        if horizon <= 8:
+            series[:horizon] = 0.0  # an all-zero window
+        actuals = np.lib.stride_tricks.sliding_window_view(series, horizon)
+        predicted = actuals + rng.standard_normal(actuals.shape)
+        kept, nrmses, wapes = _window_scores(actuals, predicted)
+        want = [i for i, a in enumerate(actuals) if float(np.sum(np.abs(a))) != 0.0]
+        assert kept == want
+        assert np.array(nrmses).tobytes() == np.array(
+            [nrmse(actuals[i], predicted[i]) for i in want]).tobytes()
+        assert np.array(wapes).tobytes() == np.array(
+            [wape(actuals[i], predicted[i]) for i in want]).tobytes()
+
+
+def test_window_scores_raise_where_nrmse_raises():
+    # a subnormal sum whose mean rounds to zero: not excluded, and undefined
+    actual = np.array([[5e-324, 0.0]])
+    with pytest.raises(MetricError):
+        nrmse(actual[0], np.ones(2))
+    with pytest.raises(MetricError, match="all actual values are zero"):
+        _window_scores(actual, np.ones((1, 2)))
 
 
 def test_baselines_take_stacks():

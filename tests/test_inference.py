@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import patchcast.inference as inference
 
+from patchcast import tensor as T
 from patchcast.inference import (
     MAX_ROUNDS,
     SCORES_BUDGET,
@@ -418,6 +419,36 @@ def test_stack_splits_into_chunks_within_the_scores_budget(monkeypatch, desk_rig
     monkeypatch.setattr(inference, "SCORES_BUDGET", 2 * per_row + per_row // 2)
     forecast(weights, cfg, np.tile(wave(512), (5, 1)), cfg.output_patch_len)
     assert rows == [(2, n), (2, n), (1, n)]
+
+
+@pytest.mark.parametrize("horizon", [8, 24])
+def test_stack_rows_equal_series_forecasts_at_context_512(monkeypatch, desk_rig, horizon):
+    """evaluate_cli's geometry under the shipped budget: 128-token windows,
+    several rows a chunk, each row bit for bit its own 1-d forecast."""
+    rows = []
+
+    def spy(weights, cfg, inputs, cache=None, last=None):
+        rows.append(np.shape(inputs)[0])
+        return forward(weights, cfg, inputs, cache, last)
+
+    cfg, weights = desk_rig
+    stack = np.stack([wave(512, period=24.0, seed=s) for s in range(7)])
+    monkeypatch.setattr(inference, "forward", spy)
+    got = forecast(weights, cfg, stack, horizon).values
+    monkeypatch.undo()
+    assert min(rows) < max(rows) and max(rows) >= 2  # chunks of several rows and a last one
+    for i, row in enumerate(stack):
+        assert np.array_equal(got[i], forecast(weights, cfg, row, horizon).values)
+
+
+def test_scores_budget_keeps_evaluate_below_the_split(desk_rig):
+    # evaluate_cli's chunks (desk, ctx 512: N = 128) hold at least 2 rows, and
+    # one layer's scores of a chunk stay below the two-thread split
+    cfg, _ = desk_rig
+    n = 512 // cfg.input_patch_len
+    per_row = 8 * cfg.num_heads * n * n
+    assert SCORES_BUDGET // per_row >= 2
+    assert SCORES_BUDGET // 8 < T.SPLIT_MIN_ENTRIES
 
 
 def test_forecast_runs_only_the_rows_a_round_reads(monkeypatch, desk_rig):

@@ -772,3 +772,135 @@ def test_train_on_long_windows_is_byte_identical_with_the_worker_off(pool, monke
     submitted = pool.submitted
     assert long_training_run(tmp_path / "single", corpus) == split
     assert pool.submitted == submitted
+
+
+# -- softmax with a keep table: bitwise the additive-mask softmax ----------------------
+
+
+def causal_scores(rng, shape, m, n):
+    """Random scores [.., M, N] under the additive causal mask of MASK_VALUE,
+    and the keep table of the same call."""
+    size = 1 << (n - 1).bit_length()
+    x = 4.0 * rng.standard_normal(shape + (m, n)) + T._mask_table(size)[n - m:n, :n]
+    return x, T._keep_table(size)[n - m:n, :n]
+
+
+def softmax_and_vjp(x, g, **kw):
+    """Bytes of softmax_lastdim's output and of its VJP for output grad g."""
+    y = softmax_lastdim(Tensor(x, requires_grad=True), **kw)
+    (gx,) = last_record_vjp(g)
+    active_tape().records.clear()
+    return y.data.tobytes(), gx.tobytes()
+
+
+def split_context(mp, split):
+    """Every call split on a counting worker, or none; returns the worker."""
+    counting = CountingPool()
+    mp.setattr(T, "_second_core", lambda: counting)
+    mp.setattr(T, "_usable_cpus", lambda: 2)
+    mp.setattr(T, "SPLIT_MIN_ENTRIES", 1 if split else 2**62)
+    return counting
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (3,), (2, 3)]), heads=st.sampled_from([1, 2, 4]),
+       n=st.integers(1, 256), split=st.booleans(), data=st.data())
+def test_softmax_keep_equals_additive_mask_softmax_bitwise(lead, heads, n, split, data):
+    m = data.draw(st.integers(1, n), label="m")
+    rng = np.random.default_rng(n * 10 + m)
+    x, keep = causal_scores(rng, lead + (heads,), m, n)
+    g = rng.standard_normal(x.shape)
+    want = softmax_and_vjp(x, g)
+    assert want[0] == softmax_three_temporaries(x).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        counting = split_context(mp, split)
+        got = softmax_and_vjp(x, g, keep=keep)
+        inplace = x.copy()
+        assert softmax_lastdim(Tensor(inplace), keep=keep, out=inplace).data is inplace
+        counting.pool.shutdown()
+    assert counting.submitted == (2 if split and x.shape[0] > 1 else 0)  # both forward calls
+    assert got == want
+    assert inplace.tobytes() == want[0]
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "single"])
+def test_softmax_keep_on_a_large_2d_input_splits_its_rows_bitwise(split):
+    # 1024 rows of 256 keys hold 2^18 entries; a keep table of the input's own
+    # shape is split with the rows
+    rng = np.random.default_rng(71)
+    x, keep = causal_scores(rng, (4,), 256, 256)
+    x, keep = x.reshape(1024, 256), np.tile(keep, (4, 1))
+    assert x.size >= T.SPLIT_MIN_ENTRIES
+    g = rng.standard_normal(x.shape)
+    want = softmax_and_vjp(x, g)
+    with pytest.MonkeyPatch.context() as mp:
+        counting = CountingPool()
+        mp.setattr(T, "_second_core", lambda: counting)
+        mp.setattr(T, "_usable_cpus", lambda: 2 if split else 1)
+        got = softmax_and_vjp(x, g, keep=keep)
+        counting.pool.shutdown()
+    assert counting.submitted == (1 if split else 0)
+    assert got == want
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["kept", "masked"])
+def test_nonfinite_score_raises_with_keep(value, where):
+    rng = np.random.default_rng(72)
+    x, keep = causal_scores(rng, (2, 2), 40, 40)
+    x[1, 0, 5, 2 if where == "kept" else 30] += value
+    assert keep[5, 2] and not keep[5, 30]
+    with pytest.raises(NumericError):
+        softmax_lastdim(Tensor(x), keep=keep)
+    with pytest.raises(NumericError):
+        softmax_lastdim(Tensor(x), keep=keep, out=x)
+
+
+@pytest.mark.parametrize("where", ["kept", "masked"])
+def test_causal_attention_rejects_nonfinite_score_in_either_part(where):
+    # a square call past SKIP_MASKED_MIN_KEYS keys runs with its keep table
+    n = T.SKIP_MASKED_MIN_KEYS
+    rng = np.random.default_rng(73)
+    q, k, v = (rng.standard_normal((2, n, 8)) for _ in range(3))
+    q[1, 20] = 1e300
+    k[1, 3 if where == "kept" else 25] = 1e300  # query 20's score of this key overflows
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        causal_attention(Tensor(q), Tensor(k), Tensor(v), 2)
+
+
+def test_softmax_keep_and_out_shapes_are_checked():
+    x = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match="keep"):
+        softmax_lastdim(x, keep=np.ones((4, 4), bool))
+    with pytest.raises(ShapeError, match="keep"):
+        softmax_lastdim(x, keep=np.ones(4))  # not boolean
+    with pytest.raises(ShapeError, match="out"):
+        softmax_lastdim(x, out=np.zeros((3, 5)))
+
+
+def test_keep_table_is_the_zero_part_of_the_mask_table():
+    for size in (1, 2, 64, 256):
+        keep, mask = T._keep_table(size), T._mask_table(size)
+        assert not keep.flags.writeable and keep.dtype == np.bool_
+        assert np.array_equal(keep, mask == 0.0)
+
+
+def test_causal_attention_without_grad_holds_one_scores_buffer():
+    import tracemalloc
+
+    rng = np.random.default_rng(74)
+    q, k, v = (Tensor(rng.standard_normal((4, 128, 32))) for _ in range(3))
+    scores_bytes = 4 * 2 * 128 * 128 * 8
+    out_bytes = q.data.nbytes
+    with no_grad():
+        causal_attention(q, k, v, 2)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            out = causal_attention(q, k, v, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (4, 128, 32)
+    # the scores with their probabilities in place; the rest is the context and
+    # its [.., M, D] copy, or the finite check's booleans, row maxima and sums
+    assert scores_bytes <= peak <= scores_bytes + 2 * out_bytes + 64 * 1024, peak
