@@ -34,6 +34,7 @@ from .data import (
 from .evaluation import (
     POOLED_COLUMNS,
     EvalConfigError,
+    MetricError,
     context_sweep,
     format_csv,
     format_table,
@@ -343,6 +344,8 @@ def cmd_evaluate(args) -> int:
                              for s in series]
         except EvalConfigError as exc:
             raise CLIError(str(exc)) from exc
+        except MetricError as exc:
+            raise CLIError(f"cannot score predictor {name}: {exc}") from exc
         seconds = time.perf_counter() - start
         rows.append({"predictor": name, **pool_reports(reports[name])})
         print(f"{name}: {rows[-1]['n_windows']} windows scored, {rows[-1]['excluded']} "

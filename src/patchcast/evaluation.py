@@ -136,7 +136,7 @@ class EvalReport:
     horizon: int
     stride: int
     windows: list[WindowScore] = field(default_factory=list)
-    excluded: int = 0  # zero-denominator windows left out of the pool
+    excluded: int = 0  # windows of zero mean absolute actual, left out of the pool
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -152,8 +152,9 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     before the origin (clipped at the series start, so it may reach back into
     the train and validation spans). The predictor gets one stack per context
     length: every origin with a full `context_len` context in one call, and
-    each clipped context in a call of its own. Windows whose actuals are all
-    zero have no defined normalized error; they are predicted with their
+    each clipped context in a call of its own. Windows whose mean absolute
+    actual is zero (all-zero actuals, or a subnormal sum whose mean rounds to
+    zero) have no defined normalized error; they are predicted with their
     stack, then excluded and counted.
     """
     for name, value in (("context_len", context_len), ("horizon", horizon), ("stride", stride)):
@@ -188,20 +189,20 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
 
 
 def _window_scores(actuals: np.ndarray, predicted: np.ndarray) -> tuple[list, list, list]:
-    """(row indices, NRMSE, WAPE) of every window [B, horizon] whose actuals
-    are not all zero, each score equal bit for bit to ``nrmse`` and ``wape``
-    of its row: every reduction runs along a contiguous row, as in the 1-d
-    calls."""
+    """(row indices, NRMSE, WAPE) of every window [B, horizon] whose mean
+    absolute actual is not zero, each score equal bit for bit to ``nrmse`` and
+    ``wape`` of its row: every reduction runs along a contiguous row, as in the
+    1-d calls. A zero mean comes from all-zero actuals, or from a subnormal sum
+    that rounds to zero when divided by the horizon; ``nrmse`` is undefined
+    for both, so both are left out."""
     absolute = np.abs(actuals)  # a contiguous copy of the strided windows
     total = absolute.sum(axis=-1)
-    kept = np.flatnonzero(total != 0.0)
+    mean_abs = absolute.mean(axis=-1)
+    kept = np.flatnonzero(mean_abs != 0.0)  # a zero sum has a zero mean
     err = actuals[kept] - predicted[kept]
-    mean_abs = absolute[kept].mean(axis=-1)
-    if not mean_abs.all():  # a subnormal sum whose mean rounds to zero
-        raise MetricError("all actual values are zero; normalized error is undefined")
     rmse = np.sqrt((err ** 2).mean(axis=-1))
     wapes = np.abs(err).sum(axis=-1) / total[kept]
-    return kept.tolist(), (rmse / mean_abs).tolist(), wapes.tolist()
+    return kept.tolist(), (rmse / mean_abs[kept]).tolist(), wapes.tolist()
 
 
 def _windows(array: np.ndarray, width: int, origins: range, back: int) -> np.ndarray:

@@ -6,12 +6,15 @@ context and re-tokenizing, for ceil(horizon / output_patch_len) rounds.
 Normalization statistics are computed once from the original context (after
 the capacity clamp) and reused for every round and for the final inversion.
 
-Round 1 encodes the context and fills a per-layer key/value cache; each later
+Round 1 encodes the context and fills a key/value cache (model.KVCache: one
+preallocated key and value buffer per layer, written in place); each later
 round encodes only the output_patch_len / input_patch_len patches the last
-round appended. The cache is reset, and the round re-encodes its whole
-window, when the window slides past input_patch_len * max_positions points
-(positions shift) or when output_patch_len is no multiple of input_patch_len
-(patch boundaries move). Round 1 is bit-identical to a full recompute; later
+round appended. The cache holds the widest window any round of the forecast
+encodes, never more than max_positions tokens: one window for a one-round
+forecast. It is reset, and the round re-encodes its whole window, when the
+window slides past input_patch_len * max_positions points (positions shift)
+or when output_patch_len is no multiple of input_patch_len (patch boundaries
+move). Round 1 is bit-identical to a full recompute; later
 rounds agree with it within 1e-12 relative, since the full recompute
 re-rounds the older tokens' states (numpy's pairwise row sum in the softmax
 regroups past 128 elements).
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ContextTooShortError, ModelConfig, ModelWeights, assemble_patch_inputs,
-                    check_int, forward)
+from .model import (ContextTooShortError, KVCache, ModelConfig, ModelWeights,
+                    assemble_patch_inputs, check_int, forward)
 from .tensor import no_grad
 from .training import ScaleRecord, apply_scale, invert_scale, scale_record
 
@@ -144,37 +147,38 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     rounds = autoregressive_rounds(horizon, h)
     scale = scale_record(values, normalization)
     work = apply_scale(values, scale)
+    # tokens of the widest window any round encodes: the KV cache's capacity,
+    # and the side of the largest attention scores array
+    widest = min(values.shape[-1] + (rounds - 1) * h, cap_points) // p
     if values.ndim == 1:
         chunks = [slice(None)]
     else:
-        # the widest window any round encodes sets the largest scores array
-        n = min(values.shape[-1] + (rounds - 1) * h, cap_points) // p
-        rows = max(1, SCORES_BUDGET // (8 * cfg.num_heads * n * n))
+        rows = max(1, SCORES_BUDGET // (8 * cfg.num_heads * widest * widest))
         chunks = [slice(i, i + rows) for i in range(0, len(values), rows)]
     preds = np.concatenate([_decode(weights, cfg, work[c], None if features is None else features[c],
-                                    rounds) for c in chunks])
+                                    rounds, widest) for c in chunks])
     return ForecastResult(values=invert_scale(preds[..., :horizon], scale), rounds=rounds,
                           round_index=np.arange(horizon) // h, scale=scale)
 
 
 def _decode(weights: ModelWeights, cfg: ModelConfig, work: np.ndarray, features,
-            rounds: int) -> np.ndarray:
+            rounds: int, widest: int) -> np.ndarray:
     """`rounds` rounds of forecasts [.., rounds * h] on the normalized scale from
-    normalized clamped contexts [.., L] and their features [.., L + horizon, F] or None."""
+    normalized clamped contexts [.., L] and their features [.., L + horizon, F] or
+    None; no round encodes a window of more than `widest` tokens."""
     p, h = cfg.input_patch_len, cfg.output_patch_len
     cap_points = p * cfg.max_positions
-    preds = []
-    cache: list = []
+    length = work.shape[-1]
+    series = np.empty(work.shape[:-1] + (length + rounds * h,))  # context, then forecasts
+    series[..., :length] = work
+    cache = KVCache(cfg, work.shape[:-1], widest)
     with no_grad():
-        for _ in range(rounds):
-            end = work.shape[-1]
+        for end in range(length, length + rounds * h, h):
             if end > cap_points or h % p:
-                cache.clear()  # positions shift or patch boundaries move: re-encode the window
-            span = h if cache else min(end, cap_points)
+                cache.reset()  # positions shift or patch boundaries move: re-encode the window
+            span = h if cache.length else min(end, cap_points)
             feats_cur = None if features is None else features[..., end - span:end, :]
-            inputs = assemble_patch_inputs(work[..., end - span:], feats_cur, cfg)
+            inputs = assemble_patch_inputs(series[..., end - span:end], feats_cur, cfg)
             out = forward(weights, cfg, inputs, cache, last=min(LAST_ROWS, inputs.shape[-2]))
-            step = out.data[..., -1, :]  # last token: the h points after the context
-            preds.append(step)
-            work = np.concatenate([work, step], axis=-1)
-    return np.concatenate(preds, axis=-1)
+            series[..., end:end + h] = out.data[..., -1, :]  # last token: the h points after
+    return series[..., length:]

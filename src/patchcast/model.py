@@ -218,11 +218,27 @@ def check_weights_memory(cfg: ModelConfig) -> None:
                  ConfigError)
 
 
+# one transformer layer's parameters, in the order of ModelWeights.layers' tuples
+LAYER_PARAMS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+                "attn.wv", "attn.bv", "attn.wo", "attn.bo", "ln2.gain", "ln2.bias",
+                "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+
+
 class ModelWeights:
     """Named parameter store; every entry is a gradient-tracked Tensor."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
+
+    @functools.cached_property
+    def layers(self) -> tuple[tuple[Tensor, ...], ...]:
+        """Each transformer layer's parameters in LAYER_PARAMS order, looked up
+        once: the same Tensors as the named entries."""
+        count = 0
+        while f"layer{count}.{LAYER_PARAMS[0]}" in self.params:
+            count += 1
+        return tuple(tuple(self.params[f"layer{i}.{n}"] for n in LAYER_PARAMS)
+                     for i in range(count))
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -382,42 +398,77 @@ def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig, start: int = 0
     return tokens + Tensor(_pe_table(cfg.max_positions, cfg.model_dim)[start:start + n])
 
 
+class KVCache:
+    """The keys and values of the positions a decode has encoded, for
+    :func:`forward`: per layer one key and one value buffer [.., capacity,
+    model_dim], allocated once, whose first ``length`` positions are filled.
+
+    Each forward call writes its tokens' keys and values in place after the
+    filled rows, attends over the filled rows, and then advances ``length``.
+    A call that would pass ``capacity`` raises CapacityError before it
+    writes, so the filled rows and ``length`` stay as they were. ``lead`` is
+    the inputs' leading shape: () for one series, (B,) for a stack of B.
+    """
+
+    def __init__(self, cfg: ModelConfig, lead: tuple[int, ...], capacity: int):
+        check_int(capacity, "KV cache capacity", CapacityError)
+        if capacity > cfg.max_positions:
+            raise CapacityError(
+                f"KV cache capacity {capacity} exceeds max_positions {cfg.max_positions}")
+        shape = (*lead, capacity, cfg.model_dim)
+        self.keys = tuple(np.empty(shape) for _ in range(cfg.num_layers))
+        self.values = tuple(np.empty(shape) for _ in range(cfg.num_layers))
+        self.capacity = capacity
+        self.length = 0
+
+    def reset(self) -> None:
+        """Forget every position; the buffers are kept for the next window."""
+        self.length = 0
+
+
 def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
-                        cache: list | None = None, last: int | None = None) -> Tensor:
+                        cache: KVCache | None = None, last: int | None = None) -> Tensor:
     """Causally masked pre-norm stack: x += MHA(LN(x)); x += FFN(LN(x)).
 
     With a ``cache`` (see :func:`forward`), the tokens follow the cached
-    positions: they attend to the cached keys and values plus their own, and
-    their keys and values are appended to the cache. With ``last``, the final
-    layer still projects keys and values for every token, but its queries,
-    attention, out-projection and FFN run on the trailing ``last`` rows only,
-    and only those rows are returned.
+    positions: their keys and values are written into the cache after the
+    filled rows, and they attend to all filled rows, their own included.
+    With ``last``, the final layer still projects keys and values for every
+    token, but its queries, attention, out-projection and FFN run on the
+    trailing ``last`` rows only, and only those rows are returned.
     """
-    n = _cached_len(cache) + tokens.shape[-2]
+    start = 0 if cache is None else cache.length
+    n = start + tokens.shape[-2]
     if n > cfg.max_positions:
         raise CapacityError(f"{n} tokens exceed max_positions {cfg.max_positions}")
+    if cache is not None:
+        if n > cache.capacity:
+            raise CapacityError(f"{n} tokens exceed the KV cache's capacity {cache.capacity}")
+        want = (cfg.num_layers, tokens.shape[:-2] + (cache.capacity, cfg.model_dim))
+        if (len(cache.keys), cache.keys[0].shape) != want:
+            raise tt.ShapeError(f"KV cache of {len(cache.keys)} layers of {cache.keys[0].shape} "
+                                f"does not fit {want[0]} layers of {want[1]}")
     x = tokens
     for i in range(cfg.num_layers):
-        lp = f"layer{i}"
-        normed = tt.layer_norm(x, weights[f"{lp}.ln1.gain"], weights[f"{lp}.ln1.bias"])
+        (ln1_gain, ln1_bias, wq, bq, wk, bk, wv, bv, wo, bo,
+         ln2_gain, ln2_bias, w1, b1, w2, b2) = weights.layers[i]
+        normed = tt.layer_norm(x, ln1_gain, ln1_bias)
         rows = normed
         if last is not None and i == cfg.num_layers - 1:
             x, rows = (Tensor(t.data[..., -last:, :]) for t in (x, normed))
-        q = tt.matmul(rows, weights[f"{lp}.attn.wq"], weights[f"{lp}.attn.bq"])
-        k, v = (tt.matmul(normed, weights[f"{lp}.attn.w{n}"], weights[f"{lp}.attn.b{n}"])
-                for n in "kv")
+        q, k, v = tt.matmul(rows, wq, bq), tt.matmul(normed, wk, bk), tt.matmul(normed, wv, bv)
         if cache is not None:
-            if i < len(cache):
-                k, v = (Tensor(np.concatenate([old, new.data], axis=-2))
-                        for old, new in zip(cache[i], (k, v)))
-                cache[i] = (k.data, v.data)
-            else:
-                cache.append((k.data, v.data))
+            keys, values = cache.keys[i], cache.values[i]
+            keys[..., start:n, :] = k.data
+            values[..., start:n, :] = v.data
+            k, v = Tensor(keys[..., :n, :]), Tensor(values[..., :n, :])
         ctx = tt.causal_attention(q, k, v, cfg.num_heads)
-        x = x + tt.matmul(ctx, weights[f"{lp}.attn.wo"], weights[f"{lp}.attn.bo"])
-        normed = tt.layer_norm(x, weights[f"{lp}.ln2.gain"], weights[f"{lp}.ln2.bias"])
-        hidden = tt.relu(tt.matmul(normed, weights[f"{lp}.ffn.w1"], weights[f"{lp}.ffn.b1"]))
-        x = x + tt.matmul(hidden, weights[f"{lp}.ffn.w2"], weights[f"{lp}.ffn.b2"])
+        x = x + tt.matmul(ctx, wo, bo)
+        normed = tt.layer_norm(x, ln2_gain, ln2_bias)
+        hidden = tt.relu(tt.matmul(normed, w1, b1))
+        x = x + tt.matmul(hidden, w2, b2)
+    if cache is not None:
+        cache.length = n
     return x
 
 
@@ -428,23 +479,18 @@ def output_forecasts(out_tokens: Tensor, weights: ModelWeights, cfg: ModelConfig
                           weights.get("output.wskip"))
 
 
-def _cached_len(cache: list | None) -> int:
-    """Positions a KV cache already holds."""
-    return cache[0][0].shape[-2] if cache else 0
-
-
-def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: list | None = None,
+def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: KVCache | None = None,
             last: int | None = None) -> Tensor:
     """Assembled patch inputs [.., N, input_width] -> forecasts [.., N, h].
 
     Row j depends only on patches 1..j; it is the model's prediction of the
     output_patch_len points immediately after patch j.
 
-    ``cache`` is a list of per-layer (K, V) arrays [.., positions, model_dim]
-    for incremental decoding, extended in place: the inputs are taken as the
-    patches that follow the cached positions, and the result holds their
-    rows only. An empty list encodes from position 0 and fills the cache.
-    Cached keys and values are constants, so a cache needs ``no_grad``.
+    ``cache`` is a :class:`KVCache` for incremental decoding, filled in
+    place: the inputs are taken as the patches that follow its ``length``
+    filled positions, and the result holds their rows only. An empty cache
+    encodes from position 0. Cached keys and values are constants, so a
+    cache needs ``no_grad``.
 
     ``last`` (1 <= last <= N) returns the trailing ``last`` rows [.., last, h]
     only: the final layer and the output block skip every other row (see
@@ -457,7 +503,7 @@ def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: list | None 
         raise tt.TapeError("a KV cache holds constants; decode with it under no_grad")
     if last is not None and tt.grad_enabled():
         raise tt.TapeError("last drops rows from the tape; run it under no_grad")
-    toks = input_tokens(inputs, weights, cfg, _cached_len(cache))
+    toks = input_tokens(inputs, weights, cfg, 0 if cache is None else cache.length)
     if last is not None and check_int(last, "last", tt.ShapeError) > toks.shape[-2]:
         raise tt.ShapeError(f"last must be at most the {toks.shape[-2]} input rows, got {last}")
     out = stacked_transformer(toks, weights, cfg, cache, last)

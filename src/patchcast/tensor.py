@@ -65,25 +65,26 @@ SPLIT_MIN_ENTRIES = 1 << 18
 # mask almost nothing, and ran at 0.5x.
 SKIP_MASKED_MIN_KEYS = 32
 
-_state = threading.local()
+_FLOAT64 = np.dtype(np.float64)
 _worker_lock = threading.Lock()
 _worker = None  # the one-thread pool of _second_core
 
 
-def _tls():
-    if not hasattr(_state, "tape"):
-        _state.tape = Tape()
-        _state.grad_enabled = True
-    return _state
+class _ThreadState(threading.local):
+    """Each thread's tape and grad mode, set up on the thread's first access."""
+
+    def __init__(self):
+        self.tape = Tape()
+        self.grad_enabled = True
 
 
 def active_tape() -> "Tape":
     """The tape new gradient-requiring ops record onto (one per thread)."""
-    return _tls().tape
+    return _state.tape
 
 
 def grad_enabled() -> bool:
-    return _tls().grad_enabled
+    return _state.grad_enabled
 
 
 class no_grad:
@@ -94,13 +95,12 @@ class no_grad:
     """
 
     def __enter__(self):
-        tls = _tls()
-        self._prev = tls.grad_enabled
-        tls.grad_enabled = False
+        self._prev = _state.grad_enabled
+        _state.grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        _tls().grad_enabled = self._prev
+        _state.grad_enabled = self._prev
         return False
 
 
@@ -110,8 +110,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_produced")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        # a float64 ndarray, such as every op's output, is kept without a call
+        self.data = (data if type(data) is np.ndarray and data.dtype is _FLOAT64
+                     else np.asarray(data, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._produced = False  # True once an op on the tape emitted this tensor
@@ -207,6 +208,9 @@ class Tape:
             self.records.clear()
 
 
+_state = _ThreadState()
+
+
 # -- the second core -------------------------------------------------------
 
 
@@ -254,8 +258,8 @@ def _in_halves(fn: Callable[[slice], object], arr: np.ndarray) -> None:
     An exception from either half is raised here once neither half is
     running.
     """
-    n = arr.shape[0] if arr.ndim > 1 else 1
-    if arr.size < SPLIT_MIN_ENTRIES or n < 2 or _usable_cpus() < 2:
+    if (arr.size < SPLIT_MIN_ENTRIES or (n := arr.shape[0] if arr.ndim > 1 else 1) < 2
+            or _usable_cpus() < 2):
         fn(slice(None))
         return
     first, second = slice(0, (n + 1) // 2), slice((n + 1) // 2, None)
@@ -310,18 +314,18 @@ def _op(out_data: np.ndarray, inputs: tuple[Tensor, ...],
     table), so no gradient is computed only to be dropped.
     """
     out = Tensor(out_data)
-    if grad_enabled():
+    if _state.grad_enabled:
         live = tuple(t.requires_grad or t._produced for t in inputs)
         if any(live):
             out.requires_grad = True
-            active_tape().record(out, inputs, lambda g: vjp(g, live))
+            _state.tape.record(out, inputs, lambda g: vjp(g, live))
     return out
 
 
-def _binary(a, b, opname: str, fwd, vjp_a, vjp_b) -> Tensor:
+def _binary(a, b, opname: str, ufunc, vjp_a, vjp_b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_suffix_broadcast(a.data.shape, b.data.shape, opname)
-    return _op(fwd(a.data, b.data), (a, b), lambda g, live: tuple(
+    return _op(ufunc(a.data, b.data), (a, b), lambda g, live: tuple(
         _reduce_to(f(g, a.data, b.data), t.data.shape) if need else None
         for t, f, need in zip((a, b), (vjp_a, vjp_b), live)))
 
@@ -330,18 +334,15 @@ def _binary(a, b, opname: str, fwd, vjp_a, vjp_b) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, "add", lambda x, y: x + y,
-                   lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, "add", np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, "sub", lambda x, y: x - y,
-                   lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, "sub", np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, "mul", lambda x, y: x * y,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, "mul", np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def relu(x) -> Tensor:
@@ -365,11 +366,13 @@ def matmul(a, b, bias=None) -> Tensor:
     (an input batch) gets None.
     """
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs 2-d or higher operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    _check_suffix_broadcast(a.data.shape[:-2], b.data.shape[:-2], "matmul(batch dims)")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise ShapeError(f"matmul needs 2-d or higher operands, got {sa} and {sb}")
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {sa} vs {sb}")
+    if len(sb) > 2:  # a 2-d weight has no batch axes to check
+        _check_suffix_broadcast(sa[:-2], sb[:-2], "matmul(batch dims)")
     out = a.data @ b.data
     inputs = (a, b)
     if bias is not None:
@@ -468,8 +471,9 @@ def layer_norm(x, gain, bias) -> Tensor:
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match final axis of {x.data.shape}")
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    # np.add.reduce / d is what ndarray.mean computes, bit for bit, less its dispatch
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centered ** 2, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
 
@@ -533,10 +537,11 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
                          f"D divisible by {num_heads} heads, got {shape}, {kv_shape}, {v.data.shape}")
     m, n, dh = shape[-2], kv_shape[-2], shape[-1] // num_heads
     nb = len(shape) - 2
-    heads = tuple(range(nb)) + (nb + 1, nb, nb + 2)  # [.., N, H, dh] <-> [.., H, N, dh]
-    split, kv_split = (s[:-1] + (num_heads, dh) for s in (shape, kv_shape))
+    heads = (*range(nb), nb + 1, nb, nb + 2)  # [.., N, H, dh] <-> [.., H, N, dh]
+    split, kv_split = (*shape[:-1], num_heads, dh), (*kv_shape[:-1], num_heads, dh)
     qh = q.data.reshape(split).transpose(heads)
-    kh, vh = (t.data.reshape(kv_split).transpose(heads) for t in (k, v))
+    kh = k.data.reshape(kv_split).transpose(heads)
+    vh = v.data.reshape(kv_split).transpose(heads)
     lead = qh.shape[:-2]
     scale = 1.0 / math.sqrt(dh)
     size = 1 << (n - 1).bit_length()

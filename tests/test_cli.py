@@ -711,6 +711,43 @@ def test_evaluate_names_series_too_short_to_score(trained, tmp_path, capsys):
     assert [p.name for p in out_dir.glob("windows_*.csv")] == ["windows_long.csv"]
 
 
+def test_evaluate_excludes_a_window_whose_mean_absolute_actual_rounds_to_zero(tmp_path, capsys):
+    # the last window's actuals sum to a subnormal whose mean is 0: nrmse is
+    # undefined there, so the window is excluded instead of a traceback
+    values = [3.0 + math.sin(i / 4.0) for i in range(198)] + [5e-324, 0.0]
+    stamps = [datetime(2021, 3, 1) + timedelta(hours=k) for k in range(len(values))]
+    data = tmp_path / "eval.csv"
+    data.write_text("\n".join(["id,timestamp,value"] + [
+        f"s,{ts.isoformat()},{v!r}" for ts, v in zip(stamps, values)]) + "\n")
+    checkpoint = Path(__file__).resolve().parents[1] / "perfbench" / "desk.npz"
+    out_dir = tmp_path / "evalout"
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data),
+                 "--context", "64", "--horizon", "2", "--out-dir", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())["predictors"]
+    for name in ("model", "repeat_last"):
+        assert summary[name]["excluded"] == 1, name
+        assert summary[name]["n_windows"] > 0
+    origins = [int(line.split(",")[0]) for line in
+               (out_dir / "windows_s.csv").read_text().splitlines()[1:]]
+    assert len(values) - 2 not in origins and len(values) - 3 in origins
+
+
+def test_evaluate_names_an_unscorable_predictor(trained, tmp_path, capsys, monkeypatch):
+    # a MetricError other than an excluded window exits 2 with the predictor named
+    import patchcast.cli as cli
+    from patchcast.evaluation import MetricError
+
+    def unscorable(*args, **kwargs):
+        raise MetricError("need equal non-empty 1-d arrays")
+
+    monkeypatch.setattr(cli, "rolling_eval", unscorable)
+    data = tmp_path / "eval.csv"
+    write_eval_csv(data, n_series=1)
+    assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--data", str(data), "--context", "32", "--horizon", "8"]) == 2
+    assert "error: cannot score predictor model: need equal" in capsys.readouterr().err
+
+
 def test_evaluate_too_long_horizon_fails_cleanly(trained, tmp_path, capsys):
     data = tmp_path / "eval.csv"
     write_eval_csv(data, n_series=1)

@@ -302,13 +302,15 @@ def test_window_scores_equal_the_per_window_metrics_bitwise():
             [wape(actuals[i], predicted[i]) for i in want]).tobytes()
 
 
-def test_window_scores_raise_where_nrmse_raises():
-    # a subnormal sum whose mean rounds to zero: not excluded, and undefined
-    actual = np.array([[5e-324, 0.0]])
+def test_window_scores_exclude_where_nrmse_raises():
+    # a subnormal sum whose mean rounds to zero: nrmse is undefined, so the
+    # window is left out like an all-zero one, and the others are scored
+    actual = np.array([[5e-324, 0.0], [0.0, 0.0], [1.0, 5e-324]])
     with pytest.raises(MetricError):
         nrmse(actual[0], np.ones(2))
-    with pytest.raises(MetricError, match="all actual values are zero"):
-        _window_scores(actual, np.ones((1, 2)))
+    kept, nrmses, wapes = _window_scores(actual, np.ones((3, 2)))
+    assert kept == [2]
+    assert nrmses == [nrmse(actual[2], np.ones(2))] and wapes == [wape(actual[2], np.ones(2))]
 
 
 def test_baselines_take_stacks():

@@ -8,16 +8,19 @@ contract.
 
 import math
 import time
+from datetime import datetime
 from unittest import mock
 
 import numpy as np
 import pytest
+import reference_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patchcast.inference as inference
 
 from patchcast import tensor as T
+from patchcast.data import derive_date_features
 from patchcast.inference import (
     MAX_ROUNDS,
     SCORES_BUDGET,
@@ -159,6 +162,35 @@ def test_cached_rounds_match_full_recompute_within_tolerance(desk_rig, horizon):
     h = cfg.output_patch_len
     assert np.array_equal(got[:h], want[:h])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("context", [64, 512])
+def test_forecast_grid_equals_reference_model_with_concatenating_cache(monkeypatch, desk_rig,
+                                                                       context):
+    """The benchmark's grid of contexts and horizons, with calendar features:
+    forecasts through the in-place KV cache equal, bit for bit, those of the
+    op-by-op reference model, which keeps its cache as a list of (K, V)
+    arrays that grow by concatenation and computes every row of every round."""
+    cfg, weights = desk_rig
+    vals = wave(context + 256, period=24.0, seed=context)[:context]
+    caches = {}
+
+    def reference_forward(weights, cfg, inputs, cache, last):
+        if cache.length == 0:  # a new window: start the reference's own cache
+            caches[id(cache)] = []
+        ref = caches[id(cache)]
+        out = reference_model.forward(weights, cfg, inputs, ref)
+        cache.length = ref[0][0].shape[-2]
+        return T.Tensor(out.data[..., -last:, :])
+
+    for horizon in (8, 64, 256):
+        feats = derive_date_features(datetime(2024, 3, 1), "hourly", context + horizon)
+        shipped = forecast(weights, cfg, vals, horizon, features=feats).values
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "forward", reference_forward)
+            want = forecast(weights, cfg, vals, horizon, features=feats).values
+        assert np.array_equal(shipped, want), horizon
+    assert caches  # the reference path ran
 
 
 def test_rounds_after_the_first_encode_only_new_patches(monkeypatch, desk_rig):

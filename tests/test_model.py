@@ -14,6 +14,7 @@ from patchcast.model import (
     ConfigError,
     ContextTooShortError,
     FeatureShapeError,
+    KVCache,
     ModelConfig,
     ModelWeights,
     assemble_patch_inputs,
@@ -153,7 +154,8 @@ def test_forward_gradients_and_cache_equal_reference_model_bitwise(cfg, batch, n
     for name, p in model_w.named():
         assert np.array_equal(p.grad, ref_w[name].grad), name
     m = min(split, n)
-    got_cache, want_cache, trimmed_cache = [], [], []
+    got_cache, trimmed_cache = (KVCache(cfg, (batch,), n) for _ in range(2))
+    want_cache = []
     with no_grad():
         for chunk in (inputs[:, :m], inputs[:, m:]) if m < n else (inputs,):
             got = forward(model_w, cfg, chunk, got_cache)
@@ -162,9 +164,13 @@ def test_forward_gradients_and_cache_equal_reference_model_bitwise(cfg, batch, n
             rows = min(2, chunk.shape[-2])  # as a forecast round keeps them
             trimmed = forward(model_w, cfg, chunk, trimmed_cache, last=rows)
             assert np.array_equal(trimmed.data, want.data[..., -rows:, :])
+    # each layer's filled key and value rows are the reference's concatenated arrays
     for cache in (got_cache, trimmed_cache):
-        for got_kv, want_kv in zip(cache, want_cache, strict=True):
-            assert all(np.array_equal(a, b) for a, b in zip(got_kv, want_kv))
+        assert cache.length == n
+        for got_k, got_v, (want_k, want_v) in zip(cache.keys, cache.values, want_cache,
+                                                  strict=True):
+            assert np.array_equal(got_k[..., :n, :], want_k)
+            assert np.array_equal(got_v[..., :n, :], want_v)
     # forward(last=m): the reference's trailing m rows, bitwise from m = 2 on. One
     # row goes to BLAS gemv, which rounds differently from the full product's gemm.
     with no_grad():
@@ -402,11 +408,30 @@ def test_capacity_error():
     with pytest.raises(CapacityError):
         with no_grad():
             forward(weights, cfg, np.zeros((5, cfg.input_width)))
-    cache = []
+    cache = KVCache(cfg, (), 4)
     with no_grad():
         forward(weights, cfg, np.zeros((3, cfg.input_width)), cache)
         with pytest.raises(CapacityError):  # 3 cached + 2 new positions
             forward(weights, cfg, np.zeros((2, cfg.input_width)), cache)
+    with pytest.raises(CapacityError):  # a cache longer than the positions it may hold
+        KVCache(cfg, (), 5)
+
+
+@pytest.mark.parametrize("capacity, max_positions", [(5, 8), (8, 8)])
+def test_call_past_cache_capacity_leaves_the_cache_as_it_was(capacity, max_positions):
+    # past the capacity (5 < 8) or past max_positions (8): nothing is written
+    cfg = tiny_cfg(max_positions=max_positions)
+    weights = ModelWeights.initialize(cfg, seed=26)
+    batch = np.random.default_rng(27).standard_normal((2, capacity + 1, cfg.input_width))
+    cache = KVCache(cfg, (2,), capacity)
+    with no_grad():
+        forward(weights, cfg, batch[:, :3], cache)
+        keys, values = (np.stack(t).copy() for t in (cache.keys, cache.values))
+        with pytest.raises(CapacityError):
+            forward(weights, cfg, batch[:, 3:], cache)
+    assert cache.length == 3
+    assert np.array_equal(np.stack(cache.keys), keys, equal_nan=True)
+    assert np.array_equal(np.stack(cache.values), values, equal_nan=True)
 
 
 def test_cached_forward_matches_full_forward():
@@ -414,16 +439,18 @@ def test_cached_forward_matches_full_forward():
     cfg = tiny_cfg()
     weights = ModelWeights.initialize(cfg, seed=23)
     batch = np.random.default_rng(24).standard_normal((3, 9, cfg.input_width))
-    cache = []
+    cache = KVCache(cfg, (3,), 9)
     with no_grad():
         full = forward(weights, cfg, batch).data
         chunks = [forward(weights, cfg, batch[:, a:b], cache).data
                   for a, b in ((0, 4), (4, 6), (6, 7), (7, 9))]
-    assert len(cache) == cfg.num_layers
-    assert all(k.shape == v.shape == (3, 9, cfg.model_dim) for k, v in cache)
+    assert cache.length == 9
+    assert all(a.shape == (3, 9, cfg.model_dim) for a in cache.keys + cache.values)
     assert np.allclose(np.concatenate(chunks, axis=1), full, rtol=0, atol=1e-12)
+    with no_grad(), pytest.raises(tt.ShapeError, match="KV cache"):  # another batch shape
+        forward(weights, cfg, batch[:2, :2], KVCache(cfg, (3,), 9))
     with pytest.raises(tt.TapeError):  # cached keys carry no gradient
-        forward(weights, cfg, batch[:, :2], [])
+        forward(weights, cfg, batch[:, :2], KVCache(cfg, (3,), 9))
 
 
 def test_last_rows_must_lie_in_the_input_and_need_no_grad():
