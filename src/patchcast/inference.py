@@ -10,14 +10,14 @@ Round 1 encodes the context and fills a key/value cache (model.KVCache: one
 preallocated key and value buffer per layer, written in place); each later
 round encodes only the output_patch_len / input_patch_len patches the last
 round appended. The cache holds the widest window any round of the forecast
-encodes, never more than max_positions tokens: one window for a one-round
-forecast. It is reset, and the round re-encodes its whole window, when the
-window slides past input_patch_len * max_positions points (positions shift)
-or when output_patch_len is no multiple of input_patch_len (patch boundaries
-move). Round 1 is bit-identical to a full recompute; later
-rounds agree with it within 1e-12 relative, since the full recompute
-re-rounds the older tokens' states (numpy's pairwise row sum in the softmax
-regroups past 128 elements).
+encodes, never more than max_positions tokens. It is reset, and the round
+re-encodes its whole window, when the window slides past input_patch_len *
+max_positions points (positions shift). A forecast of one round, or one whose
+output_patch_len is no multiple of input_patch_len (patch boundaries move, so
+every round re-encodes its window), keeps no cache: no later round would read
+it. Round 1 is bit-identical to a full recompute; later rounds agree with it
+within 1e-12 relative, since the full recompute re-rounds the older tokens'
+states (numpy's pairwise row sum in the softmax regroups past 128 elements).
 
 A round reads one output row, the last token's, so its forward runs the last
 layer's queries, attention and FFN, and the output block, on the trailing
@@ -155,8 +155,10 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     else:
         rows = max(1, SCORES_BUDGET // (8 * cfg.num_heads * widest * widest))
         chunks = [slice(i, i + rows) for i in range(0, len(values), rows)]
-    preds = np.concatenate([_decode(weights, cfg, work[c], None if features is None else features[c],
-                                    rounds, widest) for c in chunks])
+    preds = np.empty(values.shape[:-1] + (rounds * h,))
+    for c in chunks:
+        preds[c] = _decode(weights, cfg, work[c], None if features is None else features[c],
+                           rounds, widest)
     return ForecastResult(values=invert_scale(preds[..., :horizon], scale), rounds=rounds,
                           round_index=np.arange(horizon) // h, scale=scale)
 
@@ -171,12 +173,14 @@ def _decode(weights: ModelWeights, cfg: ModelConfig, work: np.ndarray, features,
     length = work.shape[-1]
     series = np.empty(work.shape[:-1] + (length + rounds * h,))  # context, then forecasts
     series[..., :length] = work
-    cache = KVCache(cfg, work.shape[:-1], widest)
+    # only a later round reads the cache: none for one round, nor where patch
+    # boundaries move and every round re-encodes its window
+    cache = KVCache(cfg, work.shape[:-1], widest) if rounds > 1 and h % p == 0 else None
     with no_grad():
         for end in range(length, length + rounds * h, h):
-            if end > cap_points or h % p:
-                cache.reset()  # positions shift or patch boundaries move: re-encode the window
-            span = h if cache.length else min(end, cap_points)
+            if cache is not None and end > cap_points:
+                cache.reset()  # positions shift: re-encode the window
+            span = h if cache is not None and cache.length else min(end, cap_points)
             feats_cur = None if features is None else features[..., end - span:end, :]
             inputs = assemble_patch_inputs(series[..., end - span:end], feats_cur, cfg)
             out = forward(weights, cfg, inputs, cache, last=min(LAST_ROWS, inputs.shape[-2]))

@@ -176,6 +176,8 @@ def test_forecast_grid_equals_reference_model_with_concatenating_cache(monkeypat
     caches = {}
 
     def reference_forward(weights, cfg, inputs, cache, last):
+        if cache is None:  # one round: nothing to cache
+            return T.Tensor(reference_model.forward(weights, cfg, inputs).data[..., -last:, :])
         if cache.length == 0:  # a new window: start the reference's own cache
             caches[id(cache)] = []
         ref = caches[id(cache)]
