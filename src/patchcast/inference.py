@@ -184,5 +184,5 @@ def _decode(weights: ModelWeights, cfg: ModelConfig, work: np.ndarray, features,
             feats_cur = None if features is None else features[..., end - span:end, :]
             inputs = assemble_patch_inputs(series[..., end - span:end], feats_cur, cfg)
             out = forward(weights, cfg, inputs, cache, last=min(LAST_ROWS, inputs.shape[-2]))
-            series[..., end:end + h] = out.data[..., -1, :]  # last token: the h points after
+            series[..., end:end + h] = out.data[..., -1, :]  # the last token's h next points
     return series[..., length:]
