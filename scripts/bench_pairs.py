@@ -109,6 +109,7 @@ def main(argv=None) -> int:
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     better.update(run_wall_s="lower", run_cpu_s="lower", run_sys_s="lower", run_minflt="lower")
+    args.out_dir.mkdir(parents=True, exist_ok=True)  # before the pairs, not after them
 
     pairs, env = [], {}
     for i in range(args.pairs):

@@ -225,10 +225,31 @@ LAYER_PARAMS = ("ln1.gain", "ln1.bias", "attn.wq", "attn.bq", "attn.wk", "attn.b
 
 
 class ModelWeights:
-    """Named parameter store; every entry is a gradient-tracked Tensor."""
+    """Named parameter store; every entry is a gradient-tracked Tensor.
+
+    The weights live in one flat float64 array, ``arena``: each parameter's
+    ``data`` is rebound to a C-contiguous view of its slot, the slots laid
+    out in ``params`` order (``weight_shapes`` order for ``initialize`` and
+    ``from_arrays``), so an optimizer updates every weight with one
+    whole-buffer operation. ``spans`` holds each slot's slice of the arena.
+    """
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = params
+        sizes = [p.data.size for p in params.values()]
+        ends = np.cumsum([0, *sizes])
+        self.spans = tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
+        self.arena = np.empty(int(ends[-1]))
+        for p, span in zip(params.values(), self.spans):
+            view = self.arena[span].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> the view of `flat`, an array laid out like ``arena``, that
+        holds that parameter's entries, in its shape."""
+        return {name: flat[span].reshape(p.data.shape)
+                for (name, p), span in zip(self.params.items(), self.spans)}
 
     @functools.cached_property
     def layers(self) -> tuple[tuple[Tensor, ...], ...]:

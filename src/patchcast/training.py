@@ -123,42 +123,61 @@ def train_loss(forecasts, targets) -> Tensor:
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments. Each moment is one flat float64 array
+    laid out like the weights' arena (``m_flat``, ``v_flat``), with
+    per-name views ``m[name]`` and ``v[name]`` (see ModelWeights.views)."""
+
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
 
     @classmethod
     def for_weights(cls, weights: ModelWeights) -> "AdamState":
-        return cls(m={n: np.zeros_like(p.data) for n, p in weights.named()},
-                   v={n: np.zeros_like(p.data) for n, p in weights.named()})
+        m, v = np.zeros_like(weights.arena), np.zeros_like(weights.arena)
+        return cls(m, v, weights.views(m), weights.views(v))
+
+
+def gather_grads(weights: ModelWeights) -> np.ndarray:
+    """Every parameter's gradient in one flat array laid out like the
+    weights' arena; a None gradient reads as zeros."""
+    return np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                           for p in weights.params.values()], dtype=np.float64)
+
+
+def _norm_of_squares(weights: ModelWeights, sq: np.ndarray) -> float:
+    """sqrt of the exactly rounded sum of each parameter's np.add.reduce of
+    `sq`, the squared gathered gradients: what np.sum gives per parameter."""
+    return math.sqrt(math.fsum(np.add.reduce(sq[span]) for span in weights.spans))
 
 
 def global_grad_norm(weights: ModelWeights) -> float:
-    total = math.fsum(float(np.sum(p.grad * p.grad))
-                      for _, p in weights.named() if p.grad is not None)
-    return math.sqrt(total)
+    g = gather_grads(weights)
+    return _norm_of_squares(weights, g * g)
 
 
 def adam_step(weights: ModelWeights, state: AdamState, lr: float) -> float:
-    """One bias-corrected Adam update in place; returns the pre-clip norm."""
-    for name, p in weights.named():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise NonFiniteGradientError(f"non-finite gradient in parameter {name}")
-    norm = global_grad_norm(weights)
-    scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
+    """One bias-corrected Adam update in place, over the whole arena at
+    once; returns the pre-clip norm."""
+    g = gather_grads(weights)
+    if not np.isfinite(g).all():
+        for name, p in weights.named():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NonFiniteGradientError(f"non-finite gradient in parameter {name}")
+    norm = _norm_of_squares(weights, g * g)
+    if norm > CLIP_NORM:
+        g *= CLIP_NORM / norm
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
-    for name, p in weights.named():
-        g = (p.grad if p.grad is not None else np.zeros_like(p.data)) * scale
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    m, v = state.m_flat, state.v_flat
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    weights.arena -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return norm
 
 
@@ -297,22 +316,45 @@ def _save_train_state(path: Path, state: AdamState) -> None:
     np.savez(path, step=np.asarray(state.step), **arrays)
 
 
-def _load_train_state(ckpt_path: Path, weights: ModelWeights) -> AdamState:
-    """Adam state saved beside a checkpoint; CheckpointError if it is unusable."""
+def _load_train_state(ckpt_path: Path, weights: ModelWeights, step: int | None) -> AdamState:
+    """Adam state saved beside a checkpoint whose recorded step is `step`
+    (None: not recorded); CheckpointError naming the file and the field if
+    it is unusable."""
     path = _state_path(ckpt_path)
     if path == ckpt_path:
         raise CheckpointError(f"{ckpt_path} has no training state: only ckpt_*.npz files do")
+    state = AdamState.for_weights(weights)
+    slots = {f"{field}/{n}": view for field, moment in (("m", state.m), ("v", state.v))
+             for n, view in moment.items()}
     try:
         with np.load(path) as archive:
-            step = int(archive["step"])
-            m = {n: archive[f"m/{n}"] for n, _ in weights.named()}
-            v = {n: archive[f"v/{n}"] for n, _ in weights.named()}
+            saved_step = archive["step"]
+            saved = {key: archive[key] for key in slots}
     except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as err:
         raise CheckpointError(f"cannot read training state {path}: {err}") from err
-    for name, p in weights.named():
-        if m[name].shape != p.shape or v[name].shape != p.shape:
-            raise CheckpointError(f"training state {path} does not match weight {name}")
-    return AdamState(m=m, v=v, step=step)
+    if saved_step.shape != () or saved_step.dtype.kind not in "iu":
+        raise CheckpointError(f"training state {path} step must be a 0-d integer, "
+                              f"got {saved_step.dtype} of shape {saved_step.shape}")
+    state.step = int(saved_step)
+    if step is None:
+        check_int(state.step, f"training state {path} step", CheckpointError, low=0)
+    elif state.step != step:
+        raise CheckpointError(f"training state {path} step {state.step} differs from "
+                              f"its checkpoint's step {step}")
+    for key, slot in slots.items():
+        arr = saved[key]
+        if arr.shape != slot.shape:
+            raise CheckpointError(f"training state {path} {key} has shape {arr.shape}, "
+                                  f"expected {slot.shape}")
+        if arr.dtype.kind != "f":
+            raise CheckpointError(f"training state {path} {key} has dtype {arr.dtype}, "
+                                  f"not a float")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"training state {path} {key} is not finite")
+        if key.startswith("v/") and (arr < 0).any():
+            raise CheckpointError(f"training state {path} {key} is negative")
+        slot[...] = arr
+    return state
 
 
 # TrainConfig fields a resumed run may change: none of them touches the weights.
@@ -365,9 +407,12 @@ def train(corpus: Corpus, model_cfg: ModelConfig, cfg: TrainConfig,
                 f"resume checkpoint {resume_from} was trained with a different model config")
         _check_resume_schedule(resume_from, bundle.extra, cfg)
         weights = bundle.weights
-        state = _load_train_state(Path(resume_from), weights)
-        start_step = check_int(bundle.extra.get("step", state.step),
-                               f"checkpoint {resume_from} step", CheckpointError, low=0)
+        recorded_step = None
+        if "step" in bundle.extra:
+            recorded_step = check_int(bundle.extra["step"], f"checkpoint {resume_from} step",
+                                      CheckpointError, low=0)
+        state = _load_train_state(Path(resume_from), weights, recorded_step)
+        start_step = state.step
         if start_step >= cfg.total_steps:
             raise TrainConfigError(f"resume checkpoint {resume_from} is at step {start_step}; "
                                    f"total_steps {cfg.total_steps} leaves no step to train")

@@ -264,6 +264,40 @@ def test_pretrain_resume_may_change_cadence_fields(midway, tmp_path, capsys):
     assert "trained 4 steps" in capsys.readouterr().out
 
 
+def spoil_first(arrays, prefix, spoil):
+    key = next(k for k in arrays if k.startswith(prefix))
+    arrays[key] = spoil(arrays[key])
+    return key
+
+
+# a spoiled field of the step-2 Adam state -> the field the error must name
+BAD_STATES = {
+    "integer m": lambda a: spoil_first(a, "m/", lambda m: m.astype(np.int64)),
+    "negative step": lambda a: a.update(step=np.asarray(-7)) or "step",
+    "other step": lambda a: a.update(step=np.asarray(3)) or "step",
+    "step not 0-d": lambda a: a.update(step=np.asarray([2])) or "step",
+    "float step": lambda a: a.update(step=np.asarray(2.0)) or "step",
+    "NaN in v": lambda a: spoil_first(a, "v/", lambda v: np.where(v == v.max(), np.nan, v)),
+    "negative v": lambda a: spoil_first(a, "v/", lambda v: v - 2 * v.max()),
+}
+
+
+@pytest.mark.parametrize("case", BAD_STATES)
+def test_pretrain_resume_with_malformed_state_names_the_file_and_field(
+        midway, tmp_path, capsys, case):
+    ckpt, _ = midway
+    state = ckpt.with_name("state_step000002.npz")
+    with np.load(state) as archive:
+        arrays = dict(archive)
+    field = BAD_STATES[case](arrays)
+    (tmp_path / ckpt.name).write_bytes(ckpt.read_bytes())
+    np.savez(tmp_path / state.name, **arrays)
+    assert resume_with_train(tmp_path, tmp_path / ckpt.name) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / state.name) in err and field in err
+    assert not (tmp_path / "resumed" / "loss_curve.csv").exists()
+
+
 def checkpoint_with_train_config(ckpt, out_path, **fields):
     """A copy of a run's checkpoint and Adam state whose recorded train config
     gains `fields`, as a checkpoint written by an older version would."""

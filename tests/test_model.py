@@ -573,6 +573,42 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(loaded, p.data)
 
 
+def assert_views_tile_the_arena(weights):
+    start = weights.arena.ctypes.data
+    for name, p in weights.named():
+        assert p.data.flags.c_contiguous and p.data.base is weights.arena, name
+        assert p.data.ctypes.data == start, name
+        start += p.data.nbytes
+    assert start == weights.arena.ctypes.data + weights.arena.nbytes
+
+
+def test_every_parameter_is_a_contiguous_view_of_the_arena(tmp_path):
+    cfg = tiny_cfg(feature_dim=5)
+    fresh = ModelWeights.initialize(cfg, seed=31)
+    assert list(dict(fresh.named())) == list(weight_shapes(cfg))
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, cfg, fresh)
+    loose = {"a": Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True),
+             "b": Tensor(np.array(7.0), requires_grad=True)}
+    for weights in (fresh, ModelWeights.from_arrays(cfg, fresh.as_arrays()),
+                    load_checkpoint(path).weights, ModelWeights(loose)):
+        assert_views_tile_the_arena(weights)
+    assert loose["a"].data.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+    assert ModelWeights(loose).arena.tolist() == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0, 7.0]
+
+
+def test_checkpoint_round_trip_is_bitwise_through_the_arena(tmp_path):
+    cfg = tiny_cfg(feature_dim=5)
+    weights = ModelWeights.initialize(cfg, seed=33)
+    weights.arena += np.random.default_rng(1).normal(size=weights.arena.size) * 1e-3
+    path, again = tmp_path / "model.npz", tmp_path / "again.npz"
+    save_checkpoint(path, cfg, weights, extra={"step": 5})
+    loaded = load_checkpoint(path).weights
+    assert loaded.arena.tobytes() == weights.arena.tobytes()
+    save_checkpoint(again, cfg, loaded, extra={"step": 5})
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_checkpoint_version_rejected(tmp_path):
     cfg = tiny_cfg()
     weights = ModelWeights.initialize(cfg, seed=24)

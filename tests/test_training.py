@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_adam as per_param
 from patchcast.data import Corpus, FamilySpec, GeneratorSpec, synth_corpus
 from patchcast.model import ModelConfig, ModelWeights, forward
 from patchcast.tensor import Tensor, active_tape
 from patchcast.training import (
+    CLIP_NORM,
     AdamState,
     DegenerateBatchError,
     IDENTITY_SCALE,
@@ -26,6 +28,9 @@ from patchcast.training import (
     TrainConfig,
     TrainConfigError,
     TrainingDivergedError,
+    _load_train_state,
+    _save_train_state,
+    _state_path,
     adam_step,
     apply_scale,
     assemble_batch,
@@ -263,6 +268,104 @@ def test_adam_rejects_nonfinite_gradient_naming_parameter():
     w["w"].grad = np.array([[math.nan]])
     with pytest.raises(NonFiniteGradientError, match="w"):
         adam_step(w, AdamState.for_weights(w), lr=0.01)
+
+
+# -- the flat arena against per-parameter Adam -----------------------------------
+
+
+def twin_weights(seed=3):
+    """Two equal desk-shaped weight sets: one for the arena optimizer, one for
+    the per-parameter reference."""
+    cfg = tiny_cfg()
+    return cfg, ModelWeights.initialize(cfg, seed), ModelWeights.initialize(cfg, seed)
+
+
+def set_twin_grads(rng, step, *weight_sets):
+    """Equal random gradients on every set: norm about 30 (clipped) on two
+    steps of three and about 0.003 (unclipped) on the third; input.b1 gets
+    None always and layer0.ffn.b2 on odd steps."""
+    scale = 1.0 if step % 3 else 1e-4
+    for name, p in weight_sets[0].named():
+        g = None
+        if name != "input.b1" and not (name == "layer0.ffn.b2" and step % 2):
+            g = rng.normal(size=p.shape) * scale
+        for w in weight_sets:
+            w[name].grad = None if g is None else g.copy()
+
+
+def assert_same_bytes(weights, state, ref_weights, ref_state):
+    assert state.step == ref_state.step
+    for name, p in weights.named():
+        assert p.data.tobytes() == ref_weights[name].data.tobytes(), name
+        assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+        assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+
+def test_arena_adam_equals_per_parameter_adam_bitwise_across_a_resume(tmp_path):
+    from patchcast.checkpoint import load_checkpoint, save_checkpoint
+
+    cfg, weights, ref_weights = twin_weights()
+    state, ref_state = AdamState.for_weights(weights), per_param.ReferenceState(ref_weights)
+    rng = np.random.default_rng(17)
+    norms = []
+    for step in range(1, 25):
+        set_twin_grads(rng, step, weights, ref_weights)
+        lr = lr_at(step, 3e-3, 24)
+        norm = adam_step(weights, state, lr)
+        assert norm == per_param.adam_step(ref_weights, ref_state, lr)
+        norms.append(norm)
+        assert_same_bytes(weights, state, ref_weights, ref_state)
+        if step == 10:  # save and load the state midway, as a resumed run does
+            ckpt = tmp_path / "ckpt_step000010.npz"
+            save_checkpoint(ckpt, cfg, weights, extra={"step": step})
+            _save_train_state(_state_path(ckpt), state)
+            weights = load_checkpoint(ckpt).weights
+            state = _load_train_state(ckpt, weights, step)
+            assert_same_bytes(weights, state, ref_weights, ref_state)
+    assert min(norms) < CLIP_NORM < max(norms)
+
+
+def test_arena_grad_norm_equals_per_parameter_norm_bitwise():
+    _, weights, _ = twin_weights()
+    rng = np.random.default_rng(5)
+    for step in (1, 2, 3):
+        set_twin_grads(rng, step, weights)
+        assert global_grad_norm(weights) == per_param.global_grad_norm(weights)
+
+
+def test_arena_adam_names_the_first_non_finite_parameter_and_changes_nothing():
+    _, weights, ref_weights = twin_weights()
+    set_twin_grads(np.random.default_rng(9), 1, weights, ref_weights)
+    for w in (weights, ref_weights):  # input.w2 comes before layer0 in weight order
+        w["layer0.attn.wk"].grad[0, 1] = math.inf
+        w["input.w2"].grad[2, 3] = math.nan
+    state, before = AdamState.for_weights(weights), weights.arena.tobytes()
+    with pytest.raises(NonFiniteGradientError) as got:
+        adam_step(weights, state, lr=0.01)
+    with pytest.raises(NonFiniteGradientError) as want:
+        per_param.adam_step(ref_weights, per_param.ReferenceState(ref_weights), 0.01)
+    assert str(got.value) == str(want.value) == "non-finite gradient in parameter input.w2"
+    assert state.step == 0 and weights.arena.tobytes() == before
+    assert not state.m_flat.any() and not state.v_flat.any()
+
+
+def test_saved_train_state_has_the_per_parameter_layout_and_bytes(tmp_path):
+
+    _, weights, ref_weights = twin_weights()
+    state, ref_state = AdamState.for_weights(weights), per_param.ReferenceState(ref_weights)
+    rng = np.random.default_rng(23)
+    for step in range(1, 4):
+        set_twin_grads(rng, step, weights, ref_weights)
+        adam_step(weights, state, 1e-3)
+        per_param.adam_step(ref_weights, ref_state, 1e-3)
+    _save_train_state(tmp_path / "arena.npz", state)
+    per_param.save_state(tmp_path / "reference.npz", ref_state)
+    with np.load(tmp_path / "arena.npz") as got, np.load(tmp_path / "reference.npz") as want:
+        assert got.files == want.files
+        for key in want.files:
+            assert got[key].shape == want[key].shape and got[key].dtype == want[key].dtype
+            assert got[key].tobytes() == want[key].tobytes(), key
+    assert (tmp_path / "arena.npz").read_bytes() == (tmp_path / "reference.npz").read_bytes()
 
 
 # -- learning-rate schedule ------------------------------------------------------
