@@ -275,7 +275,7 @@ class ModelWeights:
             p.grad = None
 
     def count(self) -> int:
-        return sum(p.size for p in self.params.values())
+        return self.arena.size
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self.params.items()}
