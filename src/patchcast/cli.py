@@ -339,13 +339,18 @@ def cmd_evaluate(args) -> int:
     reports, rows = {}, []
     for name, predictor in predictors:
         start = time.perf_counter()
-        try:
-            reports[name] = [rolling_eval(predictor, s, args.context, args.horizon, args.stride)
-                             for s in series]
-        except EvalConfigError as exc:
-            raise CLIError(str(exc)) from exc
-        except MetricError as exc:
-            raise CLIError(f"cannot score predictor {name}: {exc}") from exc
+        reports[name] = []
+        for s in series:
+            try:
+                reports[name].append(rolling_eval(predictor, s, args.context, args.horizon,
+                                                  args.stride))
+            except EvalConfigError as exc:
+                raise CLIError(str(exc)) from exc
+            except MetricError as exc:
+                raise CLIError(f"cannot score predictor {name}: {exc}") from exc
+            except ForecastError as exc:
+                raise CLIError(f"predictor {name} cannot forecast series {s.series_id}: "
+                               f"{exc}") from exc
         seconds = time.perf_counter() - start
         rows.append({"predictor": name, **pool_reports(reports[name])})
         print(f"{name}: {rows[-1]['n_windows']} windows scored, {rows[-1]['excluded']} "

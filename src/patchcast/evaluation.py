@@ -155,7 +155,9 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     each clipped context in a call of its own. Windows whose mean absolute
     actual is zero (all-zero actuals, or a subnormal sum whose mean rounds to
     zero) have no defined normalized error; they are predicted with their
-    stack, then excluded and counted.
+    stack, then excluded and counted. A kept window whose score is not
+    finite (errors whose squares overflow float64) raises MetricError naming
+    the series and the window's origin.
     """
     for name, value in (("context_len", context_len), ("horizon", horizon), ("stride", stride)):
         check_int(value, name, EvalConfigError)
@@ -182,6 +184,10 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
             raise EvalConfigError(
                 f"predictor returned shape {predicted.shape}, wanted {actuals.shape}")
         scored = _window_scores(actuals, predicted)
+        for i, e, w in zip(*scored):
+            if not (math.isfinite(e) and math.isfinite(w)):
+                raise MetricError(f"series {series.series_id}: the window at origin {group[i]} "
+                                  f"scores nrmse {e}, wape {w}; its errors overflow float64")
         report.excluded += len(group) - len(scored[0])
         report.windows.extend(WindowScore(origin=group[i], nrmse=e, wape=w)
                               for i, e, w in zip(*scored))
@@ -199,9 +205,10 @@ def _window_scores(actuals: np.ndarray, predicted: np.ndarray) -> tuple[list, li
     total = absolute.sum(axis=-1)
     mean_abs = absolute.mean(axis=-1)
     kept = np.flatnonzero(mean_abs != 0.0)  # a zero sum has a zero mean
-    err = actuals[kept] - predicted[kept]
-    rmse = np.sqrt((err ** 2).mean(axis=-1))
-    wapes = np.abs(err).sum(axis=-1) / total[kept]
+    with np.errstate(over="ignore", invalid="ignore"):  # rolling_eval names an overflow
+        err = actuals[kept] - predicted[kept]
+        rmse = np.sqrt((err ** 2).mean(axis=-1))
+        wapes = np.abs(err).sum(axis=-1) / total[kept]
     return kept.tolist(), (rmse / mean_abs[kept]).tolist(), wapes.tolist()
 
 

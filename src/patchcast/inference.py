@@ -35,7 +35,7 @@ import numpy as np
 
 from .model import (ContextTooShortError, KVCache, ModelConfig, ModelWeights,
                     assemble_patch_inputs, check_int, forward)
-from .tensor import no_grad
+from .tensor import NumericError, no_grad
 from .training import ScaleRecord, apply_scale, invert_scale, scale_record
 
 __all__ = [
@@ -112,17 +112,18 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     as predictions are appended. A stack is decoded in chunks of rows whose
     attention scores fit SCORES_BUDGET, each chunk with its own KV cache; the
     whole stack is scaled once and inverted once. A horizon past MAX_ROUNDS
-    rounds raises HorizonError before any work.
+    rounds raises HorizonError before any work. A context whose mean or
+    standard deviation overflows float64 (such as one point of 1e300), or
+    whose forecast does so once inverted to the context's scale, raises
+    ForecastError, naming the row of a stack; so do activations that are
+    not finite (unscaled huge values), naming the chunk's rows.
     """
     check_horizon(horizon, cfg)
     horizon = int(horizon)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (1, 2):
         raise ForecastError(f"context must be 1-d [L] or a stack [B, L], got shape {values.shape}")
-    finite = np.isfinite(values).all(axis=-1)
-    if not finite.all():
-        row = "" if values.ndim == 1 else f" in row {int(np.argmin(finite))}"
-        raise ForecastError(f"context contains non-finite values{row}")
+    _check_finite(np.isfinite(values).all(axis=-1), values.ndim, "context contains non-finite values")
     p, h = cfg.input_patch_len, cfg.output_patch_len
     length = values.shape[-1]
     if length < p:
@@ -145,7 +146,10 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     if features is not None:
         features = features[..., drop:, :]
     rounds = autoregressive_rounds(horizon, h)
-    scale = scale_record(values, normalization)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised just below
+        scale = scale_record(values, normalization)
+    _check_finite(np.isfinite(scale.mu) & np.isfinite(scale.sigma), values.ndim,
+                  "the context's mean or standard deviation overflows float64")
     work = apply_scale(values, scale)
     # tokens of the widest window any round encodes: the KV cache's capacity,
     # and the side of the largest attention scores array
@@ -157,10 +161,27 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
         chunks = [slice(i, i + rows) for i in range(0, len(values), rows)]
     preds = np.empty(values.shape[:-1] + (rounds * h,))
     for c in chunks:
-        preds[c] = _decode(weights, cfg, work[c], None if features is None else features[c],
-                           rounds, widest)
-    return ForecastResult(values=invert_scale(preds[..., :horizon], scale), rounds=rounds,
-                          round_index=np.arange(horizon) // h, scale=scale)
+        try:
+            preds[c] = _decode(weights, cfg, work[c], None if features is None else features[c],
+                               rounds, widest)
+        except NumericError as exc:  # activations past float64, as unscaled huge values give
+            rows = "" if values.ndim == 1 else f" in rows {c.start} to {min(c.stop, len(values)) - 1}"
+            raise ForecastError(f"the model's activations are not finite{rows}: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = invert_scale(preds[..., :horizon], scale)
+    _check_finite(np.isfinite(out).all(axis=-1), values.ndim,
+                  "the forecast overflows float64 on the context's scale")
+    return ForecastResult(values=out, rounds=rounds, round_index=np.arange(horizon) // h,
+                          scale=scale)
+
+
+def _check_finite(finite, ndim: int, what: str) -> None:
+    """ForecastError saying `what` unless every entry of `finite` (one per
+    series) is True; for a stack (`ndim` 2) it names the first false row."""
+    finite = np.ravel(finite)
+    if not finite.all():
+        row = "" if ndim == 1 else f" in row {int(np.argmin(finite))}"
+        raise ForecastError(f"{what}{row}")
 
 
 def _decode(weights: ModelWeights, cfg: ModelConfig, work: np.ndarray, features,

@@ -389,24 +389,40 @@ def _pe_table(max_positions: int, dim: int) -> np.ndarray:
 # -- blocks -------------------------------------------------------------------
 
 
-def residual_block(v: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                   wskip: Tensor | None) -> Tensor:
+def _carrier():
+    """How the blocks below carry values from op to op. While gradients are
+    recorded: as Tensors, so the tape sees every op (an operand that is no
+    Tensor becomes a constant array). Under no_grad: as plain float64 arrays,
+    each op's bare Tensor result unwrapped, so the adds, relu's input, the
+    ``last`` slices and the KV-cache views cost numpy alone."""
+    return _recorded if tt.grad_enabled() else tt.as_array
+
+
+def _recorded(x):
+    return x if isinstance(x, Tensor) else tt.as_array(x)
+
+
+def residual_block(v, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, wskip: Tensor | None):
     """out = w2 @ relu(w1 @ v + b1) + b2 + skip(v), for rows v [.., d]; each
-    dense layer is one ``tt.matmul`` record with its bias.
+    dense layer is one ``tt.matmul`` record with its bias. Returns a Tensor
+    while gradients are recorded and a float64 array under no_grad.
 
     The skip path is the identity when input and output widths agree
     (wskip None) and a learned linear map otherwise.
     """
-    hidden = tt.relu(tt.matmul(v, w1, b1))
-    out = tt.matmul(hidden, w2, b2)
-    skip = v if wskip is None else tt.matmul(v, wskip)
+    val = _carrier()
+    v = val(v)
+    hidden = val(tt.relu(val(tt.matmul(v, w1, b1))))
+    out = val(tt.matmul(hidden, w2, b2))
+    skip = v if wskip is None else val(tt.matmul(v, wskip))
     return out + skip
 
 
-def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig, start: int = 0) -> Tensor:
+def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig, start: int = 0):
     """Patch rows [.., N, input_width] at positions [start, start + N) ->
-    tokens [.., N, model_dim] with PE added."""
-    x = inputs if isinstance(inputs, Tensor) else Tensor(np.asarray(inputs, dtype=np.float64))
+    tokens [.., N, model_dim] with PE added (a Tensor while recording, an
+    array under no_grad)."""
+    x = _carrier()(inputs)
     if x.ndim < 2 or x.shape[-1] != cfg.input_width:
         raise FeatureShapeError(
             f"patch inputs shape {x.shape} does not end in input_width {cfg.input_width}")
@@ -416,7 +432,7 @@ def input_tokens(inputs, weights: ModelWeights, cfg: ModelConfig, start: int = 0
     tokens = residual_block(x, weights["input.w1"], weights["input.b1"],
                             weights["input.w2"], weights["input.b2"],
                             weights.get("input.wskip"))
-    return tokens + Tensor(_pe_table(cfg.max_positions, cfg.model_dim)[start:start + n])
+    return tokens + _pe_table(cfg.max_positions, cfg.model_dim)[start:start + n]
 
 
 class KVCache:
@@ -447,9 +463,11 @@ class KVCache:
         self.length = 0
 
 
-def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
-                        cache: KVCache | None = None, last: int | None = None) -> Tensor:
+def stacked_transformer(tokens, weights: ModelWeights, cfg: ModelConfig,
+                        cache: KVCache | None = None, last: int | None = None):
     """Causally masked pre-norm stack: x += MHA(LN(x)); x += FFN(LN(x)).
+    Returns a Tensor while gradients are recorded and a float64 array under
+    no_grad.
 
     With a ``cache`` (see :func:`forward`), the tokens follow the cached
     positions: their keys and values are written into the cache after the
@@ -458,43 +476,46 @@ def stacked_transformer(tokens: Tensor, weights: ModelWeights, cfg: ModelConfig,
     token, but its queries, attention, out-projection and FFN run on the
     trailing ``last`` rows only, and only those rows are returned.
     """
+    val = _carrier()
+    x = val(tokens)
     start = 0 if cache is None else cache.length
-    n = start + tokens.shape[-2]
+    n = start + x.shape[-2]
     if n > cfg.max_positions:
         raise CapacityError(f"{n} tokens exceed max_positions {cfg.max_positions}")
     if cache is not None:
         if n > cache.capacity:
             raise CapacityError(f"{n} tokens exceed the KV cache's capacity {cache.capacity}")
-        want = (cfg.num_layers, tokens.shape[:-2] + (cache.capacity, cfg.model_dim))
+        want = (cfg.num_layers, x.shape[:-2] + (cache.capacity, cfg.model_dim))
         if (len(cache.keys), cache.keys[0].shape) != want:
             raise tt.ShapeError(f"KV cache of {len(cache.keys)} layers of {cache.keys[0].shape} "
                                 f"does not fit {want[0]} layers of {want[1]}")
-    x = tokens
     for i in range(cfg.num_layers):
         (ln1_gain, ln1_bias, wq, bq, wk, bk, wv, bv, wo, bo,
          ln2_gain, ln2_bias, w1, b1, w2, b2) = weights.layers[i]
-        normed = tt.layer_norm(x, ln1_gain, ln1_bias)
+        normed = val(tt.layer_norm(x, ln1_gain, ln1_bias))
         rows = normed
-        if last is not None and i == cfg.num_layers - 1:
-            x, rows = (Tensor(t.data[..., -last:, :]) for t in (x, normed))
-        q, k, v = tt.matmul(rows, wq, bq), tt.matmul(normed, wk, bk), tt.matmul(normed, wv, bv)
-        if cache is not None:
+        if last is not None and i == cfg.num_layers - 1:  # arrays: last needs no_grad
+            x, rows = x[..., -last:, :], normed[..., -last:, :]
+        q, k, v = (val(tt.matmul(rows, wq, bq)), val(tt.matmul(normed, wk, bk)),
+                   val(tt.matmul(normed, wv, bv)))
+        if cache is not None:  # arrays: a cache needs no_grad
             keys, values = cache.keys[i], cache.values[i]
-            keys[..., start:n, :] = k.data
-            values[..., start:n, :] = v.data
-            k, v = Tensor(keys[..., :n, :]), Tensor(values[..., :n, :])
-        ctx = tt.causal_attention(q, k, v, cfg.num_heads)
-        x = x + tt.matmul(ctx, wo, bo)
-        normed = tt.layer_norm(x, ln2_gain, ln2_bias)
-        hidden = tt.relu(tt.matmul(normed, w1, b1))
-        x = x + tt.matmul(hidden, w2, b2)
+            keys[..., start:n, :] = k
+            values[..., start:n, :] = v
+            k, v = keys[..., :n, :], values[..., :n, :]
+        ctx = val(tt.causal_attention(q, k, v, cfg.num_heads))
+        x = x + val(tt.matmul(ctx, wo, bo))
+        normed = val(tt.layer_norm(x, ln2_gain, ln2_bias))
+        hidden = val(tt.relu(val(tt.matmul(normed, w1, b1))))
+        x = x + val(tt.matmul(hidden, w2, b2))
     if cache is not None:
         cache.length = n
     return x
 
 
-def output_forecasts(out_tokens: Tensor, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
-    """Output tokens [.., N, model_dim] -> per-token h-step forecasts [.., N, h]."""
+def output_forecasts(out_tokens, weights: ModelWeights, cfg: ModelConfig):
+    """Output tokens [.., N, model_dim] -> per-token h-step forecasts [.., N, h]
+    (a Tensor while recording, an array under no_grad)."""
     return residual_block(out_tokens, weights["output.w1"], weights["output.b1"],
                           weights["output.w2"], weights["output.b2"],
                           weights.get("output.wskip"))
@@ -506,6 +527,12 @@ def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: KVCache | No
 
     Row j depends only on patches 1..j; it is the model's prediction of the
     output_patch_len points immediately after patch j.
+
+    While gradients are recorded, every op goes on the tape. Under
+    ``no_grad`` the same blocks run on plain float64 arrays: each op runs
+    its checks and arithmetic, builds no VJP and records nothing, and the
+    result is wrapped in one constant Tensor at the end. Both give the same
+    values bit for bit.
 
     ``cache`` is a :class:`KVCache` for incremental decoding, filled in
     place: the inputs are taken as the patches that follow its ``length``
@@ -527,5 +554,5 @@ def forward(weights: ModelWeights, cfg: ModelConfig, inputs, cache: KVCache | No
     toks = input_tokens(inputs, weights, cfg, 0 if cache is None else cache.length)
     if last is not None and check_int(last, "last", tt.ShapeError) > toks.shape[-2]:
         raise tt.ShapeError(f"last must be at most the {toks.shape[-2]} input rows, got {last}")
-    out = stacked_transformer(toks, weights, cfg, cache, last)
-    return output_forecasts(out, weights, cfg)
+    out = output_forecasts(stacked_transformer(toks, weights, cfg, cache, last), weights, cfg)
+    return out if isinstance(out, Tensor) else Tensor(out)

@@ -7,6 +7,13 @@ closure) to the active tape through :func:`_op`; ``backward`` replays the
 records in reverse order exactly once and accumulates gradients into the
 leaves.
 
+Every op takes Tensors, float64 arrays or anything ``np.asarray`` reads as
+operands; an operand that is not a Tensor is a constant. Under
+:class:`no_grad` an op runs the same checks and arithmetic on its operands'
+arrays, builds no VJP, records nothing, and returns a bare constant Tensor
+whose ``data`` is the result, so a caller such as ``model.forward`` can
+carry plain arrays from op to op (``as_array``) at little per-op cost.
+
 Broadcasting is deliberately restricted: two operands must have identical
 shapes, or one must be a scalar, or the smaller shape must be a trailing
 suffix of the larger (leading batch dimensions). Anything fancier raises
@@ -160,7 +167,7 @@ class Tensor:
 class _Record:
     __slots__ = ("out", "inputs", "vjp")
 
-    def __init__(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable):
+    def __init__(self, out: Tensor, inputs: tuple, vjp: Callable):
         self.out = out
         self.inputs = inputs
         self.vjp = vjp
@@ -175,7 +182,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self.records)
 
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
+    def record(self, out: Tensor, inputs: tuple, vjp: Callable) -> None:
         out._produced = True
         self.records.append(_Record(out, inputs, vjp))
 
@@ -279,10 +286,14 @@ def _in_halves(fn: Callable[[slice], object], arr: np.ndarray) -> None:
 # -- shape plumbing --------------------------------------------------------
 
 
-def _coerce(x) -> Tensor:
+def as_array(x) -> np.ndarray:
+    """The float64 array of an operand: a Tensor's data, a float64 array
+    itself, or anything else converted."""
     if isinstance(x, Tensor):
+        return x.data
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
         return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return np.asarray(x, dtype=np.float64)
 
 
 def _check_suffix_broadcast(sa: tuple[int, ...], sb: tuple[int, ...], opname: str) -> None:
@@ -304,30 +315,34 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=tuple(range(extra))) if extra else g.reshape(shape)
 
 
-def _op(out_data: np.ndarray, inputs: tuple[Tensor, ...],
-        vjp: Callable[[np.ndarray, tuple[bool, ...]], tuple]) -> Tensor:
-    """Wrap an op's output, recording it on the active tape when gradients
-    are on and some input is live: it requires grad or came from the tape.
+def _op(out_data: np.ndarray, inputs: tuple, vjp: Callable[[np.ndarray, tuple[bool, ...]], tuple]
+        ) -> Tensor:
+    """Wrap an op's output computed while gradients are on, recording it on
+    the active tape when some input is live: a Tensor that requires grad or
+    came from the tape. Ops return ``Tensor(out_data)`` themselves under
+    no_grad, before building ``vjp``.
 
     ``vjp(g, live)`` returns one gradient per input and None for each input
     that is not live (a constant such as an input batch or a positional
     table), so no gradient is computed only to be dropped.
     """
     out = Tensor(out_data)
-    if _state.grad_enabled:
-        live = tuple(t.requires_grad or t._produced for t in inputs)
-        if any(live):
-            out.requires_grad = True
-            _state.tape.record(out, inputs, lambda g: vjp(g, live))
+    live = tuple(isinstance(t, Tensor) and (t.requires_grad or t._produced) for t in inputs)
+    if any(live):
+        out.requires_grad = True
+        _state.tape.record(out, inputs, lambda g: vjp(g, live))
     return out
 
 
 def _binary(a, b, opname: str, ufunc, vjp_a, vjp_b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_suffix_broadcast(a.data.shape, b.data.shape, opname)
-    return _op(ufunc(a.data, b.data), (a, b), lambda g, live: tuple(
-        _reduce_to(f(g, a.data, b.data), t.data.shape) if need else None
-        for t, f, need in zip((a, b), (vjp_a, vjp_b), live)))
+    x, y = as_array(a), as_array(b)
+    _check_suffix_broadcast(x.shape, y.shape, opname)
+    out = ufunc(x, y)
+    if not _state.grad_enabled:
+        return Tensor(out)
+    return _op(out, (a, b), lambda g, live: tuple(
+        _reduce_to(f(g, x, y), t.shape) if need else None
+        for t, f, need in zip((x, y), (vjp_a, vjp_b), live)))
 
 
 # -- elementwise ops -------------------------------------------------------
@@ -346,9 +361,11 @@ def mul(a, b) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    x = _coerce(x)
-    out_data = np.maximum(x.data, 0.0)
-    return _op(out_data, (x,), lambda g, _: (g * (x.data > 0.0),))
+    xd = as_array(x)
+    out = np.maximum(xd, 0.0)
+    if not _state.grad_enabled:
+        return Tensor(out)
+    return _op(out, (x,), lambda g, _: (g * (xd > 0.0),))
 
 
 # -- contractions and reductions -------------------------------------------
@@ -365,27 +382,27 @@ def matmul(a, b, bias=None) -> Tensor:
     broadcast batch axes, and g summed down to the bias; a constant operand
     (an input batch) gets None.
     """
-    a, b = _coerce(a), _coerce(b)
-    sa, sb = a.data.shape, b.data.shape
+    ad, bd = as_array(a), as_array(b)
+    sa, sb = ad.shape, bd.shape
     if len(sa) < 2 or len(sb) < 2:
         raise ShapeError(f"matmul needs 2-d or higher operands, got {sa} and {sb}")
     if sa[-1] != sb[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {sa} vs {sb}")
     if len(sb) > 2:  # a 2-d weight has no batch axes to check
         _check_suffix_broadcast(sa[:-2], sb[:-2], "matmul(batch dims)")
-    out = a.data @ b.data
-    inputs = (a, b)
+    out = ad @ bd
     if bias is not None:
-        bias = _coerce(bias)
-        if bias.data.shape != out.shape[-1:]:
-            raise ShapeError(f"matmul bias shape {bias.data.shape} does not match "
+        biasd = as_array(bias)
+        if biasd.shape != sb[-1:]:  # the product's last axis
+            raise ShapeError(f"matmul bias shape {biasd.shape} does not match "
                              f"the last axis of the product {out.shape}")
-        out += bias.data
-        inputs += (bias,)
-    return _op(out, inputs, lambda g, live: (
-        _reduce_to(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if live[0] else None,
-        _reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if live[1] else None,
-        *(_reduce_to(g, bias.data.shape) if need else None for need in live[2:])))
+        out += biasd
+    if not _state.grad_enabled:
+        return Tensor(out)
+    return _op(out, (a, b) if bias is None else (a, b, bias), lambda g, live: (
+        _reduce_to(g @ np.swapaxes(bd, -1, -2), sa) if live[0] else None,
+        _reduce_to(np.swapaxes(ad, -1, -2) @ g, sb) if live[1] else None,
+        *(_reduce_to(g, biasd.shape) if need else None for need in live[2:])))
 
 
 def sum_exact(x) -> Tensor:
@@ -394,9 +411,11 @@ def sum_exact(x) -> Tensor:
     math.fsum makes the result independent of element order, so losses
     reduced through this op are bit-identical under batch permutation.
     """
-    x = _coerce(x)
-    out_data = np.asarray(math.fsum(x.data.ravel().tolist()))
-    return _op(out_data, (x,), lambda g, _: (np.full(x.data.shape, float(g)),))
+    xd = as_array(x)
+    out = np.asarray(math.fsum(xd.ravel().tolist()))
+    if not _state.grad_enabled:
+        return Tensor(out)
+    return _op(out, (x,), lambda g, _: (np.full(xd.shape, float(g)),))
 
 
 # -- normalized nonlinearities ----------------------------------------------
@@ -420,8 +439,8 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
     the result equals the softmax without ``keep`` bit for bit; the finite
     check still covers every entry.
     """
-    x = _coerce(x)
-    shape = x.data.shape
+    xd = as_array(x)
+    shape = xd.shape
     if shape == () or shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty final axis, got shape {shape}")
     if keep is not None:
@@ -432,12 +451,12 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
             keep, drop = np.broadcast_to(keep, shape), np.broadcast_to(~keep, shape)
         except ValueError:
             raise ShapeError(bad) from None
-    if out is not None and (out.shape != shape or out.dtype != np.float64):
+    if out is not None and (out.shape != shape or out.dtype != _FLOAT64):
         raise ShapeError(f"softmax out must be float64 of shape {shape}, got {out.dtype} {out.shape}")
-    y = np.empty_like(x.data) if out is None else out
+    y = np.empty_like(xd) if out is None else out
 
     def rows(sl):
-        xs, ys = x.data[sl], y[sl]
+        xs, ys = xd[sl], y[sl]
         if not np.isfinite(xs).all():
             raise NumericError("softmax input contains non-finite values")
         np.subtract(xs, xs.max(axis=-1, keepdims=True), out=ys)
@@ -448,7 +467,9 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
             np.copyto(ys, 0.0, where=drop[sl])
         ys /= ys.sum(axis=-1, keepdims=True)
 
-    _in_halves(rows, x.data)
+    _in_halves(rows, xd)
+    if not _state.grad_enabled:
+        return Tensor(y)
 
     def vjp(g, _):
         gx = g * y
@@ -466,21 +487,24 @@ def layer_norm(x, gain, bias) -> Tensor:
     Population variance with epsilon 1e-6 inside the square root. ``gain``
     and ``bias`` are 1-d and must match the final axis of ``x``.
     """
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    d = x.data.shape[-1] if x.data.ndim else 0
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
+    xd, gd, bd = as_array(x), as_array(gain), as_array(bias)
+    d = xd.shape[-1] if xd.ndim else 0
+    if gd.shape != (d,) or bd.shape != (d,):
         raise ShapeError(
-            f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match final axis of {x.data.shape}")
+            f"layer_norm affine shapes {gd.shape}/{bd.shape} do not match final axis of {xd.shape}")
     # np.add.reduce / d is what ndarray.mean computes, bit for bit, less its dispatch
-    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
     var = np.add.reduce(centered ** 2, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
+    out = xhat * gd + bd
+    if not _state.grad_enabled:
+        return Tensor(out)
 
     def vjp(g, live):
         dx = None
         if live[0]:
-            dxhat = g * gain.data
+            dxhat = g * gd
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             dx = inv * (dxhat - m1 - xhat * m2)
@@ -488,7 +512,7 @@ def layer_norm(x, gain, bias) -> Tensor:
         return (dx, (g * xhat).sum(axis=reduce_axes) if live[1] else None,
                 g.sum(axis=reduce_axes) if live[2] else None)
 
-    return _op(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+    return _op(out, (x, gain, bias), vjp)
 
 
 @functools.lru_cache(maxsize=None)
@@ -506,6 +530,28 @@ def _keep_table(size: int) -> np.ndarray:
     table = np.tri(size, dtype=bool)
     table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=1024)
+def _attention_plan(shape: tuple, kv_shape: tuple, v_shape: tuple, num_heads: int) -> tuple:
+    """The shape checks and the shape-only constants of a causal_attention
+    call, worked out once per distinct shape: (M, N, the head width, the head
+    transpose, the head splits of q and of k and v, the scores' leading
+    shape, the score scale, the mask rows, the keep table or None). A decode
+    round calls attention with a new shape only when its key count grows."""
+    if (len(shape) < 2 or v_shape != kv_shape or len(kv_shape) != len(shape)
+            or shape[:-2] != kv_shape[:-2] or shape[-1] != kv_shape[-1]
+            or shape[-2] > kv_shape[-2] or num_heads < 1 or shape[-1] % num_heads):
+        raise ShapeError(f"causal_attention needs q [.., M, D] and k, v [.., N, D] with M <= N and "
+                         f"D divisible by {num_heads} heads, got {shape}, {kv_shape}, {v_shape}")
+    m, n, dh = shape[-2], kv_shape[-2], shape[-1] // num_heads
+    nb = len(shape) - 2
+    heads = (*range(nb), nb + 1, nb, nb + 2)  # [.., N, H, dh] <-> [.., H, N, dh]
+    split, kv_split = (*shape[:-1], num_heads, dh), (*kv_shape[:-1], num_heads, dh)
+    size = 1 << (n - 1).bit_length()
+    keep = _keep_table(size)[:n, :n] if m == n >= SKIP_MASKED_MIN_KEYS else None
+    return (m, n, dh, heads, split, kv_split, (*shape[:-2], num_heads), 1.0 / math.sqrt(dh),
+            _mask_table(size)[n - m:n, :n], keep)
 
 
 def causal_attention(q, k, v, num_heads: int) -> Tensor:
@@ -528,36 +574,27 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     the context product and the VJP run in two halves of the leading axis
     for large calls (``_in_halves``), bit for bit.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    shape, kv_shape = q.data.shape, k.data.shape
-    if (len(shape) < 2 or v.data.shape != kv_shape or len(kv_shape) != len(shape)
-            or shape[:-2] != kv_shape[:-2] or shape[-1] != kv_shape[-1]
-            or shape[-2] > kv_shape[-2] or num_heads < 1 or shape[-1] % num_heads):
-        raise ShapeError(f"causal_attention needs q [.., M, D] and k, v [.., N, D] with M <= N and "
-                         f"D divisible by {num_heads} heads, got {shape}, {kv_shape}, {v.data.shape}")
-    m, n, dh = shape[-2], kv_shape[-2], shape[-1] // num_heads
-    nb = len(shape) - 2
-    heads = (*range(nb), nb + 1, nb, nb + 2)  # [.., N, H, dh] <-> [.., H, N, dh]
-    split, kv_split = (*shape[:-1], num_heads, dh), (*kv_shape[:-1], num_heads, dh)
-    qh = q.data.reshape(split).transpose(heads)
-    kh = k.data.reshape(kv_split).transpose(heads)
-    vh = v.data.reshape(kv_split).transpose(heads)
-    lead = qh.shape[:-2]
-    scale = 1.0 / math.sqrt(dh)
-    size = 1 << (n - 1).bit_length()
-    mask = _mask_table(size)[n - m:n, :n]
-    keep = _keep_table(size)[:n, :n] if m == n >= SKIP_MASKED_MIN_KEYS else None
+    qd, kd, vd = as_array(q), as_array(k), as_array(v)
+    shape, kv_shape = qd.shape, kd.shape
+    m, n, dh, heads, split, kv_split, lead, scale, mask, keep = _attention_plan(
+        shape, kv_shape, vd.shape, num_heads)
+    qh = qd.reshape(split).transpose(heads)
+    kh = kd.reshape(kv_split).transpose(heads)
+    vh = vd.reshape(kv_split).transpose(heads)
     scores = np.empty(lead + (m, n))  # the scores, then the probabilities
 
     def score_rows(sl):
-        s = np.matmul(qh[sl], np.swapaxes(kh[sl], -1, -2), out=scores[sl])
+        s = np.matmul(qh[sl], kh[sl].swapaxes(-1, -2), out=scores[sl])
         s *= scale
         s += mask
 
     _in_halves(score_rows, scores)
-    probs = softmax_lastdim(Tensor(scores), keep=keep, out=scores).data
+    probs = softmax_lastdim(scores, keep=keep, out=scores).data
     out = np.empty(lead + (m, dh))
     _in_halves(lambda sl: np.matmul(probs[sl], vh[sl], out=out[sl]), probs)
+    out = out.transpose(heads).reshape(shape)
+    if not _state.grad_enabled:
+        return Tensor(out)
 
     def vjp(g, live):
         dctx = g.reshape(split).transpose(heads)
@@ -586,4 +623,4 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
         return tuple(None if d is None else d.transpose(heads).reshape(s)
                      for d, s in zip((dq, dk, dv), (shape, kv_shape, kv_shape)))
 
-    return _op(out.transpose(heads).reshape(shape), (q, k, v), vjp)
+    return _op(out, (q, k, v), vjp)

@@ -450,6 +450,37 @@ def test_forecast_names_values_that_are_not_an_array_of_numbers(trained, tmp_pat
     assert "4 record(s) failed" in capsys.readouterr().err
 
 
+def _strict_json(line: str):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON cannot hold."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_forecast_writes_an_error_line_for_a_context_whose_scale_overflows(trained, tmp_path,
+                                                                          capsys):
+    good = [{"id": "a", "values": list(np.arange(24.0))},
+            {"id": "b", "values": list(np.sin(np.arange(40.0) / 3.0))}]
+    huge = [{"id": "spike", "values": [0, 0, 0, 0, 0, 0, 0, 1e300]},
+            {"id": "alternating", "values": [1e308, -1e308] * 6}]
+    ckpt = str(trained / "ckpt_final.npz")
+    outs = []
+    for name, rows in (("good", good), ("mixed", [good[0], *huge, good[1]])):
+        inp, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_out.jsonl"
+        inp.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        outs.append((main(["forecast", "--checkpoint", ckpt, "--input", str(inp),
+                           "--horizon", "12", "--output", str(out)]), out.read_text().splitlines()))
+    (good_code, good_lines), (code, lines) = outs
+    assert good_code == 0 and code == 1
+    entries = [_strict_json(line) for line in lines]  # every line is strict JSON
+    assert [e["id"] for e in entries] == ["a", "spike", "alternating", "b"]
+    for entry in entries[1:3]:
+        assert set(entry) == {"id", "error"}
+        assert "overflows float64" in entry["error"]
+    assert [lines[0], lines[3]] == good_lines  # the other records' lines are unchanged
+    assert "2 record(s) failed" in capsys.readouterr().err
+
+
 def test_forecast_all_good_exits_zero(trained, tmp_path):
     inp = tmp_path / "in.jsonl"
     inp.write_text(json.dumps({"id": "a", "values": list(np.arange(24.0))}) + "\n")
@@ -780,6 +811,25 @@ def test_evaluate_names_an_unscorable_predictor(trained, tmp_path, capsys, monke
     assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
                  "--data", str(data), "--context", "32", "--horizon", "8"]) == 2
     assert "error: cannot score predictor model: need equal" in capsys.readouterr().err
+
+
+def test_evaluate_names_a_series_whose_forecast_overflows_and_writes_no_summary(
+        trained, tmp_path, capsys):
+    data = tmp_path / "eval.csv"
+    write_eval_csv(data, n_series=3)
+    lines = data.read_text().splitlines()
+    data.write_text("\n".join(lines[:1] + [
+        line if not line.startswith("s1,") else
+        line.rsplit(",", 1)[0] + "," + repr(float(line.rsplit(",", 1)[1]) * 1e200)
+        for line in lines[1:]]) + "\n")
+    out_dir = tmp_path / "evalout"
+    assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--data", str(data), "--context", "32", "--horizon", "8",
+                 "--stride", "4", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "error: predictor model cannot forecast series s1: " in err
+    assert "overflows float64" in err and "Infinity" not in err
+    assert not (out_dir / "summary.json").exists()
 
 
 def test_evaluate_too_long_horizon_fails_cleanly(trained, tmp_path, capsys):

@@ -212,6 +212,13 @@ def test_zero_actual_windows_excluded_and_counted():
     assert rep.windows[0].origin == 18
 
 
+def test_window_whose_errors_overflow_is_named_not_scored():
+    # values near 1e200: repeat-last's errors are finite, their squares are not
+    vals = np.arange(1.0, 21.0) * 1e200
+    with pytest.raises(MetricError, match="series big: the window at origin 16 scores nrmse inf"):
+        rolling_eval(repeat_last, series_of(vals, sid="big"), context_len=8, horizon=2)
+
+
 def test_context_clipped_at_series_start():
     s = series_of(np.arange(1.0, 21.0))
     seen = []

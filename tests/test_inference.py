@@ -101,7 +101,9 @@ def test_forecast_deterministic(rig):
 
 def test_forecast_records_nothing_on_tape(rig):
     cfg, weights = rig
+    assert all(p.requires_grad for _, p in weights.named())
     forecast(weights, cfg, wave(60), 9)
+    forecast(weights, cfg, np.array([wave(60), wave(60, seed=1)]), 17)
     assert active_tape().records == []
 
 
@@ -519,3 +521,36 @@ def test_nonfinite_stack_row_is_named(rig):
     values[2, 5] = math.inf
     with pytest.raises(ForecastError, match="non-finite values in row 2"):
         forecast(weights, cfg, values, 8)
+
+
+def test_context_whose_scale_overflows_is_named_without_a_numpy_warning(rig):
+    import warnings
+
+    cfg, weights = rig
+    spike, alternating = [0.0] * 39 + [1e300], [1e308, -1e308] * 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported once, as the error below
+        with pytest.raises(ForecastError, match="standard deviation overflows float64$"):
+            forecast(weights, cfg, np.array(spike), 8)
+        with pytest.raises(ForecastError, match="overflows float64 in row 1$"):
+            forecast(weights, cfg, np.array([wave(40), alternating, spike]), 8)
+
+
+def test_forecast_that_overflows_once_inverted_is_named(rig, monkeypatch):
+    cfg, weights = rig
+    values = np.array([wave(40), wave(40) * 1e10])
+    monkeypatch.setattr(inference, "_decode", lambda *args: np.full((2, 8), 1e300))
+    with pytest.raises(ForecastError, match="forecast overflows float64 on the context's "
+                                            "scale in row 1$"):
+        forecast(weights, cfg, values, 8)
+
+
+def test_activations_that_are_not_finite_raise_forecast_error(rig):
+    # unscaled values near the float64 limit overflow inside the model
+    cfg, weights = rig
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ForecastError, match="activations are not finite: softmax"):
+            forecast(weights, cfg, np.full(40, 1.7e308), 8, normalization="none")
+        with pytest.raises(ForecastError, match="activations are not finite in rows 0 to 1"):
+            forecast(weights, cfg, np.array([wave(40), np.full(40, 1.7e308)]), 8,
+                     normalization="none")

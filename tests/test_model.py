@@ -184,6 +184,55 @@ def test_forward_gradients_and_cache_equal_reference_model_bitwise(cfg, batch, n
                                            atol=1e-14 * np.abs(want).max())
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(cfg=st.sampled_from(REFERENCE_CONFIGS), lead=st.sampled_from([(), (1,), (3,)]),
+       n=st.integers(1, 12), split=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_no_grad_array_path_equals_the_recorded_reference_bitwise(cfg, lead, n, split, seed):
+    # forward under no_grad runs the blocks on plain arrays; the oracle is the
+    # op-by-op reference while recording, so every op takes its tape path there
+    model_w, ref_w = random_weights(cfg, seed)
+    inputs = np.random.default_rng(seed + 2).standard_normal((*lead, n, cfg.input_width))
+    tape = tt.active_tape()
+    want = reference_model.forward(ref_w, cfg, inputs).data
+    assert len(tape) > 0
+    m = min(split, n)
+    chunks = [inputs[..., :m, :], inputs[..., m:, :]] if m < n else [inputs]
+    ref_cache = []
+    want_chunks = [reference_model.forward(ref_w, cfg, c, ref_cache).data for c in chunks]
+    tape.records.clear()
+    with no_grad():
+        got = forward(model_w, cfg, inputs)
+        assert type(got) is Tensor and not got.requires_grad
+        assert np.array_equal(got.data, want)
+        cache = KVCache(cfg, lead, n)
+        for chunk, want_chunk in zip(chunks, want_chunks, strict=True):
+            assert np.array_equal(forward(model_w, cfg, chunk, cache).data, want_chunk)
+        for last in range(2, n + 1):  # 1 row goes to gemv; see forward
+            assert np.array_equal(forward(model_w, cfg, inputs, last=last).data,
+                                  want[..., -last:, :]), last
+    assert len(tape) == 0
+
+
+def test_array_path_keeps_every_check():
+    cfg = tiny_cfg(max_positions=8)
+    weights = ModelWeights.initialize(cfg, seed=31)
+    inputs = np.random.default_rng(32).standard_normal((2, 4, cfg.input_width))
+    bad = inputs.copy()
+    bad[1, 2, 0] = math.nan
+    with no_grad():
+        with pytest.raises(tt.NumericError, match="softmax"):
+            forward(weights, cfg, bad)
+        with pytest.raises(CapacityError, match="max_positions"):
+            forward(weights, cfg, np.zeros((2, 9, cfg.input_width)))
+        with pytest.raises(CapacityError, match="capacity"):
+            forward(weights, cfg, inputs, KVCache(cfg, (2,), 3))
+        with pytest.raises(tt.ShapeError, match="KV cache"):
+            forward(weights, cfg, inputs, KVCache(cfg, (3,), 8))
+        with pytest.raises(FeatureShapeError):
+            forward(weights, cfg, inputs[..., :-1])
+    assert len(tt.active_tape()) == 0
+
+
 # -- patchify -------------------------------------------------------------------
 
 
@@ -249,7 +298,7 @@ def test_zero_weights_tokens_equal_pe_exactly():
         p.data[...] = 0.0
     inp = np.random.default_rng(0).standard_normal((5, cfg.input_width))
     with no_grad():
-        toks = input_tokens(inp, weights, cfg).data
+        toks = input_tokens(inp, weights, cfg)  # under no_grad, an array
     assert np.array_equal(toks, positional_encoding(5, cfg.model_dim))
 
 
@@ -696,7 +745,7 @@ def test_output_zero_weights_give_zero_forecasts():
         weights[name].data[...] = 0.0
     toks = Tensor(np.random.default_rng(28).standard_normal((4, cfg.model_dim)))
     with no_grad():
-        out = output_forecasts(toks, weights, cfg).data
+        out = output_forecasts(toks, weights, cfg)  # under no_grad, an array
     assert np.array_equal(out, np.zeros((4, cfg.output_patch_len)))
 
 

@@ -567,14 +567,21 @@ def test_matmul_bias_of_wrong_shape_is_rejected(bias_shape):
 
 
 def test_desk_forward_and_loss_record_39_tape_entries():
-    # 16 dense layers, one record each; 2 skip projections; 21 other ops
+    # 16 dense layers, one record each; 2 skip projections; 21 other ops. The
+    # parameter gradients equal those of the op-by-op reference bit for bit.
+    import reference_model
+
     cfg = ModelConfig.preset("desk")
-    weights = ModelWeights.initialize(cfg, seed=0)
+    weights, ref = (ModelWeights.initialize(cfg, seed=0) for _ in range(2))
     inputs = np.random.default_rng(54).standard_normal((2, 6, cfg.input_width))
+    targets = np.random.default_rng(55).standard_normal((2, 6, cfg.output_patch_len))
     before = len(active_tape())
-    loss = train_loss(forward(weights, cfg, inputs), np.zeros((2, 6, cfg.output_patch_len)))
+    loss = train_loss(forward(weights, cfg, inputs), targets)
     assert len(active_tape()) - before == 39
     loss.backward()
+    train_loss(reference_model.forward(ref, cfg, inputs), targets).backward()
+    for name, p in weights.named():
+        assert np.array_equal(p.grad, ref[name].grad), name
 
 
 # -- one causal-mask table ------------------------------------------------------------
