@@ -164,7 +164,7 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
         try:
             preds[c] = _decode(weights, cfg, work[c], None if features is None else features[c],
                                rounds, widest)
-        except NumericError as exc:  # activations past float64, as unscaled huge values give
+        except NumericError as exc:  # unscaled huge values overflow the activations
             rows = "" if values.ndim == 1 else f" in rows {c.start} to {min(c.stop, len(values)) - 1}"
             raise ForecastError(f"the model's activations are not finite{rows}: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
