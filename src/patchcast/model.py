@@ -393,8 +393,9 @@ def _carrier():
     """How the blocks below carry values from op to op. While gradients are
     recorded: as Tensors, so the tape sees every op (an operand that is no
     Tensor becomes a constant array). Under no_grad: as plain float64 arrays,
-    each op's bare Tensor result unwrapped, so the adds, relu's input, the
-    ``last`` slices and the KV-cache views cost numpy alone."""
+    each op's bare Tensor result unwrapped, so the residual and
+    positional-encoding adds, the ``last`` slices and the KV-cache views
+    cost numpy alone."""
     return _recorded if tt.grad_enabled() else tt.as_array
 
 

@@ -537,8 +537,10 @@ def _attention_plan(shape: tuple, kv_shape: tuple, v_shape: tuple, num_heads: in
     """The shape checks and the shape-only constants of a causal_attention
     call, worked out once per distinct shape: (M, N, the head width, the head
     transpose, the head splits of q and of k and v, the scores' leading
-    shape, the score scale, the mask rows, the keep table or None). A decode
-    round calls attention with a new shape only when its key count grows."""
+    shape, the score scale, the mask rows, the keep table or None). Shapes
+    repeat: every layer of a forward sees the same ones, and forecasts of
+    equal context length and horizon walk the same key counts round by
+    round."""
     if (len(shape) < 2 or v_shape != kv_shape or len(kv_shape) != len(shape)
             or shape[:-2] != kv_shape[:-2] or shape[-1] != kv_shape[-1]
             or shape[-2] > kv_shape[-2] or num_heads < 1 or shape[-1] % num_heads):
