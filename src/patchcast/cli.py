@@ -10,6 +10,7 @@ directories.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -93,6 +94,28 @@ def _resolve_out_dir(raw: str) -> Path:
     if base and not path.is_absolute():
         path = Path(base) / path
     return path
+
+
+def _check_out_dir(path: Path) -> None:
+    """CLIError unless `path` is a writable directory or could be made one;
+    for a command that writes only after scoring or training. Creates
+    nothing."""
+    for known in (path, *path.parents):
+        if known.exists():
+            if not known.is_dir():
+                raise CLIError(f"cannot write {path}: {known} is not a directory")
+            if not os.access(known, os.W_OK | os.X_OK):
+                raise CLIError(f"cannot write {path}: {known} is not writable")
+            return
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Raise an OSError of the block's writes under `path` as CLIError."""
+    try:
+        yield
+    except OSError as exc:
+        raise CLIError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def _build_model_config(section: dict) -> ModelConfig:
@@ -204,15 +227,16 @@ def cmd_pretrain(args) -> int:
     try:
         if args.resume_from is None:  # a resumed run loads its weights
             check_weights_memory(model_cfg)  # before anything is written
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "manifest.json", manifest)
-        _write_json(out_dir / "resolved_config.json", {
-            "seed": train_cfg.seed,
-            "output_dir": str(out_dir),
-            "corpus": raw.get("corpus", {}),
-            "model": model_cfg.to_dict(),
-            "train": train_cfg.to_dict(),
-        })
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            _write_json(out_dir / "manifest.json", manifest)
+            _write_json(out_dir / "resolved_config.json", {
+                "seed": train_cfg.seed,
+                "output_dir": str(out_dir),
+                "corpus": raw.get("corpus", {}),
+                "model": model_cfg.to_dict(),
+                "train": train_cfg.to_dict(),
+            })
         result = train(corpus, model_cfg, train_cfg, out_dir=out_dir,
                        resume_from=args.resume_from)
     except TrainingDivergedError as exc:
@@ -274,7 +298,7 @@ def cmd_forecast(args) -> int:
     except OSError as exc:
         raise CLIError(f"cannot read input {args.input}: {exc}") from exc
     out_path = Path(args.output)
-    with open(out_path, "w") as out:
+    with _writing(out_path), open(out_path, "w") as out:
         for line_no, line in enumerate(in_lines, start=1):
             if not line.strip():
                 continue
@@ -336,6 +360,9 @@ def cmd_evaluate(args) -> int:
     if args.season:
         predictors.append((f"seasonal_naive({args.season})",
                            make_seasonal_naive(args.season)))
+    out_dir = _resolve_out_dir(args.out_dir) if args.out_dir else None
+    if out_dir is not None:
+        _check_out_dir(out_dir)
     reports, rows = {}, []
     for name, predictor in predictors:
         start = time.perf_counter()
@@ -357,17 +384,18 @@ def cmd_evaluate(args) -> int:
               f"excluded, {seconds:.3f} s in rolling_eval", file=sys.stderr)
     print(format_table(rows, ["predictor", *POOLED_COLUMNS]), end="")
 
-    if args.out_dir:
-        out_dir = _resolve_out_dir(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for rep in reports["model"]:
-            rep.write_csv(out_dir / f"windows_{rep.series_id}.csv")
-        _write_json(out_dir / "summary.json", {
-            "context_len": args.context, "horizon": args.horizon,
-            "stride": args.stride,
-            "predictors": {r["predictor"]: {k: (None if isinstance(v, float) and math.isnan(v) else v)
-                                            for k, v in r.items() if k != "predictor"}
-                           for r in rows}})
+    if out_dir is not None:
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for rep in reports["model"]:
+                rep.write_csv(out_dir / f"windows_{rep.series_id}.csv")
+            _write_json(out_dir / "summary.json", {
+                "context_len": args.context, "horizon": args.horizon,
+                "stride": args.stride,
+                "predictors": {r["predictor"]: {k: (None if isinstance(v, float) and math.isnan(v)
+                                                    else v)
+                                                for k, v in r.items() if k != "predictor"}
+                               for r in rows}})
     return 0
 
 
@@ -387,6 +415,7 @@ def cmd_ablate(args) -> int:
     horizon, stride = ev["horizon"], ev["stride"]
     corpus, holdout, _ = _build_corpus(raw.get("corpus", {}), cfg_path.parent)
     eval_series = holdout.series if holdout is not None else corpus.series
+    _check_out_dir(out_dir)
 
     try:
         if suite == "context":
@@ -411,11 +440,12 @@ def cmd_ablate(args) -> int:
     except (CheckpointError, TrainConfigError, EvalConfigError, HorizonError, ConfigError) as exc:
         raise CLIError(str(exc)) from exc
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = format_table(rows, SUITE_HEADERS[suite])
     print(table, end="")
-    (out_dir / f"{suite}_table.txt").write_text(table)
-    (out_dir / f"{suite}_rows.csv").write_text(format_csv(rows, SUITE_HEADERS[suite]))
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"{suite}_table.txt").write_text(table)
+        (out_dir / f"{suite}_rows.csv").write_text(format_csv(rows, SUITE_HEADERS[suite]))
     return 0
 
 

@@ -197,7 +197,8 @@ def _decode(weights: ModelWeights, cfg: ModelConfig, work: np.ndarray, features,
     # only a later round reads the cache: none for one round, nor where patch
     # boundaries move and every round re-encodes its window
     cache = KVCache(cfg, work.shape[:-1], widest) if rounds > 1 and h % p == 0 else None
-    with no_grad():
+    # unscaled huge values overflow silently: softmax's finite check raises NumericError
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for end in range(length, length + rounds * h, h):
             if cache is not None and end > cap_points:
                 cache.reset()  # positions shift: re-encode the window

@@ -19,11 +19,14 @@ shapes, or one must be a scalar, or the smaller shape must be a trailing
 suffix of the larger (leading batch dimensions). Anything fancier raises
 ``ShapeError`` so that every backward rule stays auditable.
 
-Ops are single-threaded per tape; independent tapes may live on separate
-threads, which is why the active-tape pointer is thread-local. The one
-exception is :func:`_in_halves`: attention and softmax work large arrays in
-two halves of their leading axis, the second half on one worker thread, and
-every value equals the single-call value bit for bit.
+Each tape records and sweeps on the thread that owns it; independent tapes
+may live on separate threads, which is why the active-tape pointer is
+thread-local. A process that may use 2 CPUs hands two kinds of work to one
+worker thread, and every value equals the one-thread value bit for bit:
+:func:`_in_halves` works large attention and softmax arrays in two halves of
+their leading axis, and :func:`_beside_chain` computes the parameter
+gradients of large matmul and layer-norm records while ``Tape.backward``
+goes on along the input-gradient chain.
 """
 
 from __future__ import annotations
@@ -63,6 +66,16 @@ MASK_VALUE = -1e30  # additive causal mask; finite, so softmax_lastdim accepts i
 # six windows of 128 tokens, under inference.SCORES_BUDGET) reaches 2^18;
 # every attention call of pretrain_long does.
 SPLIT_MIN_ENTRIES = 1 << 18
+
+# A matmul or layer-norm record whose upstream gradient holds at least this
+# many entries computes its parameter gradients on the worker thread while
+# the sweep goes on (_beside_chain). A 10-round in-process A/B of whole
+# train() passes against every record inline (2-core x86-64 VM,
+# OPENBLAS_NUM_THREADS=1): pretrain_long's [16, 128, 32] gradients (65,536
+# entries) on the worker ran at 1.11x (10 of 10 rounds faster); forcing
+# pretrain_short's [32, 19, 32] ones (19,456) onto it ran at 0.96x (0 of 10),
+# where the hand-off costs more than the overlap saves.
+LEAF_TASK_MIN_ENTRIES = 1 << 15
 
 # causal_attention skips the exp of masked scores (softmax_lastdim's keep) on
 # square calls of at least this many keys, where about half the scores are
@@ -173,6 +186,19 @@ class _Record:
         self.vjp = vjp
 
 
+class _Pending:
+    """Entry ``index`` of the gradients a worker task returns: a parameter
+    gradient still being computed when its record's VJP returns."""
+
+    __slots__ = ("task", "index")
+
+    def __init__(self, task, index: int):
+        self.task, self.index = task, index
+
+    def result(self) -> np.ndarray:
+        return self.task.result()[self.index]
+
+
 class Tape:
     """Ordered log of differentiable ops for one reverse sweep."""
 
@@ -192,11 +218,21 @@ class Tape:
         ``loss`` must be a scalar (size-1) tensor. Gradients of ops whose
         output never received a gradient are skipped as zero. The tape is
         cleared on completion (and on error), so it is single-use.
+
+        The sweep follows the input-gradient chain on this thread. A VJP may
+        return some leaf gradients as :class:`_Pending` (``_beside_chain``),
+        still being computed on the worker thread; no later VJP reads a leaf
+        gradient, so the leaves receive theirs after the sweep, in record
+        order, with the same copy or sum as inline. A pending gradient of a
+        produced tensor is waited for before it joins the chain. If anything
+        raises, no leaf gradient is written and the error propagates once no
+        worker task of this sweep is running.
         """
         if loss.data.size != 1:
             raise TapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if not self.records:
             raise TapeError("backward on an empty tape: no ops were recorded")
+        leaves: list[tuple[Tensor, object]] = []  # (leaf, gradient or _Pending), record order
         try:
             flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
             for rec in reversed(self.records):
@@ -206,13 +242,23 @@ class Tape:
                 for t, gt in zip(rec.inputs, rec.vjp(g)):
                     if gt is None:
                         continue
-                    if t._produced:
-                        acc = flow.get(id(t))
-                        flow[id(t)] = gt if acc is None else acc + gt
-                    else:
-                        t.grad = gt.copy() if t.grad is None else t.grad + gt
+                    if not t._produced:
+                        leaves.append((t, gt))
+                        continue
+                    if type(gt) is _Pending:
+                        gt = gt.result()
+                    acc = flow.get(id(t))
+                    flow[id(t)] = gt if acc is None else acc + gt
+            grads = [(t, gt.result() if type(gt) is _Pending else gt) for t, gt in leaves]
+        except BaseException:
+            for _, gt in leaves:
+                if type(gt) is _Pending:
+                    _settle(gt.task)
+            raise
         finally:
             self.records.clear()
+        for t, gt in grads:
+            t.grad = gt.copy() if t.grad is None else t.grad + gt
 
 
 _state = _ThreadState()
@@ -248,6 +294,13 @@ if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
     os.register_at_fork(after_in_child=_forget_worker)
 
 
+def _settle(task) -> None:
+    """Cancel a worker task that has not started, or wait until it ends
+    without raising what it raised."""
+    if not task.cancel():
+        task.exception()
+
+
 def _in_halves(fn: Callable[[slice], object], arr: np.ndarray) -> None:
     """Call ``fn(rows)`` so that together the calls cover the leading axis of
     ``arr`` (one row for a 1-d array): the second half on the worker thread
@@ -274,13 +327,36 @@ def _in_halves(fn: Callable[[slice], object], arr: np.ndarray) -> None:
     try:
         fn(first)
     except BaseException:
-        if not late.cancel():
-            late.exception()  # waits for the worker's half without raising
+        _settle(late)
         raise
     if late.cancel():
         fn(second)
     else:
         late.result()
+
+
+def _beside_chain(g: np.ndarray, chain: Callable[[], object], params: Callable[[], tuple],
+                  live: tuple[bool, ...]) -> tuple:
+    """``(chain(), *params())``, the gradients of one record with upstream
+    gradient ``g``: ``chain`` computes the input gradient the sweep goes on
+    with, and ``params`` one gradient per parameter operand, None where
+    ``live`` is False. When some parameter is live, g holds at least
+    LEAF_TASK_MIN_ENTRIES entries and the process may use 2 CPUs, ``params``
+    runs on the worker thread in a copy of the caller's context (so
+    ``np.errstate`` applies) while ``chain`` runs here, and its gradients
+    come back as :class:`_Pending` entries for ``Tape.backward`` to resolve.
+    ``params`` must not run a traced function (see ``_in_halves``). If
+    ``chain`` raises, the worker's task has ended or been cancelled first.
+    """
+    if g.size < LEAF_TASK_MIN_ENTRIES or not any(live) or _usable_cpus() < 2:
+        return (chain(), *params())
+    task = _second_core().submit(contextvars.copy_context().run, params)
+    try:
+        first = chain()
+    except BaseException:
+        _settle(task)
+        raise
+    return (first, *(_Pending(task, i) if need else None for i, need in enumerate(live)))
 
 
 # -- shape plumbing --------------------------------------------------------
@@ -380,7 +456,8 @@ def matmul(a, b, bias=None) -> Tensor:
     added in place in the same record, so the result equals ``matmul(a, b)
     + bias`` bit for bit. Gradients are g @ b^T and a^T @ g, summed over
     broadcast batch axes, and g summed down to the bias; a constant operand
-    (an input batch) gets None.
+    (an input batch) gets None. Those of b and the bias may be computed on
+    the worker thread while the sweep goes on (``_beside_chain``).
     """
     ad, bd = as_array(a), as_array(b)
     sa, sb = ad.shape, bd.shape
@@ -399,10 +476,11 @@ def matmul(a, b, bias=None) -> Tensor:
         out += biasd
     if not _state.grad_enabled:
         return Tensor(out)
-    return _op(out, (a, b) if bias is None else (a, b, bias), lambda g, live: (
-        _reduce_to(g @ np.swapaxes(bd, -1, -2), sa) if live[0] else None,
-        _reduce_to(np.swapaxes(ad, -1, -2) @ g, sb) if live[1] else None,
-        *(_reduce_to(g, biasd.shape) if need else None for need in live[2:])))
+    return _op(out, (a, b) if bias is None else (a, b, bias), lambda g, live: _beside_chain(
+        g, lambda: _reduce_to(g @ np.swapaxes(bd, -1, -2), sa) if live[0] else None,
+        lambda: (_reduce_to(np.swapaxes(ad, -1, -2) @ g, sb) if live[1] else None,
+                 *(_reduce_to(g, biasd.shape) if need else None for need in live[2:])),
+        live[1:]))
 
 
 def sum_exact(x) -> Tensor:
@@ -485,7 +563,9 @@ def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the final axis to zero mean, unit variance, then affine.
 
     Population variance with epsilon 1e-6 inside the square root. ``gain``
-    and ``bias`` are 1-d and must match the final axis of ``x``.
+    and ``bias`` are 1-d and must match the final axis of ``x``; their
+    gradients may be computed on the worker thread while the sweep goes on
+    (``_beside_chain``).
     """
     xd, gd, bd = as_array(x), as_array(gain), as_array(bias)
     d = xd.shape[-1] if xd.ndim else 0
@@ -502,15 +582,18 @@ def layer_norm(x, gain, bias) -> Tensor:
         return Tensor(out)
 
     def vjp(g, live):
-        dx = None
-        if live[0]:
+        def dx():
+            if not live[0]:
+                return None
             dxhat = g * gd
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            dx = inv * (dxhat - m1 - xhat * m2)
+            return inv * (dxhat - m1 - xhat * m2)
+
         reduce_axes = tuple(range(g.ndim - 1))  # () for one row: sum(axis=()) copies
-        return (dx, (g * xhat).sum(axis=reduce_axes) if live[1] else None,
-                g.sum(axis=reduce_axes) if live[2] else None)
+        return _beside_chain(g, dx, lambda: ((g * xhat).sum(axis=reduce_axes) if live[1] else None,
+                                             g.sum(axis=reduce_axes) if live[2] else None),
+                             live[1:])
 
     return _op(out, (x, gain, bias), vjp)
 

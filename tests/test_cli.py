@@ -160,6 +160,18 @@ def test_pretrain_past_the_memory_ceiling_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+def test_pretrain_output_dir_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out_dir = blocker if where == "a_file" else blocker / "run"
+    cfg = tmp_path / "pretrain.json"
+    cfg.write_text(json.dumps(pretrain_config(out_dir)))
+    assert main(["pretrain", "--config", str(cfg)]) == 2
+    reason = "File exists" if where == "a_file" else "Not a directory"
+    assert capsys.readouterr().err == f"error: cannot write {out_dir}: {reason}\n"
+
+
 def test_pretrain_needs_config_or_show_defaults(capsys):
     assert main(["pretrain"]) == 2
     assert "--config" in capsys.readouterr().err
@@ -428,6 +440,16 @@ def test_forecast_jsonl_with_per_record_errors(trained, tmp_path, capsys):
     assert "shorter than one" in by_id["short"]["error"]
     assert "invalid JSON" in by_id[10]["error"]
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_directory"])
+def test_forecast_output_that_cannot_be_written_exits_2(trained, tmp_path, capsys, where):
+    out = tmp_path / "missing" / "out.jsonl" if where == "missing_dir" else tmp_path
+    code = main(["forecast", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--input", str(jsonl_inputs(tmp_path)), "--horizon", "12", "--output", str(out)])
+    assert code == 2
+    reason = "No such file or directory" if where == "missing_dir" else "Is a directory"
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
 
 
 def test_forecast_names_values_that_are_not_an_array_of_numbers(trained, tmp_path, capsys):
@@ -703,6 +725,24 @@ def evaluate_with_out_dir(trained, tmp_path):
     return out_dir
 
 
+@pytest.mark.parametrize("where", ["a_file", "under_a_file", "summary_is_a_directory"])
+def test_evaluate_out_dir_that_cannot_be_written_exits_2(trained, tmp_path, capsys, where):
+    data = tmp_path / "eval.csv"
+    write_eval_csv(data)
+    out_dir = {"a_file": data, "under_a_file": data / "sub", "summary_is_a_directory": tmp_path}[where]
+    (tmp_path / "summary.json").mkdir()
+    code = main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
+                 "--data", str(data), "--context", "32", "--horizon", "8",
+                 "--stride", "4", "--out-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    if where == "summary_is_a_directory":  # found only when the summary is written
+        assert "windows scored" in err
+        assert err.endswith(f"error: cannot write {tmp_path / 'summary.json'}: Is a directory\n")
+    else:  # found before any scoring
+        assert err == f"error: cannot write {out_dir}: {data} is not a directory\n"
+
+
 def test_evaluate_forecasts_each_model_window_once(trained, tmp_path, monkeypatch, capsys):
     import patchcast.evaluation as evaluation
 
@@ -886,6 +926,22 @@ def test_ablate_context_suite(tmp_path, capsys):
     rows = (out_dir / "context_rows.csv").read_text().splitlines()
     assert rows[0] == "context_len,n_windows,excluded,nrmse,wape"
     assert len(rows) == 3
+
+
+def test_ablate_output_dir_that_cannot_be_written_exits_2_before_training(tmp_path, capsys,
+                                                                          monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out_dir = blocker / "ab"
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained before checking its output directory")
+
+    monkeypatch.setattr("patchcast.cli.train", no_training)
+    cfg = tmp_path / "ablate.json"
+    cfg.write_text(json.dumps(ablate_config(out_dir, "context", context_lengths=[16])))
+    assert main(["ablate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out_dir}: {blocker} is not a directory\n"
 
 
 @pytest.mark.parametrize("suite", ["context", "input-patch"])

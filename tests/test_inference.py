@@ -546,9 +546,12 @@ def test_forecast_that_overflows_once_inverted_is_named(rig, monkeypatch):
 
 
 def test_activations_that_are_not_finite_raise_forecast_error(rig):
+    import warnings
+
     # unscaled values near the float64 limit overflow inside the model
     cfg, weights = rig
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported once, as the error below
         with pytest.raises(ForecastError, match="activations are not finite: softmax"):
             forecast(weights, cfg, np.full(40, 1.7e308), 8, normalization="none")
         with pytest.raises(ForecastError, match="activations are not finite in rows 0 to 1"):

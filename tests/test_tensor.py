@@ -22,6 +22,7 @@ from patchcast.tensor import (
     causal_attention,
     layer_norm,
     matmul,
+    mul,
     no_grad,
     relu,
     softmax_lastdim,
@@ -600,14 +601,18 @@ def test_mask_rows_of_the_table_equal_a_per_call_triu_bitwise():
 
 
 class CountingPool:
-    """A one-thread pool that counts submissions."""
+    """A one-thread pool that counts submissions, and among them the
+    parameter-gradient tasks: ``_beside_chain`` submits ``(run, params)``,
+    ``_in_halves`` submits ``(run, fn, rows)``."""
 
     def __init__(self):
         self.pool = ThreadPoolExecutor(max_workers=1)
         self.submitted = 0
+        self.leaf_tasks = 0
 
     def submit(self, fn, *args):
         self.submitted += 1
+        self.leaf_tasks += len(args) == 1
         return self.pool.submit(fn, *args)
 
 
@@ -745,17 +750,24 @@ def test_below_threshold_or_one_cpu_submits_nothing(monkeypatch):
 
     monkeypatch.setattr(T, "_second_core", lambda: RefusingPool())
     rng = np.random.default_rng(62)
+    cfg = ModelConfig.preset("desk")
+    weights = ModelWeights.initialize(cfg, seed=0)
     # pretrain_short's attention call: 32 windows, 2 heads, 19 tokens
     q, k, v = (Tensor(rng.standard_normal((32, 19, 32)), requires_grad=True) for _ in range(3))
     monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
     assert 32 * 2 * 19 * 19 < T.SPLIT_MIN_ENTRIES
     sum_exact(causal_attention(q, k, v, 2)).backward()
-    # pretrain_long's call is past the threshold, but the process has one CPU
+    # pretrain_short's training step: no upstream gradient is wider than [32, 19, 32]
+    assert 32 * 19 * max(cfg.model_dim, cfg.residual_hidden) < T.LEAF_TASK_MIN_ENTRIES
+    desk_step_grads(weights, cfg, rng, (32, 19))
+    # pretrain_long's calls and records are past both thresholds, but the process has one CPU
     monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
     q, k, v = (Tensor(rng.standard_normal((16, 128, 32)), requires_grad=True) for _ in range(3))
     assert 16 * 2 * 128 * 128 >= T.SPLIT_MIN_ENTRIES
     sum_exact(causal_attention(q, k, v, 2)).backward()
     softmax_lastdim(Tensor(rng.standard_normal((2**10, 2**9))))
+    assert 16 * 128 * cfg.model_dim >= T.LEAF_TASK_MIN_ENTRIES
+    desk_step_grads(weights, cfg, rng, (16, 128))
 
 
 def long_training_run(tmp_path, corpus):
@@ -774,11 +786,90 @@ def test_train_on_long_windows_is_byte_identical_with_the_worker_off(pool, monke
                         period_range=(100.0, 250.0), amplitude_range=(0.8, 1.5))
     corpus = synth_corpus(GeneratorSpec(pretrain=[family]), seed=3).pretrain
     split = long_training_run(tmp_path / "split", corpus)
-    assert pool.submitted > 0
+    assert pool.submitted > pool.leaf_tasks > 0  # attention halves and parameter gradients
     monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
     submitted = pool.submitted
     assert long_training_run(tmp_path / "single", corpus) == split
     assert pool.submitted == submitted
+
+
+# -- parameter gradients beside the input-gradient chain: bit for bit inline -----------
+
+
+def desk_step_grads(weights, cfg, rng, lead):
+    """The bytes of every parameter gradient of one desk training step on
+    random patch rows and targets of leading shape ``lead``, by name."""
+    weights.zero_grads()
+    inputs = rng.standard_normal(lead + (cfg.input_width,))
+    targets = rng.standard_normal(lead + (cfg.output_patch_len,))
+    train_loss(forward(weights, cfg, inputs), targets).backward()
+    return {name: p.grad.tobytes() for name, p in weights.named()}
+
+
+def test_desk_parameter_gradients_on_the_worker_equal_inline_bitwise(pool, monkeypatch):
+    cfg = ModelConfig.preset("desk")
+    weights = ModelWeights.initialize(cfg, seed=5)
+    runs = {}
+    for threshold in (2**62, 1):  # every record inline, then every one on the worker
+        monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", threshold)
+        runs[threshold] = desk_step_grads(weights, cfg, np.random.default_rng(80), (4, 16))
+    # 18 matmul records (weights and biases) and 4 layer-norm records (gains and biases)
+    assert pool.leaf_tasks == pool.submitted == 22
+    assert {"layer0.ln1.gain", "layer1.ln2.bias", "layer0.attn.wq", "layer1.ffn.b2"} <= set(runs[1])
+    assert runs[1] == runs[2**62]
+
+
+def test_shared_and_produced_parameters_on_the_worker_equal_inline_bitwise(pool, monkeypatch):
+    rng = np.random.default_rng(81)
+    x = rng.standard_normal((3, 5, 4))
+    arrays = (rng.standard_normal((4, 4)), rng.standard_normal(4), 1.0 + rng.standard_normal(4),
+              rng.standard_normal(4))
+
+    def grads():
+        w, b, gain, bias = (Tensor(a, requires_grad=True) for a in arrays)
+        h = layer_norm(matmul(x, w, b), gain, bias)
+        h = layer_norm(matmul(h, w, b), gain, bias)  # every leaf feeds two records
+        h = matmul(h, mul(w, 0.5))  # a produced right operand: its gradient joins the chain
+        sum_exact(h * h).backward()
+        return [t.grad.tobytes() for t in (w, b, gain, bias)]
+
+    monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", 2**62)
+    inline = grads()
+    monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", 1)
+    assert grads() == inline
+    assert pool.leaf_tasks == 5
+
+
+def test_vjp_raising_mid_sweep_leaves_no_task_running_and_an_empty_tape(pool, monkeypatch):
+    monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", 1)
+    started, done = threading.Event(), []
+    submit = pool.submit
+
+    def slow_submit(fn, *args):
+        def task():
+            started.set()
+            time.sleep(0.05)  # still running when the VJP below raises
+            result = fn(*args)
+            done.append(True)
+            return result
+        return submit(task)
+
+    monkeypatch.setattr(pool, "submit", slow_submit)
+
+    def raising_vjp(g, live):
+        assert started.wait(5)
+        raise KeyError("vjp")
+
+    rng = np.random.default_rng(82)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    h = T._op(x.data.copy(), (x,), raising_vjp)  # swept after the matmul below
+    loss = sum_exact(matmul(h, w))
+    with pytest.raises(KeyError):
+        loss.backward()
+    assert done == [True]  # w's task ended before backward raised
+    assert len(active_tape()) == 0
+    assert w.grad is None and x.grad is None  # no leaf gradient is written
 
 
 # -- softmax with a keep table: bitwise the additive-mask softmax ----------------------
