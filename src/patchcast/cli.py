@@ -385,17 +385,17 @@ def cmd_evaluate(args) -> int:
     print(format_table(rows, ["predictor", *POOLED_COLUMNS]), end="")
 
     if out_dir is not None:
+        summary = {
+            "context_len": args.context, "horizon": args.horizon,
+            "stride": args.stride,
+            "predictors": {r["predictor"]: {k: (None if isinstance(v, float) and math.isnan(v) else v)
+                                            for k, v in r.items() if k != "predictor"}
+                           for r in rows}}
         with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
             for rep in reports["model"]:
                 rep.write_csv(out_dir / f"windows_{rep.series_id}.csv")
-            _write_json(out_dir / "summary.json", {
-                "context_len": args.context, "horizon": args.horizon,
-                "stride": args.stride,
-                "predictors": {r["predictor"]: {k: (None if isinstance(v, float) and math.isnan(v)
-                                                    else v)
-                                                for k, v in r.items() if k != "predictor"}
-                               for r in rows}})
+            _write_json(out_dir / "summary.json", summary)
     return 0
 
 
