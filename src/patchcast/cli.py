@@ -68,12 +68,19 @@ class CLIError(Exception):
     """Config/usage problem surfaced to the user; exits with code 2."""
 
 
+def _not_utf8(path, exc: UnicodeDecodeError) -> CLIError:
+    return CLIError(f"cannot read {path}: not UTF-8 "
+                    f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})")
+
+
 def _load_json(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
     except OSError as exc:
         raise CLIError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise CLIError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
@@ -183,6 +190,8 @@ def _build_corpus(section: dict, config_dir: Path):
                                 log_transform=log_transform)
         except (OSError, IngestError) as exc:
             raise CLIError(f"cannot ingest {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
         manifest = {"kind": "csv", "path": str(path),
                     "series": report.corpus.manifest(),
                     "skipped": [{"id": sid, "reason": why} for sid, why in report.skipped]}
@@ -294,9 +303,11 @@ def cmd_forecast(args) -> int:
     bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
     failures = 0
     try:
-        in_lines = Path(args.input).read_text().splitlines()
+        in_lines = Path(args.input).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CLIError(f"cannot read input {args.input}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(args.input, exc) from exc
     out_path = Path(args.output)
     with _writing(out_path), open(out_path, "w") as out:
         for line_no, line in enumerate(in_lines, start=1):
@@ -347,6 +358,8 @@ def cmd_evaluate(args) -> int:
         report = ingest_csv(args.data)
     except (OSError, IngestError) as exc:
         raise CLIError(f"cannot ingest {args.data}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(args.data, exc) from exc
     skipped = report.skipped + [(s.series_id, f"fewer than {MIN_SPLIT_LENGTH} points")
                                 for s in report.corpus.series if len(s) < MIN_SPLIT_LENGTH]
     for sid, reason in skipped:

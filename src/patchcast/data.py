@@ -281,7 +281,7 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
     """
     rows: dict[str, list[tuple[datetime, float]]] = {}
     order: list[str] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["id", "timestamp", "value"]:

@@ -130,6 +130,12 @@ class ModelConfig:
                 f"model_dim {self.model_dim} is not divisible by num_heads {self.num_heads}")
         if self.model_dim % 2 != 0:
             raise ConfigError(f"model_dim must be even for the sinusoidal encoding, got {self.model_dim}")
+        # no weight depends on max_positions, but the positional table [max_positions,
+        # model_dim] and one full window's scores [num_heads, max_positions, max_positions] do
+        n = self.max_positions
+        check_memory(8 * n * max(self.model_dim, self.num_heads * n),
+                     f"a series at {n:,} positions (its positional table or attention scores)",
+                     f"max_positions ({n})", ConfigError)
 
     @property
     def input_width(self) -> int:

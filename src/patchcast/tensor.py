@@ -24,9 +24,9 @@ may live on separate threads, which is why the active-tape pointer is
 thread-local. A process that may use 2 CPUs hands two kinds of work to one
 worker thread, and every value equals the one-thread value bit for bit:
 :func:`_in_halves` works large attention and softmax arrays in two halves of
-their leading axis, and :func:`_beside_chain` computes the parameter
-gradients of large matmul and layer-norm records while ``Tape.backward``
-goes on along the input-gradient chain.
+their leading axis, and ``Tape.backward`` computes the leaf (parameter)
+gradients of records with a large upstream gradient there while it goes on
+along the input-gradient chain.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ MASK_VALUE = -1e30  # additive causal mask; finite, so softmax_lastdim accepts i
 # every attention call of pretrain_long does.
 SPLIT_MIN_ENTRIES = 1 << 18
 
-# A matmul or layer-norm record whose upstream gradient holds at least this
-# many entries computes its parameter gradients on the worker thread while
-# the sweep goes on (_beside_chain). A 10-round in-process A/B of whole
-# train() passes against every record inline (2-core x86-64 VM,
-# OPENBLAS_NUM_THREADS=1): pretrain_long's [16, 128, 32] gradients (65,536
-# entries) on the worker ran at 1.11x (10 of 10 rounds faster); forcing
-# pretrain_short's [32, 19, 32] ones (19,456) onto it ran at 0.96x (0 of 10),
-# where the hand-off costs more than the overlap saves.
+# A record whose upstream gradient holds at least this many entries computes
+# its leaf (parameter) gradients on the worker thread while the sweep goes on
+# (Tape.backward). A 10-round in-process A/B of whole train() passes against
+# every record inline (2-core x86-64 VM, OPENBLAS_NUM_THREADS=1):
+# pretrain_long's [16, 128, 32] gradients (65,536 entries) on the worker ran
+# at 1.11x (10 of 10 rounds faster); forcing pretrain_short's [32, 19, 32]
+# ones (19,456) onto it ran at 0.96x (0 of 10), where the hand-off costs more
+# than the overlap saves.
 LEAF_TASK_MIN_ENTRIES = 1 << 15
 
 # causal_attention skips the exp of masked scores (softmax_lastdim's keep) on
@@ -178,25 +178,13 @@ class Tensor:
 
 
 class _Record:
-    __slots__ = ("out", "inputs", "vjp")
+    __slots__ = ("out", "inputs", "vjp", "live")
 
-    def __init__(self, out: Tensor, inputs: tuple, vjp: Callable):
+    def __init__(self, out: Tensor, inputs: tuple, vjp: Callable, live: tuple[bool, ...]):
         self.out = out
         self.inputs = inputs
         self.vjp = vjp
-
-
-class _Pending:
-    """Entry ``index`` of the gradients a worker task returns: a parameter
-    gradient still being computed when its record's VJP returns."""
-
-    __slots__ = ("task", "index")
-
-    def __init__(self, task, index: int):
-        self.task, self.index = task, index
-
-    def result(self) -> np.ndarray:
-        return self.task.result()[self.index]
+        self.live = live
 
 
 class Tape:
@@ -208,9 +196,9 @@ class Tape:
     def __len__(self) -> int:
         return len(self.records)
 
-    def record(self, out: Tensor, inputs: tuple, vjp: Callable) -> None:
+    def record(self, out: Tensor, inputs: tuple, vjp: Callable, live: tuple[bool, ...]) -> None:
         out._produced = True
-        self.records.append(_Record(out, inputs, vjp))
+        self.records.append(_Record(out, inputs, vjp, live))
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) for every requires_grad leaf on the tape.
@@ -219,12 +207,14 @@ class Tape:
         output never received a gradient are skipped as zero. The tape is
         cleared on completion (and on error), so it is single-use.
 
-        The sweep follows the input-gradient chain on this thread. A VJP may
-        return some leaf gradients as :class:`_Pending` (``_beside_chain``),
-        still being computed on the worker thread; no later VJP reads a leaf
-        gradient, so the leaves receive theirs after the sweep, in record
-        order, with the same copy or sum as inline. A pending gradient of a
-        produced tensor is waited for before it joins the chain. If anything
+        The sweep follows the input-gradient chain on this thread. No VJP
+        reads a leaf's gradient, so a record whose upstream gradient holds at
+        least LEAF_TASK_MIN_ENTRIES entries, in a process that may use 2
+        CPUs, computes the gradients of its live leaf inputs on the worker
+        thread, in a copy of the caller's context (so ``np.errstate``
+        applies), while this thread computes those of its produced inputs
+        and goes on. The leaves receive their gradients after the sweep, in
+        record order, with the same copy or sum as inline. If anything
         raises, no leaf gradient is written and the error propagates once no
         worker task of this sweep is running.
         """
@@ -232,28 +222,42 @@ class Tape:
             raise TapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if not self.records:
             raise TapeError("backward on an empty tape: no ops were recorded")
-        leaves: list[tuple[Tensor, object]] = []  # (leaf, gradient or _Pending), record order
+        # (leaf, gradient), or (a record's inputs, the worker task computing
+        # the gradients of its leaves), in sweep order
+        leaves: list[tuple[object, object]] = []
         try:
             flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
             for rec in reversed(self.records):
                 g = flow.pop(id(rec.out), None)
                 if g is None:
                     continue
-                for t, gt in zip(rec.inputs, rec.vjp(g)):
+                live = rec.live
+                if g.size >= LEAF_TASK_MIN_ENTRIES and _usable_cpus() >= 2:
+                    aside = tuple(need and not t._produced for t, need in zip(rec.inputs, live))
+                    if any(aside):
+                        leaves.append((rec.inputs, _second_core().submit(
+                            contextvars.copy_context().run, rec.vjp, g, aside)))
+                        live = tuple(need and t._produced for t, need in zip(rec.inputs, live))
+                        if not any(live):
+                            continue
+                for t, gt in zip(rec.inputs, rec.vjp(g, live)):
                     if gt is None:
                         continue
                     if not t._produced:
                         leaves.append((t, gt))
                         continue
-                    if type(gt) is _Pending:
-                        gt = gt.result()
                     acc = flow.get(id(t))
                     flow[id(t)] = gt if acc is None else acc + gt
-            grads = [(t, gt.result() if type(gt) is _Pending else gt) for t, gt in leaves]
+            grads = []
+            for t, gt in leaves:
+                if type(t) is tuple:
+                    grads.extend((x, gx) for x, gx in zip(t, gt.result()) if gx is not None)
+                else:
+                    grads.append((t, gt))
         except BaseException:
-            for _, gt in leaves:
-                if type(gt) is _Pending:
-                    _settle(gt.task)
+            for t, gt in leaves:
+                if type(t) is tuple:
+                    _settle(gt)
             raise
         finally:
             self.records.clear()
@@ -335,30 +339,6 @@ def _in_halves(fn: Callable[[slice], object], arr: np.ndarray) -> None:
         late.result()
 
 
-def _beside_chain(g: np.ndarray, chain: Callable[[], object], params: Callable[[], tuple],
-                  live: tuple[bool, ...]) -> tuple:
-    """``(chain(), *params())``, the gradients of one record with upstream
-    gradient ``g``: ``chain`` computes the input gradient the sweep goes on
-    with, and ``params`` one gradient per parameter operand, None where
-    ``live`` is False. When some parameter is live, g holds at least
-    LEAF_TASK_MIN_ENTRIES entries and the process may use 2 CPUs, ``params``
-    runs on the worker thread in a copy of the caller's context (so
-    ``np.errstate`` applies) while ``chain`` runs here, and its gradients
-    come back as :class:`_Pending` entries for ``Tape.backward`` to resolve.
-    ``params`` must not run a traced function (see ``_in_halves``). If
-    ``chain`` raises, the worker's task has ended or been cancelled first.
-    """
-    if g.size < LEAF_TASK_MIN_ENTRIES or not any(live) or _usable_cpus() < 2:
-        return (chain(), *params())
-    task = _second_core().submit(contextvars.copy_context().run, params)
-    try:
-        first = chain()
-    except BaseException:
-        _settle(task)
-        raise
-    return (first, *(_Pending(task, i) if need else None for i, need in enumerate(live)))
-
-
 # -- shape plumbing --------------------------------------------------------
 
 
@@ -398,15 +378,17 @@ def _op(out_data: np.ndarray, inputs: tuple, vjp: Callable[[np.ndarray, tuple[bo
     came from the tape. Ops return ``Tensor(out_data)`` themselves under
     no_grad, before building ``vjp``.
 
-    ``vjp(g, live)`` returns one gradient per input and None for each input
-    that is not live (a constant such as an input batch or a positional
-    table), so no gradient is computed only to be dropped.
+    ``vjp(g, need)`` returns a tuple of one gradient per input, None for each
+    input that ``need`` marks False. ``Tape.backward`` passes the record's
+    live mask, or a part of it when it computes the leaf gradients on the
+    worker thread (see there), so no gradient is computed only to be
+    dropped. ``vjp`` must not run a traced function (see ``_in_halves``).
     """
     out = Tensor(out_data)
     live = tuple(isinstance(t, Tensor) and (t.requires_grad or t._produced) for t in inputs)
     if any(live):
         out.requires_grad = True
-        _state.tape.record(out, inputs, lambda g: vjp(g, live))
+        _state.tape.record(out, inputs, vjp, live)
     return out
 
 
@@ -456,8 +438,7 @@ def matmul(a, b, bias=None) -> Tensor:
     added in place in the same record, so the result equals ``matmul(a, b)
     + bias`` bit for bit. Gradients are g @ b^T and a^T @ g, summed over
     broadcast batch axes, and g summed down to the bias; a constant operand
-    (an input batch) gets None. Those of b and the bias may be computed on
-    the worker thread while the sweep goes on (``_beside_chain``).
+    (an input batch) gets None.
     """
     ad, bd = as_array(a), as_array(b)
     sa, sb = ad.shape, bd.shape
@@ -476,11 +457,10 @@ def matmul(a, b, bias=None) -> Tensor:
         out += biasd
     if not _state.grad_enabled:
         return Tensor(out)
-    return _op(out, (a, b) if bias is None else (a, b, bias), lambda g, live: _beside_chain(
-        g, lambda: _reduce_to(g @ np.swapaxes(bd, -1, -2), sa) if live[0] else None,
-        lambda: (_reduce_to(np.swapaxes(ad, -1, -2) @ g, sb) if live[1] else None,
-                 *(_reduce_to(g, biasd.shape) if need else None for need in live[2:])),
-        live[1:]))
+    return _op(out, (a, b) if bias is None else (a, b, bias), lambda g, live: (
+        _reduce_to(g @ np.swapaxes(bd, -1, -2), sa) if live[0] else None,
+        _reduce_to(np.swapaxes(ad, -1, -2) @ g, sb) if live[1] else None,
+        *(_reduce_to(g, biasd.shape) if need else None for need in live[2:])))
 
 
 def sum_exact(x) -> Tensor:
@@ -563,9 +543,7 @@ def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the final axis to zero mean, unit variance, then affine.
 
     Population variance with epsilon 1e-6 inside the square root. ``gain``
-    and ``bias`` are 1-d and must match the final axis of ``x``; their
-    gradients may be computed on the worker thread while the sweep goes on
-    (``_beside_chain``).
+    and ``bias`` are 1-d and must match the final axis of ``x``.
     """
     xd, gd, bd = as_array(x), as_array(gain), as_array(bias)
     d = xd.shape[-1] if xd.ndim else 0
@@ -582,18 +560,15 @@ def layer_norm(x, gain, bias) -> Tensor:
         return Tensor(out)
 
     def vjp(g, live):
-        def dx():
-            if not live[0]:
-                return None
+        dx = None
+        if live[0]:
             dxhat = g * gd
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            return inv * (dxhat - m1 - xhat * m2)
-
+            dx = inv * (dxhat - m1 - xhat * m2)
         reduce_axes = tuple(range(g.ndim - 1))  # () for one row: sum(axis=()) copies
-        return _beside_chain(g, dx, lambda: ((g * xhat).sum(axis=reduce_axes) if live[1] else None,
-                                             g.sum(axis=reduce_axes) if live[2] else None),
-                             live[1:])
+        return (dx, (g * xhat).sum(axis=reduce_axes) if live[1] else None,
+                g.sum(axis=reduce_axes) if live[2] else None)
 
     return _op(out, (x, gain, bias), vjp)
 

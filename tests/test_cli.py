@@ -143,6 +143,34 @@ def test_pretrain_rejects_non_bool_log_transform(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+DESK_CHECKPOINT = str(Path(__file__).resolve().parents[1] / "perfbench" / "desk.npz")
+NOT_UTF8 = {  # each file holds the Latin-1 byte 0xe9, followed by an ASCII byte
+    "bad.csv": b"id,timestamp,value\ns\xe9,2021-03-01T00:00:00,1.0\n",
+    "bad.jsonl": b'{"id": "caf\xe9", "values": [1, 2, 3]}\n',
+    "bad.json": b'{"seed": 1, "note": "caf\xe9"}\n',
+}
+
+
+@pytest.mark.parametrize("bad,argv", [
+    ("bad.csv", ["evaluate", "--checkpoint", DESK_CHECKPOINT, "--data", "{bad}", "--context", "64",
+                 "--horizon", "2", "--out-dir", "{out}"]),
+    ("bad.jsonl", ["forecast", "--checkpoint", DESK_CHECKPOINT, "--input", "{bad}",
+                   "--horizon", "8", "--output", "{out}"]),
+    ("bad.json", ["pretrain", "--config", "{bad}"]),
+    ("bad.json", ["ablate", "--config", "{bad}"]),
+    ("bad.csv", ["pretrain", "--config", "{config}"]),
+], ids=["evaluate", "forecast", "pretrain", "ablate", "pretrain_csv_corpus"])
+def test_input_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, bad, argv):
+    path, out = tmp_path / bad, tmp_path / "out"
+    path.write_bytes(NOT_UTF8[bad])
+    config = tmp_path / "pretrain.json"  # a csv corpus read relative to the config
+    config.write_text(json.dumps({**pretrain_config(out), "corpus": {"kind": "csv", "path": bad}}))
+    assert main([a.format(bad=path, out=out, config=config) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {path}: not UTF-8 (byte 0xe9: invalid continuation byte)\n")
+    assert not out.exists()
+
+
 def test_pretrain_past_the_memory_ceiling_exits_2(tmp_path, capsys):
     cfg = json.loads(json.dumps(pretrain_config(tmp_path / "out")))  # a deep copy
     cfg["corpus"]["spec"]["pretrain"][0]["length_range"] = [10, 10**12]

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from patchcast.model import (
 from patchcast.tensor import Tensor, no_grad, sum_exact
 from patchcast.training import train_loss
 
+DESK_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "desk.npz"
 
 def tiny_cfg(**kw):
     base = dict(input_patch_len=4, output_patch_len=8, model_dim=16, num_layers=2,
@@ -595,6 +598,35 @@ def test_initialize_past_the_memory_ceiling_names_the_field(field, value):
         ModelWeights.initialize(cfg, seed=0)
 
 
+def test_max_positions_past_the_memory_ceiling_is_rejected(tmp_path):
+    # Configs only: no weight depends on max_positions, but the positional
+    # table and one full window's attention scores do, so each is checked.
+    desk = ModelConfig.preset("desk").to_dict()
+    for fields in (desk, ModelConfig.preset("full").to_dict()):
+        assert ModelConfig.from_dict(fields).to_dict() == fields
+    with pytest.raises(ConfigError, match=r"ceiling; lower max_positions \(67108864\)"):
+        ModelConfig.from_dict({**desk, "max_positions": 2**26})
+    # scores: 8 bytes x 2 heads x 2^14 x 2^14 is the ceiling itself
+    assert 8 * 2 * (2**14) ** 2 == M.MEMORY_CEILING_BYTES
+    ModelConfig.from_dict({**desk, "max_positions": 2**14})
+    with pytest.raises(ConfigError, match="max_positions"):
+        ModelConfig.from_dict({**desk, "max_positions": 2**14 + 1})
+    # the positional table: 8 bytes x 2^7 positions x 2^22 wide
+    wide = {**desk, "model_dim": 2**22, "max_positions": 2**7}
+    ModelConfig.from_dict(wide)
+    with pytest.raises(ConfigError, match="max_positions"):
+        ModelConfig.from_dict({**wide, "max_positions": 2**7 + 1})
+    # a checkpoint of desk weights that claims 2^26 positions
+    with np.load(DESK_CHECKPOINT) as archive:
+        meta = json.loads(bytes(archive["meta"].tobytes()).decode())
+        arrays = {n: archive[n] for n in archive.files if n != "meta"}
+    meta["config"]["max_positions"] = 2**26
+    bad = tmp_path / "long.npz"
+    np.savez(bad, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    with pytest.raises(CheckpointError, match="max_positions"):
+        load_checkpoint(bad)
+
+
 def test_weight_init_is_seed_deterministic():
     cfg = tiny_cfg()
     a = ModelWeights.initialize(cfg, seed=42)
@@ -663,7 +695,6 @@ def test_checkpoint_version_rejected(tmp_path):
     weights = ModelWeights.initialize(cfg, seed=24)
     path = tmp_path / "model.npz"
     save_checkpoint(path, cfg, weights)
-    import json
     import zipfile
 
     with np.load(path) as archive:
@@ -700,7 +731,6 @@ def test_checkpoint_shape_mismatch_rejected():
 
 
 def test_checkpoint_claiming_huge_depth_fails_fast(tmp_path):
-    import json
     import time
 
     cfg = tiny_cfg()
@@ -720,12 +750,9 @@ def test_checkpoint_claiming_huge_depth_fails_fast(tmp_path):
 
 
 def test_committed_benchmark_checkpoint_loads():
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "desk.npz"
-    if not path.exists():
+    if not DESK_CHECKPOINT.exists():
         pytest.skip("benchmark checkpoint not present")
-    assert load_checkpoint(path).config == ModelConfig.preset("desk")
+    assert load_checkpoint(DESK_CHECKPOINT).config == ModelConfig.preset("desk")
 
 
 def test_not_a_checkpoint(tmp_path):

@@ -437,7 +437,8 @@ def attention_with_temporaries(q, k, v, num_heads, g):
 
 def last_record_vjp(g):
     """Gradients the newest tape record sends to its inputs for output grad g."""
-    return active_tape().records[-1].vjp(g)
+    rec = active_tape().records[-1]
+    return rec.vjp(g, rec.live)
 
 
 def softmax_rows(kind):
@@ -602,7 +603,7 @@ def test_mask_rows_of_the_table_equal_a_per_call_triu_bitwise():
 
 class CountingPool:
     """A one-thread pool that counts submissions, and among them the
-    parameter-gradient tasks: ``_beside_chain`` submits ``(run, params)``,
+    leaf-gradient tasks: ``Tape.backward`` submits ``(run, vjp, g, aside)``,
     ``_in_halves`` submits ``(run, fn, rows)``."""
 
     def __init__(self):
@@ -612,7 +613,7 @@ class CountingPool:
 
     def submit(self, fn, *args):
         self.submitted += 1
-        self.leaf_tasks += len(args) == 1
+        self.leaf_tasks += len(args) == 3
         return self.pool.submit(fn, *args)
 
 
@@ -837,10 +838,93 @@ def test_shared_and_produced_parameters_on_the_worker_equal_inline_bitwise(pool,
     inline = grads()
     monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", 1)
     assert grads() == inline
+    # the two matmul(., w, b) records, the two layer-norm records and mul(w, 0.5);
+    # the last matmul and the ops after it have only produced inputs
     assert pool.leaf_tasks == 5
 
 
-def test_vjp_raising_mid_sweep_leaves_no_task_running_and_an_empty_tape(pool, monkeypatch):
+def test_leaf_first_operand_and_binary_leaf_on_the_worker_equal_inline_bitwise(pool, monkeypatch):
+    rng = np.random.default_rng(83)
+    x = rng.standard_normal((3, 5, 4))
+    arrays = (rng.standard_normal((4, 4)), rng.standard_normal((5, 5)), rng.standard_normal(4))
+
+    def grads():
+        w, w_first, s = (Tensor(a, requires_grad=True) for a in arrays)
+        h = matmul(x, w)
+        h = matmul(w_first, h)  # a leaf first operand, broadcast over h's batch axis
+        h = mul(h, s)  # a _binary op on a leaf
+        sum_exact(h * h).backward()
+        return [t.grad.tobytes() for t in (w, w_first, s)]
+
+    monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", 2**62)
+    inline = grads()
+    assert pool.submitted == 0
+    monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", 1)
+    assert grads() == inline
+    assert pool.leaf_tasks == pool.submitted == 3
+
+
+def test_no_produced_input_gradient_is_computed_on_the_worker(pool, monkeypatch):
+    monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", 1)
+    calls = []
+
+    def vjp(g, need):
+        calls.append((need, threading.current_thread() is threading.main_thread()))
+        return tuple(g if n else None for n in need)
+
+    w = Tensor(np.ones((2, 3)), requires_grad=True)
+    h = mul(w, 2.0)  # produced; its record's one input is a leaf
+    out = T._op(h.data + w.data + 1.0, (h, w, np.ones((2, 3))), vjp)
+    sum_exact(out).backward()
+    # (need, on the caller's thread): the leaf w on the worker, the produced h here
+    assert sorted(calls) == [((False, True, False), False), ((True, False, False), True)]
+    assert np.array_equal(w.grad, np.full((2, 3), 3.0))
+    assert pool.leaf_tasks == pool.submitted == 2
+
+
+def test_attention_on_leaves_on_the_worker_splits_there_and_equals_inline_bitwise(pool, monkeypatch):
+    # In the model q, k and v are produced, so attention's VJP stays on the
+    # caller's thread. Forced onto the worker, its _in_halves submits the
+    # second half from there, finds it not started and runs it inline.
+    monkeypatch.setattr(T, "SPLIT_MIN_ENTRIES", 1)
+    rng = np.random.default_rng(84)
+    arrays = [rng.standard_normal((4, 6, 8)) for _ in range(3)]
+    probe = rng.standard_normal((4, 6, 8))
+    submitters = []
+    submit = pool.submit
+
+    def recording_submit(fn, *args):
+        submitters.append((len(args), threading.current_thread().name))
+        return submit(fn, *args)
+
+    monkeypatch.setattr(pool, "submit", recording_submit)
+
+    def grads(out):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        sum_exact(causal_attention(*leaves, 2) * probe).backward()
+        out.extend(t.grad.tobytes() for t in leaves)
+
+    runs = {}
+    for threshold in (2**62, 1):  # the record inline, then on the worker
+        monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", threshold)
+        submitters.clear()
+        runs[threshold] = []
+        caller = threading.Thread(target=grads, args=(runs[threshold],), name="caller", daemon=True)
+        caller.start()
+        caller.join(10)
+        if caller.is_alive():
+            pool.pool.shutdown(wait=False, cancel_futures=True)
+            pytest.fail("backward did not finish")
+        # the score product, softmax and context product split on the caller's thread
+        assert submitters[:3] == [(2, "caller")] * 3
+    worker = submitters[4][1]
+    assert submitters[3:] == [(3, "caller"), (2, worker)] and worker != "caller"
+    assert len(runs[1]) == 3 and runs[1] == runs[2**62]
+
+
+@pytest.mark.parametrize("on_worker", [False, True], ids=["inline", "worker"])
+def test_vjp_raising_mid_sweep_leaves_no_task_running_and_an_empty_tape(pool, monkeypatch,
+                                                                       on_worker):
     monkeypatch.setattr(T, "LEAF_TASK_MIN_ENTRIES", 1)
     started, done = threading.Event(), []
     submit = pool.submit
@@ -863,7 +947,8 @@ def test_vjp_raising_mid_sweep_leaves_no_task_running_and_an_empty_tape(pool, mo
     rng = np.random.default_rng(82)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    h = T._op(x.data.copy(), (x,), raising_vjp)  # swept after the matmul below
+    # swept after the matmul below: on the worker for a leaf input, here for a produced one
+    h = T._op(x.data.copy(), (x if on_worker else mul(x, 1.0),), raising_vjp)
     loss = sum_exact(matmul(h, w))
     with pytest.raises(KeyError):
         loss.backward()
