@@ -62,7 +62,7 @@ def load_checkpoint(path) -> CheckpointBundle:
                       for name in archive.files if name.startswith(_PARAM_PREFIX)}
     except CheckpointError:
         raise
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as err:
+    except (OSError, ValueError, RecursionError, EOFError, zipfile.BadZipFile) as err:
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
     if not isinstance(meta, dict):
         raise CheckpointError(f"{path} meta is not a JSON object; not a checkpoint")

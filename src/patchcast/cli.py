@@ -27,6 +27,8 @@ from .data import (
     GeneratorSpecError,
     IngestError,
     MIN_SPLIT_LENGTH,
+    SamplingError,
+    default_mixture,
     derive_date_features,
     ingest_csv,
     parse_timestamp,
@@ -46,7 +48,7 @@ from .evaluation import (
     repeat_last,
     rolling_eval,
 )
-from .inference import ForecastError, HorizonError, check_horizon, forecast
+from .inference import ForecastError, check_horizon, forecast
 from .model import ConfigError, ModelConfig, check_int, check_weights_memory, config_fields
 from .training import (
     NORMALIZATION_MODES,
@@ -68,20 +70,26 @@ class CLIError(Exception):
     """Config/usage problem surfaced to the user; exits with code 2."""
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> CLIError:
-    return CLIError(f"cannot read {path}: not UTF-8 "
-                    f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})")
+# the named errors that `main` reports as `error: ...` with exit code 2
+USER_ERRORS = (CLIError, CheckpointError, ConfigError, TrainConfigError, EvalConfigError,
+               ForecastError, MetricError, SamplingError)
+
+
+def _read_text(path, what: str) -> str:
+    """The text of UTF-8 file `path`; CLIError naming the `what` file if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CLIError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # a UnicodeDecodeError: a path from argv holds no NUL byte
+        raise CLIError(f"cannot read {path}: not UTF-8 "
+                       f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from exc
 
 
 def _load_json(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-    except OSError as exc:
-        raise CLIError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
-    except json.JSONDecodeError as exc:
+        loaded = json.loads(_read_text(path, "config"))
+    except (ValueError, RecursionError) as exc:  # integers past 4,300 digits, deep nesting
         raise CLIError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise CLIError(f"config {path} must hold a JSON object")
@@ -185,18 +193,21 @@ def _build_corpus(section: dict, config_dir: Path):
         log_transform = section.get("log_transform", False)
         if not isinstance(log_transform, bool):
             raise CLIError(f"corpus log_transform must be true or false, got {log_transform!r}")
-        try:
-            report = ingest_csv(path, granularity=section.get("granularity"),
-                                log_transform=log_transform)
-        except (OSError, IngestError) as exc:
-            raise CLIError(f"cannot ingest {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from exc
+        report = _ingest(path, granularity=section.get("granularity"),
+                         log_transform=log_transform)
         manifest = {"kind": "csv", "path": str(path),
                     "series": report.corpus.manifest(),
                     "skipped": [{"id": sid, "reason": why} for sid, why in report.skipped]}
         return report.corpus, None, manifest
     raise CLIError(f'corpus kind must be "synthetic" or "csv", got {kind!r}')
+
+
+def _ingest(path, **options):
+    """ingest_csv(path, **options); CLIError naming the file if it fails."""
+    try:
+        return ingest_csv(path, **options)
+    except (OSError, IngestError) as exc:
+        raise CLIError(f"cannot ingest {path}: {exc}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -233,9 +244,11 @@ def cmd_pretrain(args) -> int:
     model_cfg = _build_model_config(raw.get("model", {}))
     train_cfg = _build_train_config(raw)
 
+    # before anything is written: a corpus with no training window, a model too large
+    default_mixture(corpus, model_cfg.input_patch_len, model_cfg.output_patch_len)
+    if args.resume_from is None:  # a resumed run loads its weights
+        check_weights_memory(model_cfg)
     try:
-        if args.resume_from is None:  # a resumed run loads its weights
-            check_weights_memory(model_cfg)  # before anything is written
         with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
             _write_json(out_dir / "manifest.json", manifest)
@@ -251,8 +264,6 @@ def cmd_pretrain(args) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CheckpointError, TrainConfigError, ConfigError) as exc:
-        raise CLIError(str(exc)) from exc
     last = result.loss_curve[-1]
     print(f"trained {train_cfg.total_steps} steps; "
           f"final train loss {last[1]:.6f}; "
@@ -277,7 +288,7 @@ def _record_features(record: dict, cfg: ModelConfig, horizon: int,
         if not isinstance(start_text, str):  # str(20200106) would parse as 2020-01-06
             raise ValueError("start is not a string")
         start = parse_timestamp(start_text)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ForecastError(f"bad start timestamp {start_text!r}") from exc
     return derive_date_features(start, gran, len(record["values"]) + horizon)
 
@@ -286,11 +297,8 @@ def _load_for_horizon(path, horizon: int):
     """The checkpoint at `path` and its normalization mode; CLIError if it is
     unusable, records an unknown mode, or `horizon` is < 1 or needs more than
     MAX_ROUNDS rounds of its model."""
-    try:
-        bundle = load_checkpoint(path)
-        check_horizon(horizon, bundle.config)
-    except (CheckpointError, HorizonError) as exc:
-        raise CLIError(str(exc)) from exc
+    bundle = load_checkpoint(path)
+    check_horizon(horizon, bundle.config)
     normalization = bundle.extra.get("normalization", "per-window")
     if normalization not in NORMALIZATION_MODES:
         raise CLIError(f"checkpoint {path} records unknown normalization mode {normalization!r}")
@@ -302,12 +310,7 @@ def cmd_forecast(args) -> int:
         raise CLIError(f"unknown --granularity {args.granularity!r}")
     bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
     failures = 0
-    try:
-        in_lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CLIError(f"cannot read input {args.input}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(args.input, exc) from exc
+    in_lines = _read_text(args.input, "input").splitlines()
     out_path = Path(args.output)
     with _writing(out_path), open(out_path, "w") as out:
         for line_no, line in enumerate(in_lines, start=1):
@@ -327,7 +330,9 @@ def _forecast_record(line: str, line_no: int, bundle, horizon: int,
                      normalization: str, default_granularity: str | None) -> dict:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+        if isinstance(record, dict):  # the id is echoed, so NaN or Infinity there is refused
+            json.dumps(record.get("id"), allow_nan=False)
+    except (ValueError, RecursionError) as exc:  # also integers past 4,300 digits, deep nesting
         return {"line": line_no, "error": f"invalid JSON: {exc}"}
     if not isinstance(record, dict) or "values" not in record:
         return {"line": line_no, "error": 'record must be an object with "values"'}
@@ -354,12 +359,7 @@ def cmd_evaluate(args) -> int:
     if args.season is not None and args.season < 1:
         raise CLIError(f"--season must be >= 1, got {args.season}")
     bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
-    try:
-        report = ingest_csv(args.data)
-    except (OSError, IngestError) as exc:
-        raise CLIError(f"cannot ingest {args.data}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(args.data, exc) from exc
+    report = _ingest(args.data)
     skipped = report.skipped + [(s.series_id, f"fewer than {MIN_SPLIT_LENGTH} points")
                                 for s in report.corpus.series if len(s) < MIN_SPLIT_LENGTH]
     for sid, reason in skipped:
@@ -384,8 +384,6 @@ def cmd_evaluate(args) -> int:
             try:
                 reports[name].append(rolling_eval(predictor, s, args.context, args.horizon,
                                                   args.stride))
-            except EvalConfigError as exc:
-                raise CLIError(str(exc)) from exc
             except MetricError as exc:
                 raise CLIError(f"cannot score predictor {name}: {exc}") from exc
             except ForecastError as exc:
@@ -430,28 +428,25 @@ def cmd_ablate(args) -> int:
     eval_series = holdout.series if holdout is not None else corpus.series
     _check_out_dir(out_dir)
 
-    try:
-        if suite == "context":
-            if "checkpoint" in raw:
-                bundle, normalization = _load_for_horizon(
-                    _config_str(raw, "checkpoint", "ablate config"), horizon)
-                weights, model_cfg = bundle.weights, bundle.config
-            else:
-                model_cfg = _build_model_config(raw.get("model", {}))
-                train_cfg = _build_train_config(raw)
-                check_horizon(horizon, model_cfg)
-                weights = train(corpus, model_cfg, train_cfg).weights
-                normalization = train_cfg.normalization
-            rows = context_sweep(weights, model_cfg, eval_series, ev["context_lengths"],
-                                 horizon, stride, normalization)
+    if suite == "context":
+        if "checkpoint" in raw:
+            bundle, normalization = _load_for_horizon(
+                _config_str(raw, "checkpoint", "ablate config"), horizon)
+            weights, model_cfg = bundle.weights, bundle.config
         else:
-            which = "input" if suite == "input-patch" else "output"
             model_cfg = _build_model_config(raw.get("model", {}))
             train_cfg = _build_train_config(raw)
-            rows = patch_size_comparison(corpus, eval_series, model_cfg, train_cfg, which,
-                                         ev["sizes"], ev["context_len"], horizon, stride)
-    except (CheckpointError, TrainConfigError, EvalConfigError, HorizonError, ConfigError) as exc:
-        raise CLIError(str(exc)) from exc
+            check_horizon(horizon, model_cfg)
+            weights = train(corpus, model_cfg, train_cfg).weights
+            normalization = train_cfg.normalization
+        rows = context_sweep(weights, model_cfg, eval_series, ev["context_lengths"],
+                             horizon, stride, normalization)
+    else:
+        which = "input" if suite == "input-patch" else "output"
+        model_cfg = _build_model_config(raw.get("model", {}))
+        train_cfg = _build_train_config(raw)
+        rows = patch_size_comparison(corpus, eval_series, model_cfg, train_cfg, which,
+                                     ev["sizes"], ev["context_len"], horizon, stride)
 
     table = format_table(rows, SUITE_HEADERS[suite])
     print(table, end="")
@@ -509,7 +504,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

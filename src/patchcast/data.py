@@ -225,7 +225,8 @@ class IngestReport:
 
 
 def parse_timestamp(text: str) -> datetime:
-    """ISO-8601 `text` as naive UTC, blanks and a trailing Z or z allowed; else ValueError."""
+    """ISO-8601 `text` as naive UTC, blanks and a trailing Z or z allowed; else
+    ValueError, or OverflowError for a stamp outside the years 1-9999 in UTC."""
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
@@ -246,7 +247,7 @@ def _detect_granularity(ts: list[datetime], series_id: str) -> str:
     raise StrideError(f"series {series_id}: observed stride {base}s matches no supported granularity")
 
 
-def _grid_index(ts: list[datetime], granularity: str, series_id: str) -> list[int] | None:
+def _grid_index(ts: list[datetime], granularity: str) -> list[int] | None:
     """Map timestamps to positions on the exact sampling grid anchored at ts[0].
 
     Returns None when some timestamp falls off the grid (stride violation);
@@ -275,41 +276,43 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
 
     Timestamps are ISO-8601 and must advance by exactly one granularity
     stride; series with missing rows, NaN or infinite values are skipped
-    and reported, while unparseable rows and stride contradictions raise.
+    and reported, and any other fault in the file's content raises IngestError.
     ``granularity``, when given, is enforced against the observed stride.
     ``log_transform`` stores log1p(value) for heavy-tailed sources.
     """
-    rows: dict[str, list[tuple[datetime, float]]] = {}
-    order: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["id", "timestamp", "value"]:
-            raise IngestError(f"line 1: expected header id,timestamp,value, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise IngestError(f"line {line_no}: expected 3 columns, got {len(row)}")
-            sid = row[0].strip()
-            if not sid:
-                raise IngestError(f"line {line_no}: empty series id")
-            try:
-                ts = parse_timestamp(row[1])
-            except ValueError as err:
-                raise IngestError(f"line {line_no}: bad timestamp {row[1]!r}: {err}") from err
-            try:
-                value = float(row[2])
-            except ValueError as err:
-                raise IngestError(f"line {line_no}: bad value {row[2]!r}") from err
-            if sid not in rows:
-                order.append(sid)
-            rows.setdefault(sid, []).append((ts, value))
+    rows: dict[str, list[tuple[datetime, float]]] = {}  # series in first-seen order
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header] != ["id", "timestamp", "value"]:
+                raise IngestError(f"line 1: expected header id,timestamp,value, got {header}")
+            for row in reader:
+                line_no = reader.line_num  # a quoted field may span lines
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise IngestError(f"line {line_no}: expected 3 columns, got {len(row)}")
+                sid = row[0].strip()
+                if not sid:
+                    raise IngestError(f"line {line_no}: empty series id")
+                try:
+                    ts = parse_timestamp(row[1])
+                except (ValueError, OverflowError) as err:
+                    raise IngestError(f"line {line_no}: bad timestamp {row[1]!r}: {err}") from err
+                try:
+                    value = float(row[2])
+                except ValueError as err:
+                    raise IngestError(f"line {line_no}: bad value {row[2]!r}") from err
+                rows.setdefault(sid, []).append((ts, value))
+    except UnicodeDecodeError as err:
+        raise IngestError(f"not UTF-8 (byte 0x{err.object[err.start]:02x}: {err.reason})") from err
+    except csv.Error as err:  # say a field past csv.field_size_limit()
+        raise IngestError(f"line {reader.line_num}: {err}") from err
 
     series: list[TimeSeries] = []
     skipped: list[tuple[str, str]] = []
-    for sid in order:
-        points = rows[sid]
+    for sid, points in rows.items():
         stamps = [p[0] for p in points]
         values = np.array([p[1] for p in points])
         if len(points) < 2:
@@ -321,7 +324,7 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
         if granularity is not None and granularity != observed:
             raise StrideError(
                 f"series {sid}: declared granularity {granularity!r} but observed stride is {observed!r}")
-        positions = _grid_index(stamps, observed, sid)
+        positions = _grid_index(stamps, observed)
         if positions is None:
             raise StrideError(f"series {sid}: timestamps do not sit on a {observed} grid")
         if positions != list(range(len(stamps))):
@@ -471,7 +474,7 @@ def synth_corpus(spec: GeneratorSpec, seed: int) -> CorpusPair:
     """Deterministically generate the pretrain and holdout corpora.
 
     GeneratorSpecError if their points and calendar features could pass
-    MEMORY_CEILING_BYTES, naming the largest family's fields.
+    MEMORY_CEILING_BYTES, or if a family gives a series non-finite values.
     """
     families = spec.pretrain + spec.holdout
     point_bytes = 8 * (1 + len(FEATURE_COLUMNS))
@@ -487,7 +490,11 @@ def synth_corpus(spec: GeneratorSpec, seed: int) -> CorpusPair:
             for i in range(fam.n_series):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=seed, spawn_key=(role_idx, fam_idx, i)))
-                out[role].append(_generate_series(fam, role, i, rng))
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                        out[role].append(_generate_series(fam, role, i, rng))
+                except ValueError as err:  # non-finite values; a negative seasonal_dummy scale
+                    raise GeneratorSpecError(f"family {fam.name!r}: {err}") from err
     return CorpusPair(pretrain=Corpus(out["pretrain"]), holdout=Corpus(out["holdout"]))
 
 

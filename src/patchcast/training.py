@@ -152,11 +152,6 @@ def _norm_of_squares(weights: ModelWeights, sq: np.ndarray) -> float:
     return math.sqrt(math.fsum(np.add.reduce(sq[span]) for span in weights.spans))
 
 
-def global_grad_norm(weights: ModelWeights) -> float:
-    g = gather_grads(weights)
-    return _norm_of_squares(weights, g * g)
-
-
 def adam_step(weights: ModelWeights, state: AdamState, lr: float) -> float:
     """One bias-corrected Adam update in place, over the whole arena at
     once; returns the pre-clip norm."""

@@ -166,8 +166,126 @@ def test_input_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, bad, ar
     config = tmp_path / "pretrain.json"  # a csv corpus read relative to the config
     config.write_text(json.dumps({**pretrain_config(out), "corpus": {"kind": "csv", "path": bad}}))
     assert main([a.format(bad=path, out=out, config=config) for a in argv]) == 2
+    verb = "ingest" if bad.endswith(".csv") else "read"  # as for any other CSV failure
     assert capsys.readouterr().err == (
-        f"error: cannot read {path}: not UTF-8 (byte 0xe9: invalid continuation byte)\n")
+        f"error: cannot {verb} {path}: not UTF-8 (byte 0xe9: invalid continuation byte)\n")
+    assert not out.exists()
+
+
+DEEP_JSON = "[" * 10_000 + "]" * 10_000  # past the JSON parser's recursion limit
+LONG_INT = "9" * 5_000  # past Python's 4,300-digit limit on integer text
+
+
+@pytest.mark.parametrize("command", ["evaluate", "pretrain_csv_corpus"])
+def test_csv_with_a_field_past_the_csv_limit_exits_2_naming_it(tmp_path, capsys, command):
+    data, out = tmp_path / "long.csv", tmp_path / "out"
+    write_eval_csv(data, n_series=1)  # a header and 120 rows
+    with open(data, "a") as fh:
+        fh.write("s0,2021-01-01T00:00:00," + "1" * 131_073 + "\n")
+    config = tmp_path / "pretrain.json"
+    config.write_text(json.dumps({**pretrain_config(out), "corpus": {"kind": "csv", "path": data.name}}))
+    argv = {"evaluate": ["evaluate", "--checkpoint", DESK_CHECKPOINT, "--data", str(data),
+                         "--context", "64", "--horizon", "2", "--out-dir", str(out)],
+            "pretrain_csv_corpus": ["pretrain", "--config", str(config)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot ingest {data}: line 122: field larger than field limit (131072)\n")
+    assert not out.exists()
+
+
+def test_forecast_writes_error_lines_for_json_past_the_parser_limits(tmp_path, capsys):
+    good = json.dumps({"id": "good", "values": list(np.arange(24.0))})
+    inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    inp.write_text("\n".join([good, '{"id": "long", "values": [' + LONG_INT + "]}",
+                              '{"id": "deep", "values": ' + DEEP_JSON + "}", good]) + "\n")
+    assert main(["forecast", "--checkpoint", DESK_CHECKPOINT, "--input", str(inp),
+                 "--horizon", "8", "--output", str(out)]) == 1
+    entries = [_strict_json(line) for line in out.read_text().splitlines()]
+    assert [e.get("id", e.get("line")) for e in entries] == ["good", 2, 3, "good"]
+    assert entries[1]["error"].startswith("invalid JSON: Exceeds the limit (4300 digits)")
+    assert entries[2]["error"].startswith("invalid JSON: maximum recursion depth exceeded")
+    assert entries[0] == entries[3] and len(entries[0]["forecast"]) == 8
+    assert capsys.readouterr().err == f"2 record(s) failed; see {out}\n"
+
+
+def test_forecast_refuses_an_id_that_json_cannot_hold(tmp_path, capsys):
+    values = json.dumps(list(np.arange(24.0)))
+    inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    ids = ["NaN", "[1, Infinity]", "-1e400", '"fine"']
+    inp.write_text("".join(f'{{"id": {rid}, "values": {values}}}\n' for rid in ids))
+    assert main(["forecast", "--checkpoint", DESK_CHECKPOINT, "--input", str(inp),
+                 "--horizon", "8", "--output", str(out)]) == 1
+    entries = [_strict_json(line) for line in out.read_text().splitlines()]
+    for line_no, entry in enumerate(entries[:3], start=1):
+        assert entry["line"] == line_no
+        assert entry["error"].startswith("invalid JSON: Out of range float values")
+    assert entries[3]["id"] == "fine" and len(entries[3]["forecast"]) == 8
+    assert capsys.readouterr().err == f"3 record(s) failed; see {out}\n"
+
+
+@pytest.mark.parametrize("text", [LONG_INT, DEEP_JSON], ids=["long_int", "deep"])
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+def test_config_past_the_json_parser_limits_exits_2_naming_it(tmp_path, capsys, command, text):
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": ' + text + "}")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} is not valid JSON: ")
+    assert ("(4300 digits)" if text == LONG_INT else "maximum recursion depth") in err
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate", "pretrain", "ablate"])
+def test_checkpoint_whose_meta_is_nested_deep_exits_2_naming_it(tmp_path, capsys, command):
+    ckpt = tmp_path / "deep.npz"
+    meta = '{"format_version": 1, "extra": ' + DEEP_JSON + "}"
+    np.savez(ckpt, meta=np.frombuffer(meta.encode(), dtype=np.uint8))
+    records, data = tmp_path / "in.jsonl", tmp_path / "eval.csv"
+    records.write_text(json.dumps({"id": "a", "values": [1.0, 2.0, 3.0, 4.0]}) + "\n")
+    write_eval_csv(data)
+    config, out = tmp_path / f"{command}.json", tmp_path / "out"
+    config.write_text(json.dumps({**pretrain_config(out), "suite": "context",
+                                  "checkpoint": str(ckpt), "eval": {"horizon": 8}}
+                                 if command == "ablate" else pretrain_config(out)))
+    argv = {"forecast": ["forecast", "--checkpoint", str(ckpt), "--input", str(records),
+                         "--horizon", "8", "--output", str(out)],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--context", "32", "--horizon", "8"],
+            "pretrain": ["pretrain", "--config", str(config), "--resume-from", str(ckpt)],
+            "ablate": ["ablate", "--config", str(config)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read checkpoint {ckpt}: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
+def test_ablate_context_suite_on_series_whose_scale_overflows_exits_2(tmp_path, capsys):
+    family = {"name": "huge", "granularity": "hourly", "n_series": 2, "length_range": [300, 300],
+              "amplitude_range": [1e300, 1e300]}
+    config, out = tmp_path / "ablate.json", tmp_path / "out"
+    config.write_text(json.dumps({
+        "suite": "context", "output_dir": str(out), "checkpoint": DESK_CHECKPOINT,
+        "corpus": {"kind": "synthetic", "spec": {"pretrain": [family]}},
+        "eval": {"horizon": 8, "stride": 50, "context_lengths": [64]}}))
+    assert main(["ablate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the context's mean or standard deviation overflows float64 in row 0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["pretrain", "context", "input-patch"])
+def test_corpus_with_no_trainable_series_exits_2_writing_nothing(tmp_path, capsys, suite):
+    # under the desk preset's 4 + 8 points, a 10-12 point series has no training window
+    spec = {"pretrain": [{"name": "short", "granularity": "hourly", "n_series": 2,
+                          "length_range": [10, 12]}]}
+    out = tmp_path / "out"
+    raw = {**pretrain_config(out), "corpus": {"kind": "synthetic", "spec": spec},
+           "model": {"preset": "desk"}}
+    if suite != "pretrain":
+        raw.update(suite=suite, eval={"horizon": 8, "sizes": [4], "context_len": 8})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["pretrain" if suite == "pretrain" else "ablate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: corpus has no series eligible for training windows\n"
     assert not out.exists()
 
 

@@ -250,6 +250,13 @@ def test_ingest_bad_value_line_number(tmp_path):
         ingest_csv(p)
 
 
+def test_ingest_line_numbers_count_the_lines_of_a_quoted_field(tmp_path):
+    p = tmp_path / "input.csv"
+    write_csv(p, ['"two\nlines",2021-01-01T00:00:00,1.0', "s1,2021-01-01T00:00:00,x"])
+    with pytest.raises(IngestError, match="^line 4: bad value 'x'$"):
+        ingest_csv(p)
+
+
 def test_ingest_bad_timestamp_line_number(tmp_path):
     p = tmp_path / "input.csv"
     write_csv(p, ["s1,yesterday,1.0"])
@@ -316,6 +323,28 @@ def test_ingest_header_required(tmp_path):
         ingest_csv(p)
 
 
+def test_ingest_timestamp_outside_utc_years_names_its_line(tmp_path):
+    p = tmp_path / "input.csv"
+    write_csv(p, ["s1,2021-01-01T00:00:00,1.0", "s1,0001-01-01T00:00:00+01:00,1.0"])
+    with pytest.raises(IngestError, match="line 3: bad timestamp .* date value out of range"):
+        ingest_csv(p)
+
+
+def test_ingest_field_past_the_csv_limit_names_its_line(tmp_path):
+    p = tmp_path / "input.csv"
+    write_csv(p, ["s1,2021-01-01T00:00:00,1.0", "s1,2021-01-01T01:00:00," + "1" * 131_073])
+    with pytest.raises(IngestError, match=r"^line 3: field larger than field limit \(131072\)$"):
+        ingest_csv(p)
+
+
+def test_ingest_bytes_that_are_not_utf8_raise_ingest_error(tmp_path):
+    p = tmp_path / "input.csv"
+    p.write_bytes(b"id,timestamp,value\ns\xe9,2021-03-01T00:00:00,1.0\n")
+    with pytest.raises(IngestError) as err:
+        ingest_csv(p)
+    assert str(err.value) == "not UTF-8 (byte 0xe9: invalid continuation byte)"
+
+
 # -- synthetic corpus ----------------------------------------------------------------
 
 
@@ -375,6 +404,20 @@ def test_synth_corpus_past_the_memory_ceiling_names_the_field(field, value):
         synth_corpus(spec, seed=0)
 
 
+@pytest.mark.parametrize("fields,cause", [
+    ({"noise_level": 1e308}, "non-finite values"),
+    ({"amplitude_range": (1e308, 1e308), "n_components": 2}, "non-finite values"),
+    ({"period_range": (5e-324, 5e-324)}, "non-finite values"),
+    ({"kind": "seasonal_dummy", "amplitude_range": (-2.0, -1.0)}, "scale < 0"),
+], ids=["noise", "amplitude", "period", "negative_scale"])
+def test_synth_family_that_cannot_give_finite_series_names_it(fields, cause, recwarn):
+    spec = GeneratorSpec(pretrain=[FamilySpec(name="wild", n_series=1, length_range=(40, 40),
+                                              **fields)])
+    with pytest.raises(GeneratorSpecError, match=f"^family 'wild': .*{cause}"):
+        synth_corpus(spec, seed=0)
+    assert not recwarn.list  # numpy's overflow warnings stay off stderr
+
+
 def test_seasonal_dummy_is_periodic_without_noise():
     spec = GeneratorSpec(pretrain=[FamilySpec(
         name="sd", kind="seasonal_dummy", granularity="daily", n_series=2,
@@ -383,6 +426,31 @@ def test_seasonal_dummy_is_periodic_without_noise():
     v = pair.pretrain.series[0].values
     assert np.array_equal(v[:7], v[7:14])
     assert len(set(np.round(v[:7], 12))) > 1
+
+
+def test_piecewise_trend_is_a_continuous_ramp_with_slopes_in_drift_range():
+    # no amplitude, level or noise: each series is its ramp alone
+    family = FamilySpec(name="kinked", n_series=6, length_range=(200, 260),
+                        amplitude_range=(0.0, 0.0), trend="piecewise",
+                        drift_range=(-3.0, 5.0), noise_level=0.0)
+    spec = GeneratorSpec(pretrain=[family])
+    pair = synth_corpus(spec, seed=11)
+    for s in pair.pretrain.series:
+        n = len(s)
+        slopes = np.diff(s.values) * (n - 1)  # each step as a drift over the whole series
+        before, after = slopes[0], slopes[-1]
+        assert -3.0 <= before <= 5.0 and -3.0 <= after <= 5.0
+        knee = int(np.argmax(~np.isclose(slopes, before, rtol=0.0, atol=1e-9)))
+        assert n // 4 <= knee <= 3 * n // 4 and abs(after - before) > 1e-6
+        # one slope up to the knee and the other after it: a jump would break the second
+        assert np.allclose(slopes[:knee], before, rtol=0.0, atol=1e-9)
+        assert np.allclose(slopes[knee:], after, rtol=0.0, atol=1e-9)
+        assert s.values[0] == 0.0
+    again = synth_corpus(spec, seed=11)
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(pair.pretrain.series, again.pretrain.series))
+    other = synth_corpus(spec, seed=12)
+    assert not np.array_equal(pair.pretrain.series[0].values, other.pretrain.series[0].values)
 
 
 def test_generator_spec_round_trip():

@@ -34,7 +34,6 @@ from patchcast.training import (
     adam_step,
     apply_scale,
     assemble_batch,
-    global_grad_norm,
     invert_scale,
     lr_at,
     rng_for,
@@ -260,7 +259,7 @@ def test_global_grad_norm_value():
                       "b": Tensor(np.array([[4.0]]), requires_grad=True)})
     w["a"].grad = np.array([3.0])
     w["b"].grad = np.array([[4.0]])
-    assert global_grad_norm(w) == 5.0
+    assert adam_step(w, AdamState.for_weights(w), lr=0.01) == 5.0  # the pre-clip norm
 
 
 def test_adam_rejects_nonfinite_gradient_naming_parameter():
@@ -330,7 +329,8 @@ def test_arena_grad_norm_equals_per_parameter_norm_bitwise():
     rng = np.random.default_rng(5)
     for step in (1, 2, 3):
         set_twin_grads(rng, step, weights)
-        assert global_grad_norm(weights) == per_param.global_grad_norm(weights)
+        want = per_param.global_grad_norm(weights)
+        assert adam_step(weights, AdamState.for_weights(weights), lr=1e-3) == want
 
 
 def test_arena_adam_names_the_first_non_finite_parameter_and_changes_nothing():
