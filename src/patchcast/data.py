@@ -484,17 +484,17 @@ def synth_corpus(spec: GeneratorSpec, seed: int) -> CorpusPair:
                  f"n_series ({largest.n_series}) or length_range ({largest.length_range[1]} "
                  f"points at most) of family {largest.name!r}", GeneratorSpecError)
     out: dict[str, list[TimeSeries]] = {"pretrain": [], "holdout": []}
-    for role_idx, (role, families) in enumerate((("pretrain", spec.pretrain),
-                                                 ("holdout", spec.holdout))):
-        for fam_idx, fam in enumerate(families):
-            for i in range(fam.n_series):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(role_idx, fam_idx, i)))
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+    roles = enumerate((("pretrain", spec.pretrain), ("holdout", spec.holdout)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing family is refused below
+        for role_idx, (role, families) in roles:
+            for fam_idx, fam in enumerate(families):
+                for i in range(fam.n_series):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(entropy=seed, spawn_key=(role_idx, fam_idx, i)))
+                    try:
                         out[role].append(_generate_series(fam, role, i, rng))
-                except ValueError as err:  # non-finite values; a negative seasonal_dummy scale
-                    raise GeneratorSpecError(f"family {fam.name!r}: {err}") from err
+                    except ValueError as err:  # non-finite values; a negative dummy scale
+                        raise GeneratorSpecError(f"family {fam.name!r}: {err}") from err
     return CorpusPair(pretrain=Corpus(out["pretrain"]), holdout=Corpus(out["holdout"]))
 
 
