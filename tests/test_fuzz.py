@@ -3,9 +3,10 @@ command reads it: CSV text and bytes, forecast JSONL lines, config JSON and
 checkpoint metas.
 
 Whatever the input, a command returns 0, 1 or 2 and raises nothing, and
-every file it writes is strict JSON (RFC 8259, which has no NaN or
-Infinity). Example counts are bounded and derandomized, so the suite costs
-a few seconds and fails the same way on every run.
+each line `forecast` writes and each `summary.json` `evaluate` writes is
+strict JSON (RFC 8259, which has no NaN or Infinity). Example counts are
+bounded and derandomized, so the suite costs a few seconds and fails the
+same way on every run.
 """
 
 import json
