@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Corpus, TimeSeries
-from .inference import autoregressive_rounds, check_horizon, forecast
+from .inference import ForecastError, autoregressive_rounds, check_horizon, forecast
 from .model import ModelConfig, ModelWeights, check_int
 from .training import TrainConfig, train
 
@@ -233,9 +233,17 @@ def pool_reports(reports) -> dict:
 
 def pooled_over_series(predictor, series_list, context_len: int, horizon: int,
                        stride: int = 1) -> dict:
-    """Uniform mean over every scored window of every series."""
-    return pool_reports([rolling_eval(predictor, s, context_len, horizon, stride)
-                         for s in series_list])
+    """Uniform mean over every scored window of every series. A
+    ForecastError from the predictor is raised again naming the series and
+    the context length."""
+    reports = []
+    for s in series_list:
+        try:
+            reports.append(rolling_eval(predictor, s, context_len, horizon, stride))
+        except ForecastError as exc:
+            raise ForecastError(f"series {s.series_id} at context length {context_len}: "
+                                f"{exc}") from exc
+    return pool_reports(reports)
 
 
 # -- ablation suites -------------------------------------------------------------------

@@ -85,6 +85,17 @@ LEAF_TASK_MIN_ENTRIES = 1 << 15
 # mask almost nothing, and ran at 0.5x.
 SKIP_MASKED_MIN_KEYS = 32
 
+# causal_attention's VJP works the rows of each half of its leading axis in
+# blocks of at most this many bytes of [.., H, M, N] (one row at least), so
+# its dP and dS never exist at full size. It is one pretrain_long window: 2
+# heads of 128 x 128 scores. On a [16, 128]-token desk step with every VJP
+# inline, these blocks with records freed as they are swept (Tape.backward)
+# cut backward's rise in traced memory above the forward's 28.0 MB from 11.2
+# to 1.05 MB; 10 pairs of 25-s pretrain_long runs (2-core x86-64 VM,
+# OPENBLAS_NUM_THREADS=1) read peak RSS 86.0 -> 73.9 MB at 1.06x the
+# throughput. pretrain_short's calls (32 windows of 2 x 19 x 19) are one block.
+ATTENTION_VJP_BLOCK_BYTES = 1 << 18
+
 _FLOAT64 = np.dtype(np.float64)
 _worker_lock = threading.Lock()
 _worker = None  # the one-thread pool of _second_core
@@ -204,8 +215,11 @@ class Tape:
         """Accumulate d(loss)/d(leaf) for every requires_grad leaf on the tape.
 
         ``loss`` must be a scalar (size-1) tensor. Gradients of ops whose
-        output never received a gradient are skipped as zero. The tape is
-        cleared on completion (and on error), so it is single-use.
+        output never received a gradient are skipped as zero. Each record is
+        popped off the tape as it is swept, so its VJP closure, the arrays
+        it saved and its output are freed once its gradient has moved on, and
+        the activations a sweep holds shrink as it goes. The tape is empty on
+        completion (and cleared on error), so it is single-use.
 
         The sweep follows the input-gradient chain on this thread. No VJP
         reads a leaf's gradient, so a record whose upstream gradient holds at
@@ -222,12 +236,15 @@ class Tape:
             raise TapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         if not self.records:
             raise TapeError("backward on an empty tape: no ops were recorded")
-        # (leaf, gradient), or (a record's inputs, the worker task computing
-        # the gradients of its leaves), in sweep order
+        # (leaf, gradient), or (a record's inputs with None for each one not
+        # sent aside, the worker task computing the gradients of the others),
+        # in sweep order
         leaves: list[tuple[object, object]] = []
+        records = self.records
         try:
             flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-            for rec in reversed(self.records):
+            while records:
+                rec = records.pop()
                 g = flow.pop(id(rec.out), None)
                 if g is None:
                     continue
@@ -235,8 +252,8 @@ class Tape:
                 if g.size >= LEAF_TASK_MIN_ENTRIES and _usable_cpus() >= 2:
                     aside = tuple(need and not t._produced for t, need in zip(rec.inputs, live))
                     if any(aside):
-                        leaves.append((rec.inputs, _second_core().submit(
-                            contextvars.copy_context().run, rec.vjp, g, aside)))
+                        task = _second_core().submit(contextvars.copy_context().run, rec.vjp, g, aside)
+                        leaves.append((tuple(t if a else None for t, a in zip(rec.inputs, aside)), task))
                         live = tuple(need and t._produced for t, need in zip(rec.inputs, live))
                         if not any(live):
                             continue
@@ -562,10 +579,16 @@ def layer_norm(x, gain, bias) -> Tensor:
     def vjp(g, live):
         dx = None
         if live[0]:
-            dxhat = g * gd
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            dx = inv * (dxhat - m1 - xhat * m2)
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) in two
+            # buffers, with the same operations in the same order
+            dx = g * gd
+            prod = dx * xhat
+            m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(prod, axis=-1, keepdims=True) / d
+            dx -= m1
+            np.multiply(xhat, m2, out=prod)
+            dx -= prod
+            dx *= inv
         reduce_axes = tuple(range(g.ndim - 1))  # () for one row: sum(axis=()) copies
         return (dx, (g * xhat).sum(axis=reduce_axes) if live[1] else None,
                 g.sum(axis=reduce_axes) if live[2] else None)
@@ -632,7 +655,8 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     the swapped view of Q^T dS, not dS^T Q): another order rounds
     differently and changes the recorded loss curves. The score product,
     the context product and the VJP run in two halves of the leading axis
-    for large calls (``_in_halves``), bit for bit.
+    for large calls (``_in_halves``), and the VJP works each half in blocks
+    of at most ATTENTION_VJP_BLOCK_BYTES of [.., H, M, N], bit for bit.
     """
     qd, kd, vd = as_array(q), as_array(k), as_array(v)
     shape, kv_shape = qd.shape, kd.shape
@@ -662,7 +686,7 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
         dkt = np.empty(lead + (dh, n)) if live[1] else None  # Q^T dS; dK is its swapped view
         dv = np.empty(lead + (n, dh)) if live[2] else None
 
-        def grad_rows(sl):
+        def grad_block(sl):
             p = probs[sl]
             if dq is not None or dkt is not None:
                 dp = dctx[sl] @ np.swapaxes(vh[sl], -1, -2)
@@ -677,6 +701,13 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
                     np.matmul(np.swapaxes(qh[sl], -1, -2), ds, out=dkt[sl])
             if dv is not None:
                 np.matmul(np.swapaxes(p, -1, -2), dctx[sl], out=dv[sl])
+
+        step = max(1, ATTENTION_VJP_BLOCK_BYTES * len(probs) // max(probs.nbytes, 1))
+
+        def grad_rows(sl):
+            start, stop, _ = sl.indices(len(probs))
+            for i in range(start, stop, step):
+                grad_block(slice(i, min(i + step, stop)))
 
         _in_halves(grad_rows, probs)
         dk = None if dkt is None else np.swapaxes(dkt, -1, -2)

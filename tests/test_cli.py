@@ -268,7 +268,8 @@ def test_ablate_context_suite_on_series_whose_scale_overflows_exits_2(tmp_path, 
         "eval": {"horizon": 8, "stride": 50, "context_lengths": [64]}}))
     assert main(["ablate", "--config", str(config)]) == 2
     assert capsys.readouterr().err == (
-        "error: the context's mean or standard deviation overflows float64 in row 0\n")
+        "error: series pretrain-huge-0000 at context length 64: the context's mean or "
+        "standard deviation overflows float64 in row 0\n")
     assert not out.exists()
 
 
@@ -297,6 +298,21 @@ def test_pretrain_past_the_memory_ceiling_exits_2(tmp_path, capsys):
     assert main(["pretrain", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad corpus spec") and "length_range" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pretrain_with_a_seasonal_profile_past_the_memory_ceiling_exits_2(tmp_path, capsys):
+    # a 40-point series would draw a profile of 1e14 entries (numpy refuses
+    # that size without allocating, so the check is what this test sees)
+    cfg = json.loads(json.dumps(pretrain_config(tmp_path / "out")))  # a deep copy
+    cfg["corpus"]["spec"]["pretrain"][0].update(
+        name="wide", kind="seasonal_dummy", length_range=[40, 40], period_range=[1e14, 1e14])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad corpus spec") and err.count("\n") == 1
+    assert "lower period_range (1e+14 at most) of family 'wide'" in err
     assert not (tmp_path / "out").exists()
     cfg = json.loads(json.dumps(pretrain_config(tmp_path / "out")))
     cfg["model"]["overrides"]["num_layers"] = 10**7

@@ -476,6 +476,23 @@ def test_causal_attention_bitwise_equal_to_temporaries(m, n):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(7, 16), (3, 5, 32), (16,)])
+def test_layer_norm_vjp_bitwise_equal_to_temporaries(shape):
+    rng = np.random.default_rng(34)
+    x = 3.0 * rng.standard_normal(shape) + 1.0
+    gain, bias = 1.0 + rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+    g = rng.standard_normal(shape)
+    layer_norm(Tensor(x, requires_grad=True), gain, bias)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat = centered * inv
+    dxhat = g * gain
+    want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert last_record_vjp(g)[0].tobytes() == want.tobytes()
+    active_tape().records.clear()
+
+
 def test_causal_attention_rejects_infinite_score():
     # finite inputs whose product overflows: the score, not the input, is inf
     big = np.full((4, 8), 1e300)
@@ -665,6 +682,32 @@ def test_split_attention_equals_single_call_bitwise(batch, heads, dh, n, data):
         assert (got is None) == (want is None) == (not need)
         if need:
             assert got.strides == want.strides and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("m", [24, 5])
+@pytest.mark.parametrize("live", [(True, True, True), (False, False, True), (True, False, False)])
+def test_blocked_attention_vjp_equals_one_block_bitwise(pool, monkeypatch, cpus, m, live):
+    # 6 rows in blocks of 2 are 3 blocks; the halves of 3 rows each cut the
+    # middle block, so each half works a block of 2 rows and one of 1
+    monkeypatch.setattr(T, "SPLIT_MIN_ENTRIES", 1)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+    heads, n = 2, 24
+    rng = np.random.default_rng(35)
+    q = rng.standard_normal((6, m, 16))
+    k, v = (rng.standard_normal((6, n, 16)) for _ in range(2))
+    g = rng.standard_normal(q.shape)
+    row_bytes = heads * m * n * 8
+    runs = {}
+    for block in (row_bytes, 2 * row_bytes, 2**62):
+        monkeypatch.setattr(T, "ATTENTION_VJP_BLOCK_BYTES", block)
+        runs[block] = attention_and_grads(q, k, v, g, live, heads)[1]
+    assert (pool.submitted > 0) == (cpus == 2)
+    for got in (runs[row_bytes], runs[2 * row_bytes]):
+        for a, b, need in zip(got, runs[2**62], live):
+            assert (a is None) == (b is None) == (not need)
+            if need:
+                assert a.strides == b.strides and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("bad_row", [0, 3], ids=["first_half", "second_half"])
@@ -1087,3 +1130,30 @@ def test_causal_attention_without_grad_holds_one_scores_buffer():
     # the scores with their probabilities in place; the rest is the context and
     # its [.., M, D] copy, or the finite check's booleans, row maxima and sums
     assert scores_bytes <= peak <= scores_bytes + 2 * out_bytes + 64 * 1024, peak
+
+
+def test_desk_backward_holds_little_beyond_the_forward(monkeypatch):
+    # pretrain_long's step shape, every VJP inline: records are freed as they
+    # are swept and attention's dP and dS exist one block at a time, so traced
+    # memory rises little past what the forward left (about 1 MB; 11 MB when
+    # every record lived to the end of the sweep and dP and dS were full size)
+    import tracemalloc
+
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+    cfg = ModelConfig.preset("desk")
+    weights = ModelWeights.initialize(cfg, seed=5)
+    rng = np.random.default_rng(83)
+    inputs = rng.standard_normal((16, 128, cfg.input_width))
+    targets = rng.standard_normal((16, 128, cfg.output_patch_len))
+    tracemalloc.start()
+    try:
+        loss = train_loss(forward(weights, cfg, Tensor(inputs)), targets)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert start > 20e6  # the forward's activations, which the sweep frees
+    assert peak - start <= 2.5e6, (start, peak)
+    assert end < 1e6 and all(p.grad is not None for _, p in weights.named())
