@@ -15,8 +15,8 @@ from patchcast.data import FamilySpec, GeneratorSpec, synth_corpus
 from patchcast.evaluation import (
     make_model_predictor,
     make_seasonal_naive,
-    pooled_over_series,
     repeat_last,
+    score_series,
 )
 from patchcast.model import ModelConfig
 from patchcast.training import TrainConfig, train
@@ -41,9 +41,9 @@ def run_seed(seed: int, *, steps: int = 800, context: int = 64, horizon: int = 1
 
     kwargs = dict(context_len=context, horizon=horizon, stride=4)
     series = pair.holdout.series
-    model = pooled_over_series(make_model_predictor(weights, cfg), series, **kwargs)
-    naive = pooled_over_series(repeat_last, series, **kwargs)
-    seasonal = pooled_over_series(make_seasonal_naive(28), series, **kwargs)
+    _, model = score_series(make_model_predictor(weights, cfg), series, **kwargs)
+    _, naive = score_series(repeat_last, series, **kwargs)
+    _, seasonal = score_series(make_seasonal_naive(28), series, **kwargs)
     return {"seed": seed,
             "model_nrmse": model["nrmse"],
             "repeat_last_nrmse": naive["nrmse"],

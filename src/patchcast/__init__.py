@@ -27,9 +27,9 @@ from .evaluation import (
     make_seasonal_naive,
     nrmse,
     patch_size_comparison,
-    pooled_over_series,
     repeat_last,
     rolling_eval,
+    score_series,
     wape,
 )
 from .inference import ForecastResult, autoregressive_rounds, forecast
@@ -64,10 +64,10 @@ __all__ = [
     "no_grad",
     "nrmse",
     "patch_size_comparison",
-    "pooled_over_series",
     "repeat_last",
     "rolling_eval",
     "save_checkpoint",
+    "score_series",
     "synth_corpus",
     "tensor",
     "train",

@@ -44,9 +44,8 @@ from .evaluation import (
     make_model_predictor,
     make_seasonal_naive,
     patch_size_comparison,
-    pool_reports,
     repeat_last,
-    rolling_eval,
+    score_series,
 )
 from .inference import ForecastError, check_horizon, forecast
 from .model import ConfigError, ModelConfig, check_int, check_weights_memory, config_fields
@@ -356,8 +355,9 @@ def _forecast_record(line: str, line_no: int, bundle, horizon: int,
 
 
 def cmd_evaluate(args) -> int:
-    if args.season is not None and args.season < 1:
-        raise CLIError(f"--season must be >= 1, got {args.season}")
+    # a bad season exits 2 before any file is read
+    seasonal = [] if args.season is None else [
+        (f"seasonal_naive({args.season})", make_seasonal_naive(args.season))]
     bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
     report = _ingest(args.data)
     skipped = report.skipped + [(s.series_id, f"fewer than {MIN_SPLIT_LENGTH} points")
@@ -369,29 +369,21 @@ def cmd_evaluate(args) -> int:
         raise CLIError(f"no usable series (need at least {MIN_SPLIT_LENGTH} points each)")
     predictors = [("model", make_model_predictor(bundle.weights, bundle.config,
                                                  normalization)),
-                  ("repeat_last", repeat_last)]
-    if args.season:
-        predictors.append((f"seasonal_naive({args.season})",
-                           make_seasonal_naive(args.season)))
+                  ("repeat_last", repeat_last), *seasonal]
     out_dir = _resolve_out_dir(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         _check_out_dir(out_dir)
     reports, rows = {}, []
     for name, predictor in predictors:
         start = time.perf_counter()
-        reports[name] = []
-        for s in series:
-            try:
-                reports[name].append(rolling_eval(predictor, s, args.context, args.horizon,
-                                                  args.stride))
-            except MetricError as exc:
-                raise CLIError(f"cannot score predictor {name}: {exc}") from exc
-            except ForecastError as exc:
-                raise CLIError(f"predictor {name} cannot forecast series {s.series_id}: "
-                               f"{exc}") from exc
+        try:
+            reports[name], pooled = score_series(predictor, series, args.context,
+                                                 args.horizon, args.stride)
+        except (ForecastError, MetricError) as exc:
+            raise CLIError(f"predictor {name}: {exc}") from exc
         seconds = time.perf_counter() - start
-        rows.append({"predictor": name, **pool_reports(reports[name])})
-        print(f"{name}: {rows[-1]['n_windows']} windows scored, {rows[-1]['excluded']} "
+        rows.append({"predictor": name, **pooled})
+        print(f"{name}: {pooled['n_windows']} windows scored, {pooled['excluded']} "
               f"excluded, {seconds:.3f} s in rolling_eval", file=sys.stderr)
     print(format_table(rows, ["predictor", *POOLED_COLUMNS]), end="")
 

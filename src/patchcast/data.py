@@ -448,8 +448,8 @@ def _generate_series(spec: FamilySpec, role: str, index: int, rng: np.random.Gen
             phase = rng.uniform(0.0, 2.0 * math.pi)
             values += amp * np.sin(2.0 * math.pi * t / period + phase)
     else:  # seasonal_dummy: a fixed random profile repeated every period
-        period = int(round(rng.uniform(*spec.period_range)))
-        period = max(period, 2)
+        # a period past the length draws only the profile entries the series uses
+        period = min(max(int(round(rng.uniform(*spec.period_range))), 2), length)
         amp = rng.uniform(*spec.amplitude_range)
         profile = rng.normal(0.0, amp, size=period)
         values += profile[(np.arange(length) % period)]
@@ -473,26 +473,16 @@ def _generate_series(spec: FamilySpec, role: str, index: int, rng: np.random.Gen
 def synth_corpus(spec: GeneratorSpec, seed: int) -> CorpusPair:
     """Deterministically generate the pretrain and holdout corpora.
 
-    GeneratorSpecError if their points and calendar features, with the
-    largest seasonal profile, could pass MEMORY_CEILING_BYTES, or if a family
-    gives a series non-finite values.
+    GeneratorSpecError if their points and calendar features could pass
+    MEMORY_CEILING_BYTES, or if a family gives a series non-finite values.
     """
     families = spec.pretrain + spec.holdout
     point_bytes = 8 * (1 + len(FEATURE_COLUMNS))
-    corpus_bytes = point_bytes * sum(f.n_series * f.length_range[1] for f in families)
-    # a seasonal_dummy series draws a profile of `period` entries, whatever its length
-    widest = max((f for f in families if f.kind == "seasonal_dummy"),
-                 key=lambda f: f.period_range[1], default=None)
-    profile_bytes = 0 if widest is None else 8 * widest.period_range[1]
-    if profile_bytes > corpus_bytes:
-        fields = f"period_range ({widest.period_range[1]:g} at most) of family {widest.name!r}"
-    else:
-        largest = max(families, key=lambda f: f.n_series * f.length_range[1])
-        fields = (f"n_series ({largest.n_series}) or length_range ({largest.length_range[1]} "
-                  f"points at most) of family {largest.name!r}")
-    check_memory(corpus_bytes + profile_bytes,
-                 "the corpus (series points, calendar features and seasonal profiles)", fields,
-                 GeneratorSpecError)
+    largest = max(families, key=lambda f: f.n_series * f.length_range[1])
+    check_memory(point_bytes * sum(f.n_series * f.length_range[1] for f in families),
+                 "the corpus (series points and calendar features)",
+                 f"n_series ({largest.n_series}) or length_range ({largest.length_range[1]} "
+                 f"points at most) of family {largest.name!r}", GeneratorSpecError)
     out: dict[str, list[TimeSeries]] = {"pretrain": [], "holdout": []}
     roles = enumerate((("pretrain", spec.pretrain), ("holdout", spec.holdout)))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing family is refused below

@@ -42,35 +42,27 @@ POOLED_COLUMNS = ("n_windows", "excluded", "nrmse", "wape")
 # -- metrics ---------------------------------------------------------------------
 
 
-def _pair(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
+def _one_window(actual, predicted) -> tuple[float, float]:
+    """(NRMSE, WAPE) of one window [horizon]: the one-row case of
+    ``_window_scores``, and MetricError where that leaves the window out."""
     a = np.asarray(actual, dtype=np.float64)
     p = np.asarray(predicted, dtype=np.float64)
     if a.shape != p.shape or a.ndim != 1 or a.size == 0:
         raise MetricError(f"need equal non-empty 1-d arrays, got {a.shape} and {p.shape}")
-    return a, p
-
-
-def mse(actual, predicted) -> float:
-    a, p = _pair(actual, predicted)
-    return float(np.mean((a - p) ** 2))
+    kept, nrmses, wapes = _window_scores(a[None], p[None])
+    if not kept:
+        raise MetricError("the mean absolute actual value is zero; normalized error is undefined")
+    return nrmses[0], wapes[0]
 
 
 def nrmse(actual, predicted) -> float:
     """Root-mean-squared error over the mean absolute actual value."""
-    a, p = _pair(actual, predicted)
-    denom = float(np.mean(np.abs(a)))
-    if denom == 0.0:
-        raise MetricError("all actual values are zero; normalized error is undefined")
-    return math.sqrt(mse(a, p)) / denom
+    return _one_window(actual, predicted)[0]
 
 
 def wape(actual, predicted) -> float:
     """Sum of absolute errors over the sum of absolute actual values."""
-    a, p = _pair(actual, predicted)
-    denom = float(np.sum(np.abs(a)))
-    if denom == 0.0:
-        raise MetricError("all actual values are zero; normalized error is undefined")
-    return float(np.sum(np.abs(a - p))) / denom
+    return _one_window(actual, predicted)[1]
 
 
 # -- reference predictors -----------------------------------------------------------
@@ -196,11 +188,11 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
 
 def _window_scores(actuals: np.ndarray, predicted: np.ndarray) -> tuple[list, list, list]:
     """(row indices, NRMSE, WAPE) of every window [B, horizon] whose mean
-    absolute actual is not zero, each score equal bit for bit to ``nrmse`` and
-    ``wape`` of its row: every reduction runs along a contiguous row, as in the
-    1-d calls. A zero mean comes from all-zero actuals, or from a subnormal sum
-    that rounds to zero when divided by the horizon; ``nrmse`` is undefined
-    for both, so both are left out."""
+    absolute actual is not zero. Every reduction runs along a contiguous row,
+    so a row scores the same bits in any stack; ``nrmse`` and ``wape`` are the
+    one-row case. A zero mean comes from all-zero actuals, or from a subnormal
+    sum that rounds to zero when divided by the horizon; the normalized
+    errors are undefined for both, so both are left out."""
     absolute = np.abs(actuals)  # a contiguous copy of the strided windows
     total = absolute.sum(axis=-1)
     mean_abs = absolute.mean(axis=-1)
@@ -231,10 +223,10 @@ def pool_reports(reports) -> dict:
     }
 
 
-def pooled_over_series(predictor, series_list, context_len: int, horizon: int,
-                       stride: int = 1) -> dict:
-    """Uniform mean over every scored window of every series. A
-    ForecastError from the predictor is raised again naming the series and
+def score_series(predictor, series_list, context_len: int, horizon: int,
+                 stride: int = 1) -> tuple[list[EvalReport], dict]:
+    """The report of every series and their pooled row (``pool_reports``).
+    A ForecastError from the predictor is raised again naming the series and
     the context length."""
     reports = []
     for s in series_list:
@@ -243,7 +235,7 @@ def pooled_over_series(predictor, series_list, context_len: int, horizon: int,
         except ForecastError as exc:
             raise ForecastError(f"series {s.series_id} at context length {context_len}: "
                                 f"{exc}") from exc
-    return pool_reports(reports)
+    return reports, pool_reports(reports)
 
 
 # -- ablation suites -------------------------------------------------------------------
@@ -256,7 +248,7 @@ def context_sweep(weights: ModelWeights, cfg: ModelConfig, series_list,
     predictor = make_model_predictor(weights, cfg, normalization)
     rows = []
     for c in context_lengths:
-        pooled = pooled_over_series(predictor, series_list, c, horizon, stride)
+        _, pooled = score_series(predictor, series_list, c, horizon, stride)
         rows.append({"context_len": int(c), **pooled})
     return rows
 
@@ -278,7 +270,7 @@ def patch_size_comparison(corpus: Corpus, eval_series, base_model: ModelConfig,
         result = train(corpus, model_cfg, train_cfg)
         predictor = make_model_predictor(result.weights, model_cfg,
                                          train_cfg.normalization)
-        pooled = pooled_over_series(predictor, eval_series, context_len, horizon, stride)
+        _, pooled = score_series(predictor, eval_series, context_len, horizon, stride)
         row = {fname: int(size), **pooled}
         if which == "output":
             row["rounds"] = autoregressive_rounds(horizon, int(size))

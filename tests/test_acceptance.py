@@ -28,7 +28,7 @@ from patchcast.data import (
     derive_date_features,
     synth_corpus,
 )
-from patchcast.evaluation import make_model_predictor, nrmse, pooled_over_series, wape
+from patchcast.evaluation import make_model_predictor, nrmse, score_series, wape
 from patchcast.inference import autoregressive_rounds, forecast
 from patchcast.model import ModelConfig, ModelWeights, forward
 from patchcast.tensor import Tensor, no_grad
@@ -302,15 +302,15 @@ def test_criterion_11_checkpoint_roundtrip(smoke_run, tmp_path):
     weights = smoke_run["results"][0].weights
     series = corpus.series[:10]
     task = dict(context_len=48, horizon=8, stride=8)
-    before = pooled_over_series(make_model_predictor(weights, cfg, "none"),
-                                series, **task)["nrmse"]
+    before = score_series(make_model_predictor(weights, cfg, "none"),
+                          series, **task)[1]["nrmse"]
     path = tmp_path / "roundtrip.npz"
     save_checkpoint(path, cfg, weights, extra={"normalization": "none"})
     bundle = load_checkpoint(path)
-    after = pooled_over_series(
+    after = score_series(
         make_model_predictor(bundle.weights, bundle.config,
                              bundle.extra["normalization"]),
-        series, **task)["nrmse"]
+        series, **task)[1]["nrmse"]
     verdict(11, before == after and bundle.config == cfg,
             f"pooled NRMSE before save {before!r} == after load {after!r} "
             f"(bit-exact): {before == after}")

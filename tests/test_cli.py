@@ -301,21 +301,10 @@ def test_pretrain_past_the_memory_ceiling_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_pretrain_with_a_seasonal_profile_past_the_memory_ceiling_exits_2(tmp_path, capsys):
-    # a 40-point series would draw a profile of 1e14 entries (numpy refuses
-    # that size without allocating, so the check is what this test sees)
+def test_pretrain_with_a_model_past_the_memory_ceiling_exits_2(tmp_path, capsys):
     cfg = json.loads(json.dumps(pretrain_config(tmp_path / "out")))  # a deep copy
-    cfg["corpus"]["spec"]["pretrain"][0].update(
-        name="wide", kind="seasonal_dummy", length_range=[40, 40], period_range=[1e14, 1e14])
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["pretrain", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad corpus spec") and err.count("\n") == 1
-    assert "lower period_range (1e+14 at most) of family 'wide'" in err
-    assert not (tmp_path / "out").exists()
-    cfg = json.loads(json.dumps(pretrain_config(tmp_path / "out")))
     cfg["model"]["overrides"]["num_layers"] = 10**7
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["pretrain", "--config", str(path)]) == 2
     assert "num_layers (10000000)" in capsys.readouterr().err
@@ -1001,21 +990,21 @@ def test_evaluate_excludes_a_window_whose_mean_absolute_actual_rounds_to_zero(tm
 
 def test_evaluate_names_an_unscorable_predictor(trained, tmp_path, capsys, monkeypatch):
     # a MetricError other than an excluded window exits 2 with the predictor named
-    import patchcast.cli as cli
+    import patchcast.evaluation as evaluation
     from patchcast.evaluation import MetricError
 
     def unscorable(*args, **kwargs):
         raise MetricError("need equal non-empty 1-d arrays")
 
-    monkeypatch.setattr(cli, "rolling_eval", unscorable)
+    monkeypatch.setattr(evaluation, "rolling_eval", unscorable)
     data = tmp_path / "eval.csv"
     write_eval_csv(data, n_series=1)
     assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
                  "--data", str(data), "--context", "32", "--horizon", "8"]) == 2
-    assert "error: cannot score predictor model: need equal" in capsys.readouterr().err
+    assert "error: predictor model: need equal" in capsys.readouterr().err
 
 
-def test_evaluate_names_a_series_whose_forecast_overflows_and_writes_no_summary(
+def test_evaluate_and_ablate_name_a_series_whose_forecast_overflows_alike(
         trained, tmp_path, capsys):
     data = tmp_path / "eval.csv"
     write_eval_csv(data, n_series=3)
@@ -1024,14 +1013,22 @@ def test_evaluate_names_a_series_whose_forecast_overflows_and_writes_no_summary(
         line if not line.startswith("s1,") else
         line.rsplit(",", 1)[0] + "," + repr(float(line.rsplit(",", 1)[1]) * 1e200)
         for line in lines[1:]]) + "\n")
+    checkpoint = str(trained / "ckpt_final.npz")
     out_dir = tmp_path / "evalout"
-    assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
+    assert main(["evaluate", "--checkpoint", checkpoint,
                  "--data", str(data), "--context", "32", "--horizon", "8",
                  "--stride", "4", "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert "error: predictor model cannot forecast series s1: " in err
+    assert err.startswith("error: predictor model: series s1 at context length 32: ")
     assert "overflows float64" in err and "Infinity" not in err
     assert not (out_dir / "summary.json").exists()
+    config = tmp_path / "ablate.json"
+    config.write_text(json.dumps({
+        "suite": "context", "output_dir": str(tmp_path / "ablateout"),
+        "checkpoint": checkpoint, "corpus": {"kind": "csv", "path": str(data)},
+        "eval": {"horizon": 8, "stride": 4, "context_lengths": [32]}}))
+    assert main(["ablate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == err.replace("predictor model: ", "", 1)
 
 
 def test_evaluate_too_long_horizon_fails_cleanly(trained, tmp_path, capsys):
@@ -1043,13 +1040,12 @@ def test_evaluate_too_long_horizon_fails_cleanly(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("season", ["0", "-3"])
-def test_evaluate_rejects_season_below_one(trained, tmp_path, capsys, season):
-    data = tmp_path / "eval.csv"
-    write_eval_csv(data, n_series=1)
-    assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
-                 "--data", str(data), "--context", "32", "--horizon", "8",
+def test_evaluate_rejects_season_below_one(tmp_path, capsys, season):
+    # before any file is read: neither of these exists
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "ghost.npz"),
+                 "--data", str(tmp_path / "ghost.csv"), "--context", "32", "--horizon", "8",
                  "--season", season]) == 2
-    assert "--season must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: season must be an integer >= 1, got {season}\n"
 
 
 def test_evaluate_missing_data_file(trained, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from datetime import datetime, timedelta, timezone
 
@@ -426,6 +427,29 @@ def test_seasonal_dummy_is_periodic_without_noise():
     v = pair.pretrain.series[0].values
     assert np.array_equal(v[:7], v[7:14])
     assert len(set(np.round(v[:7], 12))) > 1
+
+
+def test_seasonal_dummy_period_past_the_length_draws_a_profile_of_the_length():
+    # a 1e14-entry profile is past any memory; a 40-point series uses 40 entries
+    spec = GeneratorSpec(pretrain=[FamilySpec(
+        name="wide", kind="seasonal_dummy", n_series=3, length_range=(40, 40),
+        period_range=(1e14, 1e14), noise_level=0.0)])
+    series = synth_corpus(spec, seed=0).pretrain.series
+    assert [len(s) for s in series] == [40, 40, 40]
+    assert all(np.isfinite(s.values).all() for s in series)
+
+
+def test_seasonal_dummy_series_whose_period_fits_keep_their_values():
+    # periods 2-60 against lengths 60-400: every profile fits its series, so the
+    # values are those the generator gave before profiles were cut to the length
+    spec = GeneratorSpec(pretrain=[FamilySpec(
+        name="sd", kind="seasonal_dummy", granularity="daily", n_series=20,
+        length_range=(60, 400), period_range=(2.0, 60.0), trend="piecewise")])
+    digest = hashlib.sha256()
+    for s in synth_corpus(spec, seed=4).pretrain.series:
+        digest.update(s.values.tobytes())
+    assert digest.hexdigest() == (
+        "fc16b00bb20596ad3e1bc34620e8fc5247eb068492b86aa1a96d6631103be7f3")
 
 
 def test_piecewise_trend_is_a_continuous_ramp_with_slopes_in_drift_range():

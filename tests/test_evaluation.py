@@ -26,13 +26,12 @@ from patchcast.evaluation import (
     format_table,
     make_model_predictor,
     make_seasonal_naive,
-    mse,
     nrmse,
     patch_size_comparison,
     pool_reports,
-    pooled_over_series,
     repeat_last,
     rolling_eval,
+    score_series,
     wape,
 )
 from patchcast.model import ModelConfig, ModelWeights
@@ -56,14 +55,13 @@ def series_of(values, granularity="daily", sid="s"):
 def test_metrics_hand_example():
     # y=[2,2], yhat=[1,3]: mse=1, rms=1, mean|y|=2 -> nrmse=0.5;
     # sum|err|=2, sum|y|=4 -> wape=0.5
-    assert mse([2.0, 2.0], [1.0, 3.0]) == 1.0
     assert nrmse([2.0, 2.0], [1.0, 3.0]) == 0.5
     assert wape([2.0, 2.0], [1.0, 3.0]) == 0.5
 
 
 def test_perfect_forecast_scores_zero():
     y = [1.0, -2.0, 3.5]
-    assert mse(y, y) == 0.0 and nrmse(y, y) == 0.0 and wape(y, y) == 0.0
+    assert nrmse(y, y) == 0.0 and wape(y, y) == 0.0
 
 
 def test_wape_of_zero_forecast_is_one():
@@ -89,7 +87,6 @@ def test_metrics_match_pure_python_fsum():
         mse_py = math.fsum((a - b) ** 2 for a, b in zip(y, p)) / n
         denom_mean = math.fsum(abs(a) for a in y) / n
         denom_sum = math.fsum(abs(a) for a in y)
-        assert abs(mse(y, p) - mse_py) < 1e-9 * max(1.0, mse_py)
         assert abs(nrmse(y, p) - math.sqrt(mse_py) / denom_mean) < 1e-9
         assert abs(wape(y, p) - math.fsum(abs(a - b) for a, b in zip(y, p)) / denom_sum) < 1e-9
 
@@ -115,10 +112,21 @@ def test_metric_errors():
         nrmse([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(MetricError):
         wape([0.0], [1.0])
-    with pytest.raises(MetricError):
-        mse([1.0, 2.0], [1.0])
-    with pytest.raises(MetricError):
-        mse([], [])
+    for metric in (nrmse, wape):
+        with pytest.raises(MetricError):
+            metric([1.0, 2.0], [1.0])
+        with pytest.raises(MetricError):
+            metric([], [])
+        with pytest.raises(MetricError):
+            metric([[1.0]], [[1.0]])
+
+
+def test_metrics_raise_where_the_window_scorer_leaves_a_window_out():
+    # a subnormal sum whose mean rounds to zero: rolling_eval excludes the
+    # window, and both scalar metrics, its one-row case, refuse it
+    for metric in (nrmse, wape):
+        with pytest.raises(MetricError, match="mean absolute actual value is zero"):
+            metric([5e-324, 0.0], [0.0, 0.0])
 
 
 # -- baselines ----------------------------------------------------------------------
@@ -360,13 +368,14 @@ def test_report_with_no_scored_windows_serializes_null():
     assert math.isnan(pooled["nrmse"]) and math.isnan(pooled["wape"])
 
 
-def test_pooled_over_series_is_uniform_over_windows():
+def test_score_series_reports_each_series_and_pools_uniformly_over_windows():
     rng = np.random.default_rng(4)
     s1 = series_of(rng.normal(10, 1, size=60), sid="a")
     s2 = series_of(rng.normal(10, 1, size=40), sid="b")
-    pooled = pooled_over_series(repeat_last, [s1, s2], 8, 3)
+    reports, pooled = score_series(repeat_last, [s1, s2], 8, 3)
     r1 = rolling_eval(repeat_last, s1, 8, 3)
     r2 = rolling_eval(repeat_last, s2, 8, 3)
+    assert reports == [r1, r2] and pooled == pool_reports([r1, r2])
     allw = r1.windows + r2.windows
     assert pooled["n_windows"] == len(allw)
     assert pooled["nrmse"] == math.fsum(w.nrmse for w in allw) / len(allw)
