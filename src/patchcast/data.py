@@ -14,6 +14,7 @@ from __future__ import annotations
 import calendar
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -277,12 +278,17 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
     Timestamps are ISO-8601 and must advance by exactly one granularity
     stride; series with missing rows, NaN or infinite values are skipped
     and reported, and any other fault in the file's content raises IngestError.
-    ``granularity``, when given, is enforced against the observed stride.
+    So does a file of more than a quarter of MEMORY_CEILING_BYTES, before it
+    is read. ``granularity``, when given, is enforced against the observed stride.
     ``log_transform`` stores log1p(value) for heavy-tailed sources.
     """
     rows: dict[str, list[tuple[datetime, float]]] = {}  # series in first-seen order
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            # the rows read as Python objects peak at about 4x the file (traced, 200k rows)
+            size = os.fstat(fh.fileno()).st_size
+            check_memory(4 * size, f"reading a CSV file of {size:,} bytes",
+                         "the number of rows", IngestError)
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [c.strip().lower() for c in header] != ["id", "timestamp", "value"]:

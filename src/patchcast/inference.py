@@ -23,8 +23,11 @@ A round reads one output row, the last token's, so its forward runs the last
 layer's queries, attention and FFN, and the output block, on the trailing
 LAST_ROWS tokens only. A stack of equal-length contexts [B, L] runs the same
 rounds on all rows at once, split into chunks of rows whose attention scores
-fit SCORES_BUDGET bytes; each row equals the 1-d forecast of its context bit
-for bit.
+fit SCORES_BUDGET bytes. Each chunk has its own KV cache and writes only its
+own rows, so the caller's thread and the worker thread take turns at the
+chunk list (tensor.on_two_threads); each row equals the 1-d forecast of its
+context bit for bit on either thread, and a 1-d context is one chunk, decoded
+on the caller's thread.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .model import (ContextTooShortError, KVCache, ModelConfig, ModelWeights,
                     assemble_patch_inputs, check_int, forward)
-from .tensor import NumericError, no_grad
+from .tensor import NumericError, no_grad, on_two_threads
 from .training import ScaleRecord, apply_scale, invert_scale, scale_record
 
 __all__ = [
@@ -57,14 +60,16 @@ MAX_ROUNDS = 256  # autoregressive rounds one forecast may take (desk: 2048 poin
 LAST_ROWS = 2
 # Bytes a chunk of a stack may spend on one layer's [rows, heads, N, N] attention scores.
 # Measured on evaluate_cli (ctx 512, N = 128, desk), first against the per-window loop:
-# 256 KB (one row a chunk) ran 1.3x its throughput, 512 KB (two rows) 1.8x for +0.9 MB
-# peak RSS, and 1 MB no faster than 512 KB within the noise. Since freed memory stays in
-# the process and the softmax writes over the scores, 1.5 MB (six rows) ran 1.17x the
-# throughput of 512 KB for +2.0 MB peak RSS, and 1.04x that of 1 MB for +1.1 MB (3
-# alternating 10-s pairs each, 2-core x86-64). Keep it under 2 MB: 8 rows of 128 x 128
-# scores reach SPLIT_MIN_ENTRIES, and evaluate's calls would then split onto the second
-# core, which measured 14% more peak RSS.
-SCORES_BUDGET = 1536 * 1024
+# 256 KB (one row a chunk) ran 1.3x its throughput and 512 KB (two rows) 1.8x for +0.9 MB
+# peak RSS; with one thread decoding, 1.5 MB (six rows) then ran 1.17x the throughput of
+# 512 KB for +2.0 MB. Since both threads take chunks (tensor.on_two_threads), each holds
+# one chunk's arrays, so the budget trades throughput for peak RSS again. Against one
+# thread at 1.5 MB, 4 alternating 10-s pairs per budget read: 1.5 MB 1.50x the throughput
+# for +8.3% peak RSS, 1 MB (four rows) 1.41x for +3.2%, three rows 1.26x for +1.2%
+# (2-core x86-64, OPENBLAS_NUM_THREADS=1). 1 MB gives the most throughput within +5% RSS.
+# Keep it under 2 MB: 8 rows of 128 x 128 scores reach SPLIT_MIN_ENTRIES, and a chunk's
+# calls would then also hand halves to a worker that is busy with a chunk of its own.
+SCORES_BUDGET = 1 << 20
 
 
 class ForecastError(ValueError):
@@ -111,12 +116,14 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     most recent points, and the working window keeps sliding under that cap
     as predictions are appended. A stack is decoded in chunks of rows whose
     attention scores fit SCORES_BUDGET, each chunk with its own KV cache; the
-    whole stack is scaled once and inverted once. A horizon past MAX_ROUNDS
-    rounds raises HorizonError before any work. A context whose mean or
-    standard deviation overflows float64 (such as one point of 1e300), or
-    whose forecast does so once inverted to the context's scale, raises
+    whole stack is scaled once and inverted once, and its chunks are decoded
+    on both threads (tensor.on_two_threads), or in order on one CPU. A
+    horizon past MAX_ROUNDS rounds raises HorizonError before any work. A
+    context whose normalized values overflow float64 (points of +-1.7e308),
+    or whose forecast does so once inverted to the context's scale, raises
     ForecastError, naming the row of a stack; so do activations that are
-    not finite (unscaled huge values), naming the chunk's rows.
+    not finite (unscaled huge values), naming the first failing chunk's
+    rows, as the in-order loop would.
     """
     check_horizon(horizon, cfg)
     horizon = int(horizon)
@@ -148,9 +155,10 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     rounds = autoregressive_rounds(horizon, h)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised just below
         scale = scale_record(values, normalization)
-    _check_finite(np.isfinite(scale.mu) & np.isfinite(scale.sigma), values.ndim,
-                  "the context's mean or standard deviation overflows float64")
-    work = apply_scale(values, scale)
+        work = apply_scale(values, scale)
+    # finite statistics (scale_record's fallback) can still leave x - mu past float64
+    _check_finite(np.isfinite(work).all(axis=-1), values.ndim,
+                  "the normalized context overflows float64")
     # tokens of the widest window any round encodes: the KV cache's capacity,
     # and the side of the largest attention scores array
     widest = min(values.shape[-1] + (rounds - 1) * h, cap_points) // p
@@ -160,13 +168,16 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
         rows = max(1, SCORES_BUDGET // (8 * cfg.num_heads * widest * widest))
         chunks = [slice(i, i + rows) for i in range(0, len(values), rows)]
     preds = np.empty(values.shape[:-1] + (rounds * h,))
-    for c in chunks:
+
+    def decode(c):
         try:
             preds[c] = _decode(weights, cfg, work[c], None if features is None else features[c],
                                rounds, widest)
         except NumericError as exc:  # unscaled huge values overflow the activations
             rows = "" if values.ndim == 1 else f" in rows {c.start} to {min(c.stop, len(values)) - 1}"
             raise ForecastError(f"the model's activations are not finite{rows}: {exc}") from exc
+
+    on_two_threads(decode, chunks)
     with np.errstate(over="ignore", invalid="ignore"):
         out = invert_scale(preds[..., :horizon], scale)
     _check_finite(np.isfinite(out).all(axis=-1), values.ndim,

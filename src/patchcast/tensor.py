@@ -21,12 +21,14 @@ suffix of the larger (leading batch dimensions). Anything fancier raises
 
 Each tape records and sweeps on the thread that owns it; independent tapes
 may live on separate threads, which is why the active-tape pointer is
-thread-local. A process that may use 2 CPUs hands two kinds of work to one
-worker thread, and every value equals the one-thread value bit for bit:
-:func:`_in_halves` works large attention and softmax arrays in two halves of
-their leading axis, and ``Tape.backward`` computes the leaf (parameter)
-gradients of records with a large upstream gradient there while it goes on
-along the input-gradient chain.
+thread-local. A process that may use 2 CPUs hands work to one worker
+thread, and every value equals the one-thread value bit for bit:
+:func:`on_two_threads` lets the caller and the worker take turns at an
+ordered list of independent parts (``inference.forecast`` passes a stack's
+chunks); :func:`_in_halves`, its two-part case, works large attention and
+softmax arrays in two halves of their leading axis; and ``Tape.backward``
+computes the leaf (parameter) gradients of records with a large upstream
+gradient there while it goes on along the input-gradient chain.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ MASK_VALUE = -1e30  # additive causal mask; finite, so softmax_lastdim accepts i
 # evaluate_cli's attention calls, then of 65,536 score entries, split ran at
 # 0.84x (1 of 10 rounds faster); pretrain_long's hold 524,288 and ran at 1.15x
 # (9 of 10). No call of pretrain_short (23,104 entries), forecast_stream (at
-# most 131,072: one series at 256 positions) or evaluate_cli (at most 196,608:
-# six windows of 128 tokens, under inference.SCORES_BUDGET) reaches 2^18;
+# most 131,072: one series at 256 positions) or evaluate_cli (at most 131,072:
+# four windows of 128 tokens, under inference.SCORES_BUDGET) reaches 2^18;
 # every attention call of pretrain_long does.
 SPLIT_MIN_ENTRIES = 1 << 18
 
@@ -322,38 +324,83 @@ def _settle(task) -> None:
         task.exception()
 
 
+def on_two_threads(fn: Callable[[object], object], parts: list) -> None:
+    """Call ``fn(part)`` once for each part of ``parts``: the caller's thread
+    and one worker task each take the next part not yet taken, in list order,
+    and the caller takes the first part before the worker can. With fewer
+    than 2 parts, or in a process that may use fewer than 2 CPUs, the caller
+    runs them in order and nothing is submitted.
+
+    Once a call raises, neither thread starts another part. The exception of
+    the lowest-index part that raised, which is the one the in-order loop
+    would raise, is raised here once no part is running. A worker task that
+    has not started when the caller runs out of parts is cancelled, never
+    waited on: the caller has taken its parts. So a part running on the
+    worker may call this function again (a chunk of a stack reaching
+    ``_in_halves``), where waiting on a task queued behind the running one
+    would deadlock the one-thread pool. The worker's task runs in a copy of
+    the caller's context, so numpy's error state (``np.errstate``) holds on
+    both threads.
+
+    Each call must write only its own part of preallocated outputs, so the
+    values do not depend on which thread ran it. perfbench's tracer keeps
+    one span stack for all threads: where ``fn`` runs traced functions, as
+    ``inference.forecast``'s chunks run ``model.forward`` and
+    ``tensor.matmul``, each per-layer ``_ms`` reading is the sum of both
+    threads' time in that function.
+    """
+    if len(parts) < 2 or _usable_cpus() < 2:
+        for part in parts:
+            fn(part)
+        return
+    lock, failed = threading.Lock(), []  # (index, exception) of each part that raised
+    untaken = iter(range(1, len(parts)))  # the caller holds part 0
+
+    def take():
+        with lock:
+            return None if failed else next(untaken, None)
+
+    def run(i):  # part i (None: the next untaken one), then each next untaken part
+        if i is None:
+            i = take()
+        while i is not None:
+            try:
+                fn(parts[i])
+            except BaseException as exc:
+                with lock:
+                    failed.append((i, exc))
+                return
+            i = take()
+
+    task = _second_core().submit(contextvars.copy_context().run, run, None)
+    run(0)
+    if not task.cancel():
+        task.result()
+    if failed:
+        raise min(failed)[1]  # indices differ, so no exceptions are compared
+
+
 def _in_halves(fn: Callable[[slice], object], arr: np.ndarray) -> None:
     """Call ``fn(rows)`` so that together the calls cover the leading axis of
-    ``arr`` (one row for a 1-d array): the second half on the worker thread
-    and the first half inline, or one call over every row when ``arr`` holds
-    fewer than SPLIT_MIN_ENTRIES entries, has fewer than 2 rows, or the
-    process may use fewer than 2 CPUs. A second half the worker has not
-    started by the time the first is done runs inline too, so a late worker
-    (a busy or throttled CPU) costs no more than the single call.
+    ``arr`` (one row for a 1-d array): ``on_two_threads`` over its two
+    halves, the caller taking the first, or one call over every row when
+    ``arr`` holds fewer than SPLIT_MIN_ENTRIES entries, has fewer than 2
+    rows, or the process may use fewer than 2 CPUs. A second half the worker
+    has not started by the time the first is done runs on the caller too, so
+    a late worker (a busy or throttled CPU) costs no more than the single
+    call.
 
     Each call must write only its own rows of preallocated outputs, so the
     values do not depend on the split. ``fn`` must not run a traced function
-    (matmul, softmax_lastdim, layer_norm): perfbench's tracer keeps one span
-    stack for all threads. The worker's half runs in a copy of the caller's
-    context, so numpy's error state (``np.errstate``) applies to both halves.
-    An exception from either half is raised here once neither half is
-    running.
+    (matmul, softmax_lastdim, layer_norm), so that the per-layer readings of
+    perfbench's tracer, which keeps one span stack for all threads, stay
+    one thread's time wherever no stack is decoded.
     """
     if (arr.size < SPLIT_MIN_ENTRIES or (n := arr.shape[0] if arr.ndim > 1 else 1) < 2
             or _usable_cpus() < 2):
         fn(slice(None))
         return
-    first, second = slice(0, (n + 1) // 2), slice((n + 1) // 2, None)
-    late = _second_core().submit(contextvars.copy_context().run, fn, second)
-    try:
-        fn(first)
-    except BaseException:
-        _settle(late)
-        raise
-    if late.cancel():
-        fn(second)
-    else:
-        late.result()
+    on_two_threads(fn, [slice(0, (n + 1) // 2), slice((n + 1) // 2, None)])
 
 
 # -- shape plumbing --------------------------------------------------------

@@ -78,7 +78,15 @@ IDENTITY_SCALE = ScaleRecord(mu=0.0, sigma=1.0)
 
 def scale_record(values: np.ndarray, mode: str = "per-window") -> ScaleRecord:
     """The record that standardizes a context span [.., L] along its last axis:
-    mu and sigma are floats for one series and arrays [.., 1] for a stack."""
+    mu and sigma are floats for one series and arrays [.., 1] for a stack.
+
+    Where the plain mean or standard deviation of a span is not finite (its
+    squares overflow float64), both are taken of the span divided by its
+    largest magnitude and scaled back, as LAPACK's dnrm2 scales (Blue, ACM
+    TOMS 1978); so a finite span always has finite statistics, and a span
+    the plain form handles keeps its bits. A span holding inf or NaN keeps
+    its non-finite statistics.
+    """
     if mode not in NORMALIZATION_MODES:
         raise TrainConfigError(f"unknown normalization mode {mode!r}")
     if mode == "none":
@@ -86,6 +94,14 @@ def scale_record(values: np.ndarray, mode: str = "per-window") -> ScaleRecord:
     values = np.asarray(values, dtype=np.float64)
     mu = values.mean(axis=-1, keepdims=True)
     sigma = np.maximum(values.std(axis=-1, keepdims=True), SIGMA_FLOOR)
+    redo = ~(np.isfinite(mu) & np.isfinite(sigma))
+    if redo.any():
+        big = np.abs(values).max(axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore"):  # 0/0 or inf/inf: spans kept plain or holding inf
+            unit = values / big
+        mu = np.where(redo, big * unit.mean(axis=-1, keepdims=True), mu)
+        sigma = np.where(redo, np.maximum(big * unit.std(axis=-1, keepdims=True), SIGMA_FLOOR),
+                         sigma)
     if values.ndim == 1:
         return ScaleRecord(mu=float(mu[0]), sigma=float(sigma[0]))
     return ScaleRecord(mu=mu, sigma=sigma)

@@ -258,7 +258,7 @@ def test_checkpoint_whose_meta_is_nested_deep_exits_2_naming_it(tmp_path, capsys
     assert err.count("\n") == 1
 
 
-def test_ablate_context_suite_on_series_whose_scale_overflows_exits_2(tmp_path, capsys):
+def test_ablate_context_suite_on_series_whose_errors_overflow_exits_2(tmp_path, capsys):
     family = {"name": "huge", "granularity": "hourly", "n_series": 2, "length_range": [300, 300],
               "amplitude_range": [1e300, 1e300]}
     config, out = tmp_path / "ablate.json", tmp_path / "out"
@@ -267,9 +267,11 @@ def test_ablate_context_suite_on_series_whose_scale_overflows_exits_2(tmp_path, 
         "corpus": {"kind": "synthetic", "spec": {"pretrain": [family]}},
         "eval": {"horizon": 8, "stride": 50, "context_lengths": [64]}}))
     assert main(["ablate", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == (
-        "error: series pretrain-huge-0000 at context length 64: the context's mean or "
-        "standard deviation overflows float64 in row 0\n")
+    err = capsys.readouterr().err
+    # the forecasts are finite (scale_record's scaled statistics); their errors' squares are not
+    assert err.startswith("error: series pretrain-huge-0000: the window at origin 240 scores "
+                          "nrmse inf, wape ")
+    assert err.endswith("; its errors overflow float64\n") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -634,7 +636,8 @@ def test_forecast_writes_an_error_line_for_a_context_whose_scale_overflows(train
                                                                           capsys):
     good = [{"id": "a", "values": list(np.arange(24.0))},
             {"id": "b", "values": list(np.sin(np.arange(40.0) / 3.0))}]
-    huge = [{"id": "spike", "values": [0, 0, 0, 0, 0, 0, 0, 1e300]},
+    huge = [{"id": "spike", "values": [0, 0, 0, 0, 0, 0, 0, 1e300]},  # its statistics are finite
+            {"id": "mixed", "values": [1.7e308] * 7 + [-1.7e308]},
             {"id": "alternating", "values": [1e308, -1e308] * 6}]
     ckpt = str(trained / "ckpt_final.npz")
     outs = []
@@ -646,11 +649,12 @@ def test_forecast_writes_an_error_line_for_a_context_whose_scale_overflows(train
     (good_code, good_lines), (code, lines) = outs
     assert good_code == 0 and code == 1
     entries = [_strict_json(line) for line in lines]  # every line is strict JSON
-    assert [e["id"] for e in entries] == ["a", "spike", "alternating", "b"]
-    for entry in entries[1:3]:
-        assert set(entry) == {"id", "error"}
-        assert "overflows float64" in entry["error"]
-    assert [lines[0], lines[3]] == good_lines  # the other records' lines are unchanged
+    assert [e["id"] for e in entries] == ["a", "spike", "mixed", "alternating", "b"]
+    assert set(entries[1]) == {"id", "forecast", "rounds"}
+    assert entries[2]["error"].endswith("the normalized context overflows float64")
+    assert entries[3]["error"].endswith("the forecast overflows float64 on the context's scale")
+    assert {len(e) for e in entries[2:4]} == {2}
+    assert [lines[0], lines[4]] == good_lines  # the other records' lines are unchanged
     assert "2 record(s) failed" in capsys.readouterr().err
 
 
@@ -918,7 +922,7 @@ def test_evaluate_reports_each_predictor_on_stderr(trained, tmp_path, capsys):
     assert [line.split(":")[0] for line in lines] == ["model", "repeat_last"]
     for line in lines:
         assert re.fullmatch(r"[a-z_]+: 12 windows scored, 0 excluded, "
-                            r"\d+\.\d{3} s in rolling_eval", line), line
+                            r"\d+\.\d{3} s in rolling_eval, \d+\.\d{3} s CPU", line), line
 
 
 def test_evaluate_summary_pools_the_window_files(trained, tmp_path, capsys):
@@ -1009,9 +1013,12 @@ def test_evaluate_and_ablate_name_a_series_whose_forecast_overflows_alike(
     data = tmp_path / "eval.csv"
     write_eval_csv(data, n_series=3)
     lines = data.read_text().splitlines()
+    # s1 at +-1.7e308, a quarter of its points negative: every 32-point context's
+    # statistics are finite, but x - mu overflows once normalized
+    s1 = [line for line in lines[1:] if line.startswith("s1,")]
     data.write_text("\n".join(lines[:1] + [
         line if not line.startswith("s1,") else
-        line.rsplit(",", 1)[0] + "," + repr(float(line.rsplit(",", 1)[1]) * 1e200)
+        line.rsplit(",", 1)[0] + "," + ("-1.7e308" if s1.index(line) % 8 == 7 else "1.7e308")
         for line in lines[1:]]) + "\n")
     checkpoint = str(trained / "ckpt_final.npz")
     out_dir = tmp_path / "evalout"
@@ -1029,6 +1036,23 @@ def test_evaluate_and_ablate_name_a_series_whose_forecast_overflows_alike(
         "eval": {"horizon": 8, "stride": 4, "context_lengths": [32]}}))
     assert main(["ablate", "--config", str(config)]) == 2
     assert capsys.readouterr().err == err.replace("predictor model: ", "", 1)
+
+
+def test_pretrain_on_a_csv_past_the_memory_ceiling_exits_2_before_reading_it(
+        tmp_path, capsys, monkeypatch):
+    from patchcast import model
+
+    data, config = tmp_path / "corpus.csv", tmp_path / "pretrain.json"
+    write_eval_csv(data)
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "out"),
+                                  "corpus": {"kind": "csv", "path": str(data)}}))
+    monkeypatch.setattr(model, "MEMORY_CEILING_BYTES", 4 * data.stat().st_size - 1)
+    assert main(["pretrain", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot ingest {data}: reading a CSV file of "
+                          f"{data.stat().st_size:,} bytes needs ")
+    assert err.endswith("; lower the number of rows\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_too_long_horizon_fails_cleanly(trained, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchcast import model
 from patchcast.data import (
     CONTEXT_CAPS,
     FEATURE_COLUMNS,
@@ -221,6 +222,18 @@ def test_ingest_two_clean_series(tmp_path):
     assert a.start == datetime(2021, 1, 1, 0)
     assert np.array_equal(a.values, np.arange(10.0))
     assert report.skipped == []
+
+
+def test_ingest_refuses_a_file_past_a_quarter_of_the_memory_ceiling(tmp_path, monkeypatch):
+    p = tmp_path / "input.csv"
+    write_csv(p, [f"s1,2021-01-01T{h:02d}:00:00,1.0" for h in range(6)])
+    size = p.stat().st_size
+    monkeypatch.setattr(model, "MEMORY_CEILING_BYTES", 4 * size)
+    assert len(ingest_csv(p).corpus.series) == 1
+    monkeypatch.setattr(model, "MEMORY_CEILING_BYTES", 4 * size - 1)
+    with pytest.raises(IngestError, match=f"^reading a CSV file of {size:,} bytes needs "
+                                          f".* ceiling; lower the number of rows$"):
+        ingest_csv(p)
 
 
 def test_ingest_gap_skips_and_reports(tmp_path):

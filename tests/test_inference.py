@@ -7,7 +7,9 @@ contract.
 """
 
 import math
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime
 from unittest import mock
 
@@ -414,18 +416,21 @@ STACK_CONFIGS = [
 @given(cfg=st.sampled_from(STACK_CONFIGS), batch=st.integers(1, 5),
        length=st.integers(4, 40), horizon=st.integers(1, 20),
        with_features=st.booleans(), normalization=st.sampled_from(["per-window", "none"]),
-       budget=st.sampled_from([1, SCORES_BUDGET]), seed=st.integers(0, 2**16))
+       budget=st.sampled_from([1, SCORES_BUDGET]), cpus=st.sampled_from([2, 1]),
+       seed=st.integers(0, 2**16))
 def test_each_stack_row_equals_the_series_forecast_bitwise(
-        cfg, batch, length, horizon, with_features, normalization, budget, seed):
-    """Budget 1 decodes every row as a chunk of its own; SCORES_BUDGET takes
-    them all in one chunk."""
+        cfg, batch, length, horizon, with_features, normalization, budget, cpus, seed):
+    """Budget 1 decodes every row as a chunk of its own, on both threads when
+    the process may use 2 CPUs and in order on the caller's with 1;
+    SCORES_BUDGET takes them all in one chunk."""
     weights = ModelWeights.initialize(cfg, seed=seed % 7)
     rng = np.random.default_rng(seed)
     values = rng.normal(3.0, 1.0, size=(batch, length))
     features = None
     if with_features and cfg.feature_dim:
         features = rng.uniform(-0.5, 0.5, size=(batch, length + horizon, cfg.feature_dim))
-    with mock.patch.object(inference, "SCORES_BUDGET", budget):
+    with (mock.patch.object(inference, "SCORES_BUDGET", budget),
+          mock.patch.object(T, "_usable_cpus", lambda: cpus)):
         got = forecast(weights, cfg, values, horizon, features=features,
                        normalization=normalization)
     assert got.values.shape == (batch, horizon)
@@ -487,6 +492,99 @@ def test_scores_budget_keeps_evaluate_below_the_split(desk_rig):
     assert SCORES_BUDGET // 8 < T.SPLIT_MIN_ENTRIES
 
 
+# -- a stack's chunks on both threads ----------------------------------------------------
+
+
+def wrap_decode(monkeypatch, before, caller=None):
+    """Patch inference._decode to call before(on_caller) first, on_caller
+    telling whether the chunk runs on the thread `caller` (the main thread
+    by default); returns the list of on_caller flags, one per chunk started."""
+    decode, started = inference._decode, []
+    caller = caller or threading.main_thread()
+
+    def spy(*args):
+        started.append(threading.current_thread() is caller)
+        before(started[-1])
+        return decode(*args)
+
+    monkeypatch.setattr(inference, "_decode", spy)
+    return started
+
+
+def test_failing_chunks_on_both_threads_raise_the_first_chunks_error(rig, monkeypatch):
+    # chunks 0 and 1 overflow the activations, one on each thread; both paths
+    # raise chunk 0's error, as the in-order loop does
+    cfg, weights = rig
+    values = np.array([np.full(40, 1.7e308), np.full(40, 1.7e308), wave(40)])
+    monkeypatch.setattr(inference, "SCORES_BUDGET", 1)  # one row a chunk
+    messages = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        both = threading.Barrier(cpus, timeout=5)  # 2: each thread holds a chunk
+        started = wrap_decode(monkeypatch, lambda on_caller: both.wait())
+        with pytest.raises(ForecastError) as info:
+            forecast(weights, cfg, values, 8, normalization="none")
+        assert sorted(started) == ([False, True] if cpus == 2 else [True])
+        messages[cpus] = str(info.value)
+    assert messages[2] == messages[1]
+    assert messages[1].startswith("the model's activations are not finite in rows 0 to 0: ")
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_no_chunk_starts_after_a_chunk_fails(rig, monkeypatch, cpus):
+    cfg, weights = rig
+    values = np.array([np.full(40, 1.7e308)] + [wave(40, seed=s) for s in range(5)])
+    monkeypatch.setattr(inference, "SCORES_BUDGET", 1)  # six chunks; the first fails
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+    worker_busy = threading.Event()
+
+    def before(on_caller):
+        if on_caller and cpus == 2:
+            assert worker_busy.wait(5)  # chunk 0 fails while the worker holds chunk 1
+        elif not on_caller:
+            worker_busy.set()
+            time.sleep(0.2)  # and chunk 1 ends after the failure
+
+    started = wrap_decode(monkeypatch, before)
+    with pytest.raises(ForecastError, match="in rows 0 to 0: "):
+        forecast(weights, cfg, values, 8, normalization="none")
+    assert started == ([True, False] if cpus == 2 else [True])
+
+
+def test_chunks_that_split_on_the_worker_finish_and_equal_one_cpu_bitwise(rig, monkeypatch):
+    # every attention call of two rows splits, also on the worker, where
+    # _in_halves' own task queues behind the running chunk: it must not wait on it
+    cfg, weights = rig
+    values = np.stack([wave(40, seed=s) for s in range(6)])
+    widest = (40 + cfg.output_patch_len) // cfg.input_patch_len  # a 2-round forecast's window
+    monkeypatch.setattr(inference, "SCORES_BUDGET", 2 * 8 * cfg.num_heads * widest * widest)
+    monkeypatch.setattr(T, "SPLIT_MIN_ENTRIES", 1)
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 1)
+    want = forecast(weights, cfg, values, 16).values
+    monkeypatch.setattr(T, "_usable_cpus", lambda: 2)
+    pool, submitters = ThreadPoolExecutor(max_workers=1), []
+
+    class RecordingPool:
+        def submit(self, fn, *args):
+            submitters.append(threading.current_thread().name)
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(T, "_second_core", lambda: RecordingPool())
+    got, worker_busy = [], threading.Event()
+    caller = threading.Thread(target=lambda: got.append(forecast(weights, cfg, values, 16)),
+                              daemon=True)
+    wrap_decode(monkeypatch, lambda on_caller: worker_busy.set() if not on_caller
+                else worker_busy.wait(5), caller)
+    caller.start()
+    caller.join(20)
+    if caller.is_alive():
+        pool.shutdown(wait=False, cancel_futures=True)
+        pytest.fail("the forecast did not finish")
+    pool.shutdown()
+    assert len(set(submitters)) == 2  # the caller's thread and the worker both split
+    assert got[0].values.tobytes() == want.tobytes()
+
+
 def test_forecast_runs_only_the_rows_a_round_reads(monkeypatch, desk_rig):
     lasts = []
 
@@ -523,17 +621,39 @@ def test_nonfinite_stack_row_is_named(rig):
         forecast(weights, cfg, values, 8)
 
 
-def test_context_whose_scale_overflows_is_named_without_a_numpy_warning(rig):
+def test_context_whose_squares_overflow_forecasts_finite_values(rig):
+    import warnings
+
+    # a 96-point sine with one point at 1e200: its squares overflow float64, so
+    # scale_record takes the statistics of the values over their largest magnitude
+    cfg, weights = rig
+    spiked = np.sin(2 * math.pi * np.arange(96) / 24.0)
+    spiked[50] = 1e200
+    plain = wave(96)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = forecast(weights, cfg, spiked, 8)
+        stack = forecast(weights, cfg, np.array([plain, spiked]), 8)
+    assert np.isfinite(one.values).all()
+    assert one.scale.mu == pytest.approx(1.04e198, rel=0.01)
+    assert one.scale.sigma == pytest.approx(1.02e199, rel=0.01)
+    assert (stack.scale.mu[1, 0], stack.scale.sigma[1, 0]) == (one.scale.mu, one.scale.sigma)
+    assert np.array_equal(stack.values[1], one.values)
+    # the row the plain form handles keeps its bits
+    assert stack.scale.mu[0, 0] == plain.mean() and stack.scale.sigma[0, 0] == plain.std()
+
+
+def test_context_that_overflows_once_normalized_is_named_without_a_numpy_warning(rig):
     import warnings
 
     cfg, weights = rig
-    spike, alternating = [0.0] * 39 + [1e300], [1e308, -1e308] * 20
+    mixed = [1.7e308] * 39 + [-1.7e308]  # finite statistics, but x - mu overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the overflow is reported once, as the error below
-        with pytest.raises(ForecastError, match="standard deviation overflows float64$"):
-            forecast(weights, cfg, np.array(spike), 8)
-        with pytest.raises(ForecastError, match="overflows float64 in row 1$"):
-            forecast(weights, cfg, np.array([wave(40), alternating, spike]), 8)
+        with pytest.raises(ForecastError, match="normalized context overflows float64$"):
+            forecast(weights, cfg, np.array(mixed), 8)
+        with pytest.raises(ForecastError, match="overflows float64 in row 2$"):
+            forecast(weights, cfg, np.array([wave(40), wave(40) * 1e200, mixed]), 8)
 
 
 def test_forecast_that_overflows_once_inverted_is_named(rig, monkeypatch):

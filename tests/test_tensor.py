@@ -621,7 +621,7 @@ def test_mask_rows_of_the_table_equal_a_per_call_triu_bitwise():
 class CountingPool:
     """A one-thread pool that counts submissions, and among them the
     leaf-gradient tasks: ``Tape.backward`` submits ``(run, vjp, g, aside)``,
-    ``_in_halves`` submits ``(run, fn, rows)``."""
+    ``on_two_threads`` (so ``_in_halves``) submits ``(run, pull, None)``."""
 
     def __init__(self):
         self.pool = ThreadPoolExecutor(max_workers=1)
@@ -758,6 +758,64 @@ def test_in_halves_runs_a_half_the_worker_has_not_started_inline(pool, monkeypat
     release.set()
     main = threading.main_thread().name
     assert calls == [(0, 3, main), (3, None, main)]
+
+
+def test_on_two_threads_runs_every_part_once_on_both_threads(pool):
+    calls, worker_ran = [], threading.Event()
+
+    def fn(i):
+        if threading.current_thread() is threading.main_thread():
+            assert i != 0 or worker_ran.wait(5)  # hold part 0 until the worker has run one
+        else:
+            worker_ran.set()
+        calls.append((i, threading.current_thread() is threading.main_thread()))
+
+    T.on_two_threads(fn, list(range(40)))
+    assert sorted(i for i, _ in calls) == list(range(40))
+    assert (0, True) in calls and {on_caller for _, on_caller in calls} == {True, False}
+    assert pool.submitted == 1 and pool.leaf_tasks == 0
+
+
+def test_on_two_threads_leaves_every_part_to_the_caller_while_the_worker_is_busy(pool):
+    release = threading.Event()
+    pool.pool.submit(release.wait, 5)  # keeps the worker busy
+    calls = []
+    T.on_two_threads(lambda i: calls.append((i, threading.current_thread().name)), list(range(5)))
+    release.set()
+    assert calls == [(i, threading.main_thread().name) for i in range(5)]
+
+
+def test_on_two_threads_raises_the_lowest_failed_part_and_starts_no_other(pool):
+    # part 1 fails on the worker first, then part 0 on the caller: the in-order
+    # loop would raise part 0's error, and neither thread starts part 2
+    one_failed, started = threading.Event(), []
+
+    def fn(i):
+        started.append(i)
+        if i == 0:
+            assert one_failed.wait(5)
+            time.sleep(0.05)  # part 1's failure is recorded by now
+            raise KeyError(0)
+        one_failed.set()
+        raise KeyError(i)
+
+    with pytest.raises(KeyError) as info:
+        T.on_two_threads(fn, list(range(6)))
+    assert info.value.args == (0,) and sorted(started) == [0, 1]
+
+
+@pytest.mark.parametrize("parts, cpus", [([0], 2), ([0, 1, 2], 1), ([], 2)])
+def test_on_two_threads_runs_in_order_on_the_caller_for_one_part_or_one_cpu(
+        monkeypatch, parts, cpus):
+    class RefusingPool:
+        def submit(self, *args):
+            raise AssertionError("nothing reaches the worker")
+
+    monkeypatch.setattr(T, "_second_core", lambda: RefusingPool())
+    monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+    calls = []
+    T.on_two_threads(calls.append, parts)
+    assert calls == parts
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
