@@ -66,7 +66,9 @@ LAST_ROWS = 2
 # one chunk's arrays, so the budget trades throughput for peak RSS again. Against one
 # thread at 1.5 MB, 4 alternating 10-s pairs per budget read: 1.5 MB 1.50x the throughput
 # for +8.3% peak RSS, 1 MB (four rows) 1.41x for +3.2%, three rows 1.26x for +1.2%
-# (2-core x86-64, OPENBLAS_NUM_THREADS=1). 1 MB gives the most throughput within +5% RSS.
+# (2-core x86-64, OPENBLAS_NUM_THREADS=1). 1 MB gives the most throughput within +5% RSS;
+# 10 alternating 25-s pairs read it 1.36x the throughput for +4.6% peak RSS and 1.56x the
+# CPU time (BENCH_evaluate_cli_two_cores.json).
 # Keep it under 2 MB: 8 rows of 128 x 128 scores reach SPLIT_MIN_ENTRIES, and a chunk's
 # calls would then also hand halves to a worker that is busy with a chunk of its own.
 SCORES_BUDGET = 1 << 20
