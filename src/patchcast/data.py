@@ -258,7 +258,7 @@ def _grid_index(ts: list[datetime], granularity: str) -> list[int] | None:
         positions = []
         for t in ts:
             months = (t.year - ts[0].year) * 12 + (t.month - ts[0].month)
-            if months < 0 or advance(ts[0], "monthly", months) != t:
+            if advance(ts[0], "monthly", months) != t:  # months >= 0: ts strictly increase
                 return None
             positions.append(months)
         return positions
@@ -539,23 +539,12 @@ def sample_training_windows(corpus: Corpus, mixture: dict[str, float], batch_siz
     batch share a length (cap + horizon, clamped to the shortest drawn
     train split) so they stack into a rectangular tensor. Window starts are
     uniform within each series' train split.
+    ``mixture`` is ``default_mixture``'s: positive weights on granularities
+    with eligible series (a zero weight drops its granularity).
     """
-    if batch_size < 1:
-        raise SamplingError("batch_size must be >= 1")
     pools = corpus.training_pools(input_patch_len, output_patch_len)
-    names, weights = [], []
-    for g, w in sorted(mixture.items()):
-        if g not in GRANULARITIES:
-            raise SamplingError(f"mixture names unknown granularity {g!r}")
-        if w < 0:
-            raise SamplingError(f"mixture weight for {g} is negative")
-        if w > 0:
-            if g not in pools:
-                raise SamplingError(f"mixture weight {w} on granularity {g!r} with no eligible series")
-            names.append(g)
-            weights.append(w)
-    if not names:
-        raise SamplingError("mixture has no positive weights")
+    names = [g for g, w in sorted(mixture.items()) if w > 0]
+    weights = [mixture[g] for g in names]
     probs = np.array(weights) / sum(weights)
     gran = names[int(rng.choice(len(names), p=probs))]
     pool = pools[gran]

@@ -149,7 +149,7 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     zero) have no defined normalized error; they are predicted with their
     stack, then excluded and counted. A kept window whose score is not
     finite (errors whose squares overflow float64) raises MetricError naming
-    the series and the window's origin.
+    the window's origin (``score_series`` adds the series and context length).
     """
     for name, value in (("context_len", context_len), ("horizon", horizon), ("stride", stride)):
         check_int(value, name, EvalConfigError)
@@ -178,8 +178,8 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
         scored = _window_scores(actuals, predicted)
         for i, e, w in zip(*scored):
             if not (math.isfinite(e) and math.isfinite(w)):
-                raise MetricError(f"series {series.series_id}: the window at origin {group[i]} "
-                                  f"scores nrmse {e}, wape {w}; its errors overflow float64")
+                raise MetricError(f"the window at origin {group[i]} scores nrmse {e}, "
+                                  f"wape {w}; its errors overflow float64")
         report.excluded += len(group) - len(scored[0])
         report.windows.extend(WindowScore(origin=group[i], nrmse=e, wape=w)
                               for i, e, w in zip(*scored))
@@ -226,15 +226,15 @@ def pool_reports(reports) -> dict:
 def score_series(predictor, series_list, context_len: int, horizon: int,
                  stride: int = 1) -> tuple[list[EvalReport], dict]:
     """The report of every series and their pooled row (``pool_reports``).
-    A ForecastError from the predictor is raised again naming the series and
-    the context length."""
+    A ForecastError from the predictor or a MetricError from the scores is
+    raised again, of its own type, naming the series and the context length."""
     reports = []
     for s in series_list:
         try:
             reports.append(rolling_eval(predictor, s, context_len, horizon, stride))
-        except ForecastError as exc:
-            raise ForecastError(f"series {s.series_id} at context length {context_len}: "
-                                f"{exc}") from exc
+        except (ForecastError, MetricError) as exc:
+            raise type(exc)(f"series {s.series_id} at context length {context_len}: "
+                            f"{exc}") from exc
     return reports, pool_reports(reports)
 
 

@@ -25,10 +25,10 @@ thread-local. A process that may use 2 CPUs hands work to one worker
 thread, and every value equals the one-thread value bit for bit:
 :func:`on_two_threads` lets the caller and the worker take turns at an
 ordered list of independent parts (``inference.forecast`` passes a stack's
-chunks); :func:`_in_halves`, its two-part case, works large attention and
-softmax arrays in two halves of their leading axis; and ``Tape.backward``
-computes the leaf (parameter) gradients of records with a large upstream
-gradient there while it goes on along the input-gradient chain.
+chunks); :func:`_in_halves`, its two-part case, runs a large attention
+call's forward and its VJP each in two halves of the leading axis; and
+``Tape.backward`` computes the leaf (parameter) gradients of records with a
+large upstream gradient there while it goes on along the input-gradient chain.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class TapeError(RuntimeError):
 LAYER_NORM_EPS = 1e-6
 MASK_VALUE = -1e30  # additive causal mask; finite, so softmax_lastdim accepts it
 
-# Arrays of at least this many entries are worked in two halves (_in_halves).
+# Attention calls of at least this many score entries run in two halves (_in_halves).
 # One workload on each side of the line, each a 10-round in-process A/B of the
 # split against the single call (2-core x86-64 VM, OPENBLAS_NUM_THREADS=1):
 # evaluate_cli's attention calls, then of 65,536 score entries, split ran at
@@ -382,22 +382,22 @@ def on_two_threads(fn: Callable[[object], object], parts: list) -> None:
 
 def _in_halves(fn: Callable[[slice], object], arr: np.ndarray) -> None:
     """Call ``fn(rows)`` so that together the calls cover the leading axis of
-    ``arr`` (one row for a 1-d array): ``on_two_threads`` over its two
-    halves, the caller taking the first, or one call over every row when
-    ``arr`` holds fewer than SPLIT_MIN_ENTRIES entries, has fewer than 2
-    rows, or the process may use fewer than 2 CPUs. A second half the worker
-    has not started by the time the first is done runs on the caller too, so
-    a late worker (a busy or throttled CPU) costs no more than the single
-    call.
+    ``arr``, an attention call's [.., H, M, N] scores: ``on_two_threads``
+    over its two halves, the caller taking the first, or one call over every
+    row when ``arr`` holds fewer than SPLIT_MIN_ENTRIES entries, has fewer
+    than 2 rows, or the process may use fewer than 2 CPUs. A second half the
+    worker has not started by the time the first is done runs on the caller
+    too, so a late worker (a busy or throttled CPU) costs no more than the
+    single call.
 
     Each call must write only its own rows of preallocated outputs, so the
-    values do not depend on the split. ``fn`` must not run a traced function
-    (matmul, softmax_lastdim, layer_norm), so that the per-layer readings of
-    perfbench's tracer, which keeps one span stack for all threads, stay
-    one thread's time wherever no stack is decoded.
+    values do not depend on the split. The forward's ``fn`` runs
+    ``softmax_lastdim`` on its half's scores, so where a call splits (every
+    attention call of pretrain_long) perfbench's ``tensor.softmax_ms``, like
+    every per-layer reading of a decoded stack, is the sum of both threads'
+    time in it (see ``on_two_threads``).
     """
-    if (arr.size < SPLIT_MIN_ENTRIES or (n := arr.shape[0] if arr.ndim > 1 else 1) < 2
-            or _usable_cpus() < 2):
+    if arr.size < SPLIT_MIN_ENTRIES or (n := arr.shape[0]) < 2 or _usable_cpus() < 2:
         fn(slice(None))
         return
     on_two_threads(fn, [slice(0, (n + 1) // 2), slice((n + 1) // 2, None)])
@@ -446,7 +446,9 @@ def _op(out_data: np.ndarray, inputs: tuple, vjp: Callable[[np.ndarray, tuple[bo
     input that ``need`` marks False. ``Tape.backward`` passes the record's
     live mask, or a part of it when it computes the leaf gradients on the
     worker thread (see there), so no gradient is computed only to be
-    dropped. ``vjp`` must not run a traced function (see ``_in_halves``).
+    dropped. ``vjp`` must not run a traced function (matmul, softmax_lastdim,
+    layer_norm): ``backward_ms`` holds its time, and on the worker the tracer's
+    one span stack for all threads would add it to the caller's too.
     """
     out = Tensor(out_data)
     live = tuple(isinstance(t, Tensor) and (t.requires_grad or t._produced) for t in inputs)
@@ -549,9 +551,9 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
     Stable for entries up to +-1e4 via max subtraction. Raises
     ``NumericError`` on non-finite input (an additive mask must therefore
     use a large finite constant, not -inf). The shift, exp and division all
-    run in one output buffer, in two halves of the rows for a large input
-    (``_in_halves``): a new array, or ``out`` (x's shape), which may be x's
-    own array; only then is the input overwritten.
+    run on the calling thread in one output buffer: a new array, or ``out``
+    (x's shape), which may be x's own array; only then is the input
+    overwritten.
 
     ``keep`` is a boolean array that broadcasts to x's shape, such as one
     causal table for every head. The exp runs only where it is True,
@@ -575,21 +577,16 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
             raise ShapeError(bad) from None
     if out is not None and (out.shape != shape or out.dtype != _FLOAT64):
         raise ShapeError(f"softmax out must be float64 of shape {shape}, got {out.dtype} {out.shape}")
+    if not np.isfinite(xd).all():
+        raise NumericError("softmax input contains non-finite values")
     y = np.empty_like(xd) if out is None else out
-
-    def rows(sl):
-        xs, ys = xd[sl], y[sl]
-        if not np.isfinite(xs).all():
-            raise NumericError("softmax input contains non-finite values")
-        np.subtract(xs, xs.max(axis=-1, keepdims=True), out=ys)
-        if keep is None:
-            np.exp(ys, out=ys)
-        else:
-            np.exp(ys, out=ys, where=keep[sl])
-            np.copyto(ys, 0.0, where=drop[sl])
-        ys /= ys.sum(axis=-1, keepdims=True)
-
-    _in_halves(rows, xd)
+    np.subtract(xd, xd.max(axis=-1, keepdims=True), out=y)
+    if keep is None:
+        np.exp(y, out=y)
+    else:
+        np.exp(y, out=y, where=keep)
+        np.copyto(y, 0.0, where=drop)
+    y /= y.sum(axis=-1, keepdims=True)
     if not _state.grad_enabled:
         return Tensor(y)
 
@@ -691,8 +688,11 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     The M queries sit at the last M of the N key positions, so the mask adds
     MASK_VALUE wherever a key lies after its query. It is rows [N-M, N) and
     columns [:N] of one cached table per power of two >= N, at most 512 KB
-    for the desk preset's 256 positions. ``softmax_lastdim`` on a constant
-    tensor writes the probabilities over the scores in their own buffer, so
+    for the desk preset's 256 positions. The mask holds only while every
+    score stays far below |MASK_VALUE|: scores near 1e30 (q and k entries
+    near 1e15, which only weights that large produce) let masked keys
+    change earlier rows' outputs, or give NaN. ``softmax_lastdim`` on a bare
+    array writes the probabilities over the scores in their own buffer, so
     the call holds one [.., H, M, N] array, and non-finite scores raise
     ``NumericError``. A square call of at least SKIP_MASKED_MIN_KEYS keys
     passes the matching boolean table as ``keep``, so the exps of the masked
@@ -700,10 +700,11 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     VJP uses dS = P * (dP - rowsum(dP * P)), in place in one buffer beside
     dP. Each of its products keeps a fixed operand order and layout (dK is
     the swapped view of Q^T dS, not dS^T Q): another order rounds
-    differently and changes the recorded loss curves. The score product,
-    the context product and the VJP run in two halves of the leading axis
-    for large calls (``_in_halves``), and the VJP works each half in blocks
-    of at most ATTENTION_VJP_BLOCK_BYTES of [.., H, M, N], bit for bit.
+    differently and changes the recorded loss curves. A large call runs in
+    two halves of the leading axis (``_in_halves``): once in the forward,
+    each half's score product, softmax and context product back to back on
+    one thread, and once in the VJP, which works each half in blocks of at
+    most ATTENTION_VJP_BLOCK_BYTES of [.., H, M, N], bit for bit.
     """
     qd, kd, vd = as_array(q), as_array(k), as_array(v)
     shape, kv_shape = qd.shape, kd.shape
@@ -712,17 +713,18 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     qh = qd.reshape(split).transpose(heads)
     kh = kd.reshape(kv_split).transpose(heads)
     vh = vd.reshape(kv_split).transpose(heads)
-    scores = np.empty(lead + (m, n))  # the scores, then the probabilities
+    probs = np.empty(lead + (m, n))  # the scores, then the probabilities over them
+    out = np.empty(lead + (m, dh))
 
-    def score_rows(sl):
-        s = np.matmul(qh[sl], kh[sl].swapaxes(-1, -2), out=scores[sl])
+    def attend(sl):
+        s = np.matmul(qh[sl], kh[sl].swapaxes(-1, -2), out=probs[sl])
         s *= scale
         s += mask
+        # a bare array: softmax records nothing, also on the worker, whose grad mode stays on
+        softmax_lastdim(s, keep=keep, out=s)
+        np.matmul(s, vh[sl], out=out[sl])
 
-    _in_halves(score_rows, scores)
-    probs = softmax_lastdim(scores, keep=keep, out=scores).data
-    out = np.empty(lead + (m, dh))
-    _in_halves(lambda sl: np.matmul(probs[sl], vh[sl], out=out[sl]), probs)
+    _in_halves(attend, probs)
     out = out.transpose(heads).reshape(shape)
     if not _state.grad_enabled:
         return Tensor(out)

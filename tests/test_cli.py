@@ -269,8 +269,8 @@ def test_ablate_context_suite_on_series_whose_errors_overflow_exits_2(tmp_path, 
     assert main(["ablate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     # the forecasts are finite (scale_record's scaled statistics); their errors' squares are not
-    assert err.startswith("error: series pretrain-huge-0000: the window at origin 240 scores "
-                          "nrmse inf, wape ")
+    assert err.startswith("error: series pretrain-huge-0000 at context length 64: the window "
+                          "at origin 240 scores nrmse inf, wape ")
     assert err.endswith("; its errors overflow float64\n") and err.count("\n") == 1
     assert not out.exists()
 
@@ -1005,7 +1005,8 @@ def test_evaluate_names_an_unscorable_predictor(trained, tmp_path, capsys, monke
     write_eval_csv(data, n_series=1)
     assert main(["evaluate", "--checkpoint", str(trained / "ckpt_final.npz"),
                  "--data", str(data), "--context", "32", "--horizon", "8"]) == 2
-    assert "error: predictor model: need equal" in capsys.readouterr().err
+    assert ("error: predictor model: series s0 at context length 32: need equal"
+            in capsys.readouterr().err)
 
 
 def test_evaluate_and_ablate_name_a_series_whose_forecast_overflows_alike(

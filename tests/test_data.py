@@ -18,7 +18,6 @@ from patchcast.data import (
     GeneratorSpecError,
     IngestError,
     RELEVANT_COLUMNS,
-    SamplingError,
     SplitError,
     StrideError,
     TimeSeries,
@@ -324,6 +323,28 @@ def test_ingest_monthly_calendar_stride(tmp_path):
     assert report.corpus.get("m").granularity == "monthly"
 
 
+@pytest.mark.parametrize("granularity, stamps", [
+    ("hourly", ["2021-01-01T00:00:00", "2021-01-01T01:00:00", "2021-01-01T02:30:00"]),
+    ("monthly", ["2020-01-15T00:00:00", "2020-02-14T00:00:00", "2020-03-15T00:00:00"]),
+])
+def test_ingest_stamps_off_the_grid_raise_stride_error(tmp_path, granularity, stamps):
+    p = tmp_path / "input.csv"
+    write_csv(p, [f"h,{ts},1.0" for ts in stamps])
+    with pytest.raises(StrideError, match=f"^series h: timestamps do not sit on a {granularity} "
+                                          f"grid$"):
+        ingest_csv(p)
+
+
+def test_ingest_monthly_stamps_that_skip_a_month_are_a_gap(tmp_path):
+    # month ends: February's is the 29th, and March is missing
+    p = tmp_path / "input.csv"
+    rows = [f"m,{ts}T00:00:00,1.0" for ts in ["2020-01-31", "2020-02-29", "2020-04-30"]]
+    write_csv(p, rows + [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(3)])
+    report = ingest_csv(p)
+    assert [s.series_id for s in report.corpus.series] == ["ok"]
+    assert report.skipped == [("m", "missing timestamps (gaps)")]
+
+
 def test_ingest_z_suffix_timestamps(tmp_path):
     p = tmp_path / "input.csv"
     write_csv(p, [f"s1,2021-01-01T{h:02d}:00:00Z,1.0" for h in range(3)])
@@ -563,13 +584,6 @@ def test_sampling_window_length_capped():
     windows = sample_training_windows(long_corpus, {"monthly": 1.0}, 4, rng,
                                       input_patch_len=4, output_patch_len=8)
     assert all(len(w.values) == 72 for w in windows)
-
-
-def test_sampling_weight_without_eligible_series():
-    corpus = make_corpus(granularity="hourly")
-    with pytest.raises(SamplingError, match="daily"):
-        sample_training_windows(corpus, {"daily": 1.0}, 4, np.random.default_rng(0),
-                                input_patch_len=4, output_patch_len=8)
 
 
 def test_sampling_deterministic_for_fixed_rng_state():

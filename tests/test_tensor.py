@@ -673,9 +673,11 @@ def test_split_attention_equals_single_call_bitwise(batch, heads, dh, n, data):
             mp.setattr(T, "_usable_cpus", lambda: 2)
             mp.setattr(T, "SPLIT_MIN_ENTRIES", threshold)
             runs[threshold] = attention_and_grads(q, k, v, g, live, heads)
+            # the worker's softmax of a bare array records nothing on its own tape
+            assert counting.pool.submit(lambda: len(active_tape())).result() == 0
             counting.pool.shutdown()
-        # score product, softmax, context product and VJP: 4 submissions when split
-        assert counting.submitted == (4 if threshold == 1 and (lead or (heads,))[0] > 1 else 0)
+        # one hand-off in the forward and one in the VJP when split
+        assert counting.submitted == (2 if threshold == 1 and (lead or (heads,))[0] > 1 else 0)
     (split_out, split_grads), (one_out, one_grads) = runs[1], runs[2**62]
     assert split_out.tobytes() == one_out.tobytes()
     for got, want, need in zip(split_grads, one_grads, live):
@@ -719,7 +721,7 @@ def test_split_nonfinite_score_raises_in_caller(pool, monkeypatch, bad_row):
     big[bad_row] = 1e300  # finite input whose scores overflow to inf
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         causal_attention(Tensor(big), Tensor(big), Tensor(v), 2)
-    assert pool.submitted == 2  # the score product and softmax's check
+    assert pool.submitted == 1  # the forward's one hand-off; the bad row's half raises
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):  # both halves obey it
         causal_attention(Tensor(big), Tensor(big), Tensor(v), 2)
     out = causal_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
@@ -1016,10 +1018,10 @@ def test_attention_on_leaves_on_the_worker_splits_there_and_equals_inline_bitwis
         if caller.is_alive():
             pool.pool.shutdown(wait=False, cancel_futures=True)
             pytest.fail("backward did not finish")
-        # the score product, softmax and context product split on the caller's thread
-        assert submitters[:3] == [(2, "caller")] * 3
-    worker = submitters[4][1]
-    assert submitters[3:] == [(3, "caller"), (2, worker)] and worker != "caller"
+        # the forward's one hand-off, from the caller's thread
+        assert submitters[:1] == [(2, "caller")]
+    worker = submitters[2][1]
+    assert submitters[1:] == [(3, "caller"), (2, worker)] and worker != "caller"
     assert len(runs[1]) == 3 and runs[1] == runs[2**62]
 
 
@@ -1077,54 +1079,44 @@ def softmax_and_vjp(x, g, **kw):
     return y.data.tobytes(), gx.tobytes()
 
 
-def split_context(mp, split):
-    """Every call split on a counting worker, or none; returns the worker."""
-    counting = CountingPool()
-    mp.setattr(T, "_second_core", lambda: counting)
-    mp.setattr(T, "_usable_cpus", lambda: 2)
-    mp.setattr(T, "SPLIT_MIN_ENTRIES", 1 if split else 2**62)
-    return counting
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(lead=st.sampled_from([(), (1,), (3,), (2, 3)]), heads=st.sampled_from([1, 2, 4]),
-       n=st.integers(1, 256), split=st.booleans(), data=st.data())
-def test_softmax_keep_equals_additive_mask_softmax_bitwise(lead, heads, n, split, data):
+       n=st.integers(1, 256), data=st.data())
+def test_softmax_keep_equals_additive_mask_softmax_bitwise(lead, heads, n, data):
     m = data.draw(st.integers(1, n), label="m")
     rng = np.random.default_rng(n * 10 + m)
     x, keep = causal_scores(rng, lead + (heads,), m, n)
     g = rng.standard_normal(x.shape)
     want = softmax_and_vjp(x, g)
     assert want[0] == softmax_three_temporaries(x).tobytes()
-    with pytest.MonkeyPatch.context() as mp:
-        counting = split_context(mp, split)
+    with pytest.MonkeyPatch.context() as mp:  # softmax never splits, past any threshold
+        counting = CountingPool()
+        mp.setattr(T, "_second_core", lambda: counting)
+        mp.setattr(T, "_usable_cpus", lambda: 2)
+        mp.setattr(T, "SPLIT_MIN_ENTRIES", 1)
         got = softmax_and_vjp(x, g, keep=keep)
         inplace = x.copy()
         assert softmax_lastdim(Tensor(inplace), keep=keep, out=inplace).data is inplace
         counting.pool.shutdown()
-    assert counting.submitted == (2 if split and x.shape[0] > 1 else 0)  # both forward calls
+    assert counting.submitted == 0
     assert got == want
     assert inplace.tobytes() == want[0]
 
 
-@pytest.mark.parametrize("split", [True, False], ids=["split", "single"])
-def test_softmax_keep_on_a_large_2d_input_splits_its_rows_bitwise(split):
-    # 1024 rows of 256 keys hold 2^18 entries; a keep table of the input's own
-    # shape is split with the rows
+def test_softmax_on_a_large_input_submits_nothing_and_equals_one_cpu_bitwise(pool, monkeypatch):
+    # 1024 rows of 256 keys hold 2^18 entries, with a keep table of the input's own shape
     rng = np.random.default_rng(71)
     x, keep = causal_scores(rng, (4,), 256, 256)
     x, keep = x.reshape(1024, 256), np.tile(keep, (4, 1))
     assert x.size >= T.SPLIT_MIN_ENTRIES
     g = rng.standard_normal(x.shape)
-    want = softmax_and_vjp(x, g)
-    with pytest.MonkeyPatch.context() as mp:
-        counting = CountingPool()
-        mp.setattr(T, "_second_core", lambda: counting)
-        mp.setattr(T, "_usable_cpus", lambda: 2 if split else 1)
-        got = softmax_and_vjp(x, g, keep=keep)
-        counting.pool.shutdown()
-    assert counting.submitted == (1 if split else 0)
-    assert got == want
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
+        runs[cpus] = softmax_and_vjp(x, g, keep=keep), softmax_and_vjp(x, g)
+    assert pool.submitted == 0
+    assert runs[2] == runs[1]
+    assert runs[2][0] == runs[2][1]  # the keep table skips only exps that give +0.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
