@@ -360,11 +360,9 @@ def cmd_evaluate(args) -> int:
         (f"seasonal_naive({args.season})", make_seasonal_naive(args.season))]
     bundle, normalization = _load_for_horizon(args.checkpoint, args.horizon)
     report = _ingest(args.data)
-    skipped = report.skipped + [(s.series_id, f"fewer than {MIN_SPLIT_LENGTH} points")
-                                for s in report.corpus.series if len(s) < MIN_SPLIT_LENGTH]
-    for sid, reason in skipped:
+    for sid, reason in report.skipped:
         print(f"skipped series {sid}: {reason}", file=sys.stderr)
-    series = [s for s in report.corpus.series if len(s) >= MIN_SPLIT_LENGTH]
+    series = report.corpus.series
     if not series:
         raise CLIError(f"no usable series (need at least {MIN_SPLIT_LENGTH} points each)")
     predictors = [("model", make_model_predictor(bundle.weights, bundle.config,

@@ -105,8 +105,14 @@ def derive_date_features(start: datetime, granularity: str, length: int) -> np.n
     return out
 
 
+MIN_SPLIT_LENGTH = 10  # fewest points chronological_split accepts, and a TimeSeries holds
+
+
 @dataclass
 class TimeSeries:
+    """One finite series of at least MIN_SPLIT_LENGTH points on a granularity's
+    grid from ``start``, so every series has a chronological split."""
+
     series_id: str
     granularity: str
     start: datetime
@@ -116,8 +122,9 @@ class TimeSeries:
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r} for {self.series_id}")
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ValueError(f"series {self.series_id} needs >= 2 values in one dimension")
+        if self.values.ndim != 1 or self.values.size < MIN_SPLIT_LENGTH:
+            raise ValueError(
+                f"series {self.series_id} needs >= {MIN_SPLIT_LENGTH} values in one dimension")
         if not np.isfinite(self.values).all():
             raise ValueError(f"series {self.series_id} contains non-finite values")
         self._features: np.ndarray | None = None
@@ -145,9 +152,6 @@ class SplitBounds:
     train_end: int
     val_end: int
     length: int
-
-
-MIN_SPLIT_LENGTH = 10  # fewest points chronological_split accepts
 
 
 def chronological_split(length: int) -> SplitBounds:
@@ -190,7 +194,7 @@ class Corpus:
         if key not in self._pools:
             pools: TrainingPools = {}
             for s in self.series:
-                if len(s) >= MIN_SPLIT_LENGTH and (end := s.split().train_end) >= patch_len + horizon:
+                if (end := s.split().train_end) >= patch_len + horizon:
                     pools.setdefault(s.granularity, []).append((s, end))
             self._pools[key] = pools
         return self._pools[key]
@@ -204,14 +208,14 @@ class Corpus:
     def manifest(self) -> dict:
         entries = []
         for s in self.series:
-            bounds = s.split() if len(s) >= MIN_SPLIT_LENGTH else None
+            bounds = s.split()
             entries.append({
                 "id": s.series_id,
                 "granularity": s.granularity,
                 "start": s.start.isoformat(),
                 "length": len(s),
-                "train_end": bounds.train_end if bounds else None,
-                "val_end": bounds.val_end if bounds else None,
+                "train_end": bounds.train_end,
+                "val_end": bounds.val_end,
             })
         return {"num_series": len(self.series), "series": entries}
 
@@ -276,8 +280,10 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
     """Read an ``id,timestamp,value`` CSV into a corpus.
 
     Timestamps are ISO-8601 and must advance by exactly one granularity
-    stride; series with missing rows, NaN or infinite values are skipped
-    and reported, and any other fault in the file's content raises IngestError.
+    stride; series with missing rows, NaN or infinite values, or fewer than
+    MIN_SPLIT_LENGTH points are skipped and reported, and any other fault in
+    the file's content raises IngestError, in a short series too (a one-row
+    series has no stride to check).
     So does a file of more than a quarter of MEMORY_CEILING_BYTES, before it
     is read. ``granularity``, when given, is enforced against the observed stride.
     ``log_transform`` stores log1p(value) for heavy-tailed sources.
@@ -318,11 +324,12 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
 
     series: list[TimeSeries] = []
     skipped: list[tuple[str, str]] = []
+    short = f"fewer than {MIN_SPLIT_LENGTH} points"
     for sid, points in rows.items():
         stamps = [p[0] for p in points]
         values = np.array([p[1] for p in points])
         if len(points) < 2:
-            skipped.append((sid, "fewer than 2 rows"))
+            skipped.append((sid, short))
             continue
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise IngestError(f"series {sid}: timestamps are not strictly increasing")
@@ -343,6 +350,9 @@ def ingest_csv(path, granularity: str | None = None, log_transform: bool = False
             if (values <= -1.0).any():
                 raise IngestError(f"series {sid}: log transform needs values > -1")
             values = np.log1p(values)
+        if len(points) < MIN_SPLIT_LENGTH:
+            skipped.append((sid, short))
+            continue
         series.append(TimeSeries(sid, observed, stamps[0], values))
     return IngestReport(corpus=Corpus(series), skipped=skipped)
 

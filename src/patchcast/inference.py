@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ContextTooShortError, KVCache, ModelConfig, ModelWeights,
-                    assemble_patch_inputs, check_int, forward)
+from .model import (KVCache, ModelConfig, ModelWeights, assemble_patch_inputs, check_int,
+                    forward)
 from .tensor import NumericError, no_grad, on_two_threads
 from .training import ScaleRecord, apply_scale, invert_scale, scale_record
 
@@ -120,8 +120,9 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     attention scores fit SCORES_BUDGET, each chunk with its own KV cache; the
     whole stack is scaled once and inverted once, and its chunks are decoded
     on both threads (tensor.on_two_threads), or in order on one CPU. A
-    horizon past MAX_ROUNDS rounds raises HorizonError before any work. A
-    context whose normalized values overflow float64 (points of +-1.7e308),
+    horizon past MAX_ROUNDS rounds raises HorizonError before any work, and
+    a context shorter than one input patch raises ForecastError. A context
+    whose normalized values overflow float64 (points of +-1.7e308),
     or whose forecast does so once inverted to the context's scale, raises
     ForecastError, naming the row of a stack; so do activations that are
     not finite (unscaled huge values), naming the first failing chunk's
@@ -136,7 +137,7 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     p, h = cfg.input_patch_len, cfg.output_patch_len
     length = values.shape[-1]
     if length < p:
-        raise ContextTooShortError(
+        raise ForecastError(
             f"context of {length} points is shorter than one {p}-point patch")
 
     if cfg.feature_dim == 0:

@@ -56,7 +56,6 @@ class TapeError(RuntimeError):
 
 
 LAYER_NORM_EPS = 1e-6
-MASK_VALUE = -1e30  # additive causal mask; finite, so softmax_lastdim accepts it
 
 # Attention calls of at least this many score entries run in two halves (_in_halves).
 # One workload on each side of the line, each a 10-round in-process A/B of the
@@ -549,19 +548,18 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
     """Row-stabilized softmax over the final axis.
 
     Stable for entries up to +-1e4 via max subtraction. Raises
-    ``NumericError`` on non-finite input (an additive mask must therefore
-    use a large finite constant, not -inf). The shift, exp and division all
-    run on the calling thread in one output buffer: a new array, or ``out``
-    (x's shape), which may be x's own array; only then is the input
-    overwritten.
+    ``NumericError`` unless every row's max is finite: a NaN or +inf
+    anywhere, or a row of -inf only. A -inf entry, such as one under an
+    additive causal mask, gets probability exactly +0.0. The shift, exp and
+    division all run on the calling thread in one output buffer: a new
+    array, or ``out`` (x's shape), which may be x's own array; only then is
+    the input overwritten.
 
     ``keep`` is a boolean array that broadcasts to x's shape, such as one
-    causal table for every head. The exp runs only where it is True,
-    and every other entry is written as +0.0: the exp's own value for an
-    entry more than 746 below its row max, such as one under an additive
-    mask of MASK_VALUE. So wherever ``keep`` is False only on such entries,
-    the result equals the softmax without ``keep`` bit for bit; the finite
-    check still covers every entry.
+    causal table for every head. The exp runs only where it is True, and
+    every other entry is written as +0.0, the exp's own value for a -inf
+    entry. So wherever ``keep`` is False only on -inf entries, the result
+    equals the softmax without ``keep`` bit for bit.
     """
     xd = as_array(x)
     shape = xd.shape
@@ -577,10 +575,11 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
             raise ShapeError(bad) from None
     if out is not None and (out.shape != shape or out.dtype != _FLOAT64):
         raise ShapeError(f"softmax out must be float64 of shape {shape}, got {out.dtype} {out.shape}")
-    if not np.isfinite(xd).all():
+    top = xd.max(axis=-1, keepdims=True)  # NaN wherever its row holds one
+    if not np.isfinite(top).all():
         raise NumericError("softmax input contains non-finite values")
     y = np.empty_like(xd) if out is None else out
-    np.subtract(xd, xd.max(axis=-1, keepdims=True), out=y)
+    np.subtract(xd, top, out=y)
     if keep is None:
         np.exp(y, out=y)
     else:
@@ -641,20 +640,13 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 
 @functools.lru_cache(maxsize=None)
-def _mask_table(size: int) -> np.ndarray:
-    """Read-only size x size causal mask: MASK_VALUE above the diagonal."""
-    table = np.triu(np.full((size, size), MASK_VALUE), k=1)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _keep_table(size: int) -> np.ndarray:
-    """Read-only size x size boolean table: True on and below the diagonal,
-    where ``_mask_table`` adds 0."""
-    table = np.tri(size, dtype=bool)
-    table.flags.writeable = False
-    return table
+def _causal_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only size x size causal tables: the additive mask (-inf above the
+    diagonal, +0.0 elsewhere) and its boolean complement ``keep``."""
+    keep = np.tri(size, dtype=bool)
+    mask = np.where(keep, 0.0, -np.inf)
+    keep.flags.writeable = mask.flags.writeable = False
+    return mask, keep
 
 
 @functools.lru_cache(maxsize=1024)
@@ -675,10 +667,9 @@ def _attention_plan(shape: tuple, kv_shape: tuple, v_shape: tuple, num_heads: in
     nb = len(shape) - 2
     heads = (*range(nb), nb + 1, nb, nb + 2)  # [.., N, H, dh] <-> [.., H, N, dh]
     split, kv_split = (*shape[:-1], num_heads, dh), (*kv_shape[:-1], num_heads, dh)
-    size = 1 << (n - 1).bit_length()
-    keep = _keep_table(size)[:n, :n] if m == n >= SKIP_MASKED_MIN_KEYS else None
+    mask, keep = _causal_table(1 << (n - 1).bit_length())
     return (m, n, dh, heads, split, kv_split, (*shape[:-2], num_heads), 1.0 / math.sqrt(dh),
-            _mask_table(size)[n - m:n, :n], keep)
+            mask[n - m:n, :n], keep[:n, :n] if m == n >= SKIP_MASKED_MIN_KEYS else None)
 
 
 def causal_attention(q, k, v, num_heads: int) -> Tensor:
@@ -686,21 +677,22 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     softmax(Q K^T / sqrt(dh) + mask) V, as one tape op.
 
     The M queries sit at the last M of the N key positions, so the mask adds
-    MASK_VALUE wherever a key lies after its query. It is rows [N-M, N) and
-    columns [:N] of one cached table per power of two >= N, at most 512 KB
-    for the desk preset's 256 positions. The mask holds only while every
-    score stays far below |MASK_VALUE|: scores near 1e30 (q and k entries
-    near 1e15, which only weights that large produce) let masked keys
-    change earlier rows' outputs, or give NaN. ``softmax_lastdim`` on a bare
-    array writes the probabilities over the scores in their own buffer, so
-    the call holds one [.., H, M, N] array, and non-finite scores raise
-    ``NumericError``. A square call of at least SKIP_MASKED_MIN_KEYS keys
-    passes the matching boolean table as ``keep``, so the exps of the masked
-    half are skipped: their +0.0 is what the exp gives, bit for bit. The
-    VJP uses dS = P * (dP - rowsum(dP * P)), in place in one buffer beside
-    dP. Each of its products keeps a fixed operand order and layout (dK is
-    the swapped view of Q^T dS, not dS^T Q): another order rounds
-    differently and changes the recorded loss curves. A large call runs in
+    -inf wherever a key lies after its query, and such a key gets weight
+    exactly 0 for any finite score. It is rows [N-M, N) and columns [:N] of
+    one cached table per power of two >= N (``_causal_table``), at most
+    512 KB for the desk preset's 256 positions. ``softmax_lastdim`` on a
+    bare array writes the probabilities over the scores in their own
+    buffer, so the call holds one [.., H, M, N] array. A NaN or +inf score
+    raises ``NumericError``, in a masked slot too: +inf plus the mask's -inf
+    is NaN, which numpy also flags as an invalid value. A -inf score, which
+    only an overflowing product gives, gets weight 0, the softmax's limit.
+    A square call of at least SKIP_MASKED_MIN_KEYS keys passes the matching
+    boolean table as ``keep``, so the exps of the masked half are skipped:
+    their +0.0 is what the exp gives, bit for bit. The VJP uses
+    dS = P * (dP - rowsum(dP * P)), in place in one buffer beside dP. Each
+    of its products keeps a fixed operand order and layout (dK is the
+    swapped view of Q^T dS, not dS^T Q): another order rounds differently
+    and changes the recorded loss curves. A large call runs in
     two halves of the leading axis (``_in_halves``): once in the forward,
     each half's score product, softmax and context product back to back on
     one thread, and once in the VJP, which works each half in blocks of at

@@ -20,7 +20,6 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (
     CONTEXT_CAPS,
-    MIN_SPLIT_LENGTH,
     Corpus,
     TrainingWindow,
     default_mixture,
@@ -275,8 +274,6 @@ def _fixed_val_windows(corpus: Corpus, cfg: ModelConfig):
     p, h = cfg.input_patch_len, cfg.output_patch_len
     out = []
     for s in sorted(corpus.series, key=lambda s: s.series_id):
-        if len(s) < MIN_SPLIT_LENGTH:
-            continue
         bounds = s.split()
         val_len = bounds.val_end - bounds.train_end
         if val_len < p + h:

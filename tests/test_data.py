@@ -225,7 +225,7 @@ def test_ingest_two_clean_series(tmp_path):
 
 def test_ingest_refuses_a_file_past_a_quarter_of_the_memory_ceiling(tmp_path, monkeypatch):
     p = tmp_path / "input.csv"
-    write_csv(p, [f"s1,2021-01-01T{h:02d}:00:00,1.0" for h in range(6)])
+    write_csv(p, [f"s1,2021-01-01T{h:02d}:00:00,1.0" for h in range(10)])
     size = p.stat().st_size
     monkeypatch.setattr(model, "MEMORY_CEILING_BYTES", 4 * size)
     assert len(ingest_csv(p).corpus.series) == 1
@@ -239,13 +239,30 @@ def test_ingest_gap_skips_and_reports(tmp_path):
     p = tmp_path / "input.csv"
     hours = [0, 1, 2, 4, 5]  # hour 3 missing
     rows = [f"gappy,2021-01-01T{h:02d}:00:00,1.0" for h in hours]
-    rows += [f"clean,2021-01-01T{h:02d}:00:00,2.0" for h in range(5)]
+    rows += [f"clean,2021-01-01T{h:02d}:00:00,2.0" for h in range(10)]
     write_csv(p, rows)
     report = ingest_csv(p)
     assert [s.series_id for s in report.corpus.series] == ["clean"]
     assert len(report.skipped) == 1
     assert report.skipped[0][0] == "gappy"
     assert "gap" in report.skipped[0][1]
+
+
+def test_ingest_skips_a_series_too_short_to_split_after_its_checks(tmp_path):
+    p = tmp_path / "input.csv"
+    rows = [f"short,2021-01-01T{h:02d}:00:00,1.0" for h in range(9)]
+    rows += ["one,2021-01-01T00:00:00,1.0"]  # no stride to check
+    rows += [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(10)]
+    write_csv(p, rows)
+    report = ingest_csv(p)
+    assert [s.series_id for s in report.corpus.series] == ["ok"]
+    assert report.skipped == [("short", "fewer than 10 points"), ("one", "fewer than 10 points")]
+    manifest = report.corpus.manifest()["series"]
+    assert [(e["id"], e["train_end"], e["val_end"]) for e in manifest] == [("ok", 7, 8)]
+    # a short series whose timestamps are malformed still raises
+    write_csv(p, rows + ["bad,2021-01-01T05:00:00,1.0", "bad,2021-01-01T04:00:00,2.0"])
+    with pytest.raises(IngestError, match="series bad: timestamps are not strictly increasing"):
+        ingest_csv(p)
 
 
 def test_ingest_declared_granularity_mismatch(tmp_path):
@@ -281,7 +298,7 @@ def test_ingest_nan_skips(tmp_path):
     p = tmp_path / "input.csv"
     rows = ["s1,2021-01-01T00:00:00,1.0", "s1,2021-01-01T01:00:00,NaN",
             "s1,2021-01-01T02:00:00,3.0"]
-    rows += [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(3)]
+    rows += [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(10)]
     write_csv(p, rows)
     report = ingest_csv(p)
     assert [s.series_id for s in report.corpus.series] == ["ok"]
@@ -293,7 +310,7 @@ def test_ingest_infinite_values_skip(tmp_path):
     p = tmp_path / "input.csv"
     rows = ["up,2021-01-01T00:00:00,1.0", "up,2021-01-01T01:00:00,inf"]
     rows += ["down,2021-01-01T00:00:00,-inf", "down,2021-01-01T01:00:00,1.0"]
-    rows += [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(3)]
+    rows += [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(10)]
     write_csv(p, rows)
     report = ingest_csv(p)
     assert [s.series_id for s in report.corpus.series] == ["ok"]
@@ -309,15 +326,17 @@ def test_ingest_non_monotonic_raises(tmp_path):
 
 def test_ingest_log_transform(tmp_path):
     p = tmp_path / "input.csv"
-    write_csv(p, [f"s1,2021-01-01T{h:02d}:00:00,{v}" for h, v in enumerate([0.0, 1.0, 9.0])])
+    write_csv(p, [f"s1,2021-01-01T{h:02d}:00:00,{v}"
+                  for h, v in enumerate([0.0, 1.0, 9.0] * 3 + [0.0])])
     report = ingest_csv(p, log_transform=True)
     got = report.corpus.get("s1").values
-    assert np.allclose(got, [0.0, math.log(2.0), math.log(10.0)])
+    assert np.allclose(got, [0.0, math.log(2.0), math.log(10.0)] * 3 + [0.0])
 
 
 def test_ingest_monthly_calendar_stride(tmp_path):
     p = tmp_path / "input.csv"
-    stamps = ["2020-01-31", "2020-02-29", "2020-03-31", "2020-04-30", "2020-05-31"]
+    stamps = ["2020-01-31", "2020-02-29", "2020-03-31", "2020-04-30", "2020-05-31",
+              "2020-06-30", "2020-07-31", "2020-08-31", "2020-09-30", "2020-10-31"]
     write_csv(p, [f"m,{ts}T00:00:00,1.0" for ts in stamps])
     report = ingest_csv(p)
     assert report.corpus.get("m").granularity == "monthly"
@@ -339,7 +358,7 @@ def test_ingest_monthly_stamps_that_skip_a_month_are_a_gap(tmp_path):
     # month ends: February's is the 29th, and March is missing
     p = tmp_path / "input.csv"
     rows = [f"m,{ts}T00:00:00,1.0" for ts in ["2020-01-31", "2020-02-29", "2020-04-30"]]
-    write_csv(p, rows + [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(3)])
+    write_csv(p, rows + [f"ok,2021-01-01T{h:02d}:00:00,2.0" for h in range(10)])
     report = ingest_csv(p)
     assert [s.series_id for s in report.corpus.series] == ["ok"]
     assert report.skipped == [("m", "missing timestamps (gaps)")]
@@ -347,7 +366,7 @@ def test_ingest_monthly_stamps_that_skip_a_month_are_a_gap(tmp_path):
 
 def test_ingest_z_suffix_timestamps(tmp_path):
     p = tmp_path / "input.csv"
-    write_csv(p, [f"s1,2021-01-01T{h:02d}:00:00Z,1.0" for h in range(3)])
+    write_csv(p, [f"s1,2021-01-01T{h:02d}:00:00Z,1.0" for h in range(10)])
     assert ingest_csv(p).corpus.get("s1").start == datetime(2021, 1, 1, 0)
 
 
@@ -689,8 +708,10 @@ def test_sampling_from_kept_pools_draws_the_reference_windows():
 def test_series_validation():
     with pytest.raises(ValueError):
         TimeSeries("bad", "hourly", datetime(2020, 1, 1), np.array([1.0]))
-    with pytest.raises(ValueError):
-        TimeSeries("bad", "hourly", datetime(2020, 1, 1), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match=">= 10 values"):  # too short to split
+        TimeSeries("bad", "hourly", datetime(2020, 1, 1), np.arange(9.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        TimeSeries("bad", "hourly", datetime(2020, 1, 1), np.r_[np.arange(9.0), np.nan])
     with pytest.raises(ValueError):
         TimeSeries("bad", "secondly", datetime(2020, 1, 1), np.arange(10.0))
 

@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patchcast.cli import OUTPUT_DIR_ENV, main
@@ -176,14 +176,17 @@ def test_ingest_raises_only_ingest_error_for_any_bytes(tmp_path_factory, raw, lo
 
 
 @fuzz(40)
-@given(raw=CSV_BYTES)
-def test_evaluate_exits_0_or_2_on_any_csv(tmp_path_factory, raw):
+@given(raw=CSV_BYTES, context=st.sampled_from([1, 3, 16]))
+# a context shorter than the desk model's 4-point patch
+@example(raw=csv_text(["s"] * 40, [float(i % 7) for i in range(40)], []).encode(), context=3)
+def test_evaluate_exits_0_or_2_on_any_csv(tmp_path_factory, raw, context):
     root = tmp_path_factory.getbasetemp()
     data, out_dir = root / "evaluate.csv", root / "evaluate_out"
     data.write_bytes(raw)
     shutil.rmtree(out_dir, ignore_errors=True)
     code = main(["evaluate", "--checkpoint", DESK_CHECKPOINT, "--data", str(data),
-                 "--context", "16", "--horizon", "8", "--stride", "4", "--out-dir", str(out_dir)])
+                 "--context", str(context), "--horizon", "8", "--stride", "4",
+                 "--out-dir", str(out_dir)])
     assert code in (0, 2)
     assert (out_dir / "summary.json").exists() == (code == 0)
     if code == 0:
@@ -250,12 +253,19 @@ ABLATE_EVAL = {"horizon": 8, "stride": 8, "context_len": 16, "context_lengths": 
 
 
 @fuzz(60)
-@given(suite=st.sampled_from([None, "context", "input-patch", "output-patch"]), picks=PICKS)
-def test_pretrain_and_ablate_exit_0_or_2_on_any_config(tmp_path_factory, suite, picks):
+@given(suite=st.sampled_from([None, "context", "input-patch", "output-patch"]), picks=PICKS,
+       csv=st.none() | CSV_TEXT)
+# a CSV corpus of a 60-point series and a 5-point one, too short to split
+@example(suite="context", picks=[],
+         csv=csv_text(["s"] * 60 + ["t"] * 5, [float(i % 7) for i in range(65)], []))
+def test_pretrain_and_ablate_exit_0_or_2_on_any_config(tmp_path_factory, suite, picks, csv):
     root = tmp_path_factory.getbasetemp() / "configs"
     root.mkdir(exist_ok=True)
-    base = run_config("run") if suite is None else run_config("run", suite=suite,
-                                                              eval=ABLATE_EVAL)
+    changes = {} if suite is None else {"suite": suite, "eval": ABLATE_EVAL}
+    if csv is not None:  # a path relative to the config's directory
+        (root / "corpus.csv").write_text(csv, encoding="utf-8")
+        changes["corpus"] = {"kind": "csv", "path": "corpus.csv"}
+    base = run_config("run", **changes)
     config = root / "config.json"
     config.write_text(mutated(base, picks), encoding="utf-8")
     with mock.patch.dict(os.environ, {OUTPUT_DIR_ENV: str(root)}):

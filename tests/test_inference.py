@@ -34,7 +34,6 @@ from patchcast.inference import (
     forecast,
 )
 from patchcast.model import (
-    ContextTooShortError,
     ModelConfig,
     ModelWeights,
     assemble_patch_inputs,
@@ -371,7 +370,7 @@ def test_horizon_past_max_rounds_rejected_before_any_work(rig, monkeypatch):
 
 def test_context_shorter_than_patch_rejected(rig):
     cfg, weights = rig
-    with pytest.raises(ContextTooShortError):
+    with pytest.raises(ForecastError, match="context of 3 points is shorter than one 4-point patch"):
         forecast(weights, cfg, wave(3), 8)
 
 

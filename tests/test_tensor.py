@@ -304,7 +304,7 @@ def reference_attention(q, k, v, num_heads):
     m, d = q.shape[-2:]
     n = k.shape[-2]
     dh = d // num_heads
-    mask = np.where(np.arange(n)[None, :] > np.arange(n - m, n)[:, None], T.MASK_VALUE, 0.0)
+    mask = np.where(np.arange(n)[None, :] > np.arange(n - m, n)[:, None], -np.inf, 0.0)
     heads = []
     for h in range(num_heads):
         cols = slice(h * dh, (h + 1) * dh)
@@ -421,7 +421,7 @@ def attention_with_temporaries(q, k, v, num_heads, g):
     scale = 1.0 / math.sqrt(dh)
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores *= scale
-    scores += np.triu(np.full((n, n), T.MASK_VALUE), k=1)[n - m:]
+    scores += np.triu(np.full((n, n), -np.inf), k=1)[n - m:]
     probs = softmax_three_temporaries(scores)
     out = (probs @ vh).transpose(heads).reshape(shape)
     dctx = g.reshape(split).transpose(heads)
@@ -446,7 +446,7 @@ def softmax_rows(kind):
     if kind == "random":
         return rng.standard_normal((3, 4, 17))
     if kind == "masked":
-        return rng.standard_normal((2, 9, 9)) + np.triu(np.full((9, 9), T.MASK_VALUE), k=1)
+        return rng.standard_normal((2, 9, 9)) + np.triu(np.full((9, 9), -np.inf), k=1)
     return rng.choice([-1e4, 1e4], size=(5, 11)) + rng.standard_normal((5, 11))
 
 
@@ -496,7 +496,8 @@ def test_layer_norm_vjp_bitwise_equal_to_temporaries(shape):
 def test_causal_attention_rejects_infinite_score():
     # finite inputs whose product overflows: the score, not the input, is inf
     big = np.full((4, 8), 1e300)
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
+    # a masked +inf score plus the mask's -inf is NaN, which numpy flags as invalid
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
         causal_attention(Tensor(big), Tensor(big), Tensor(np.ones((4, 8))), 2)
 
 
@@ -608,10 +609,10 @@ def test_desk_forward_and_loss_record_39_tape_entries():
 
 def test_mask_rows_of_the_table_equal_a_per_call_triu_bitwise():
     for n in range(1, 257):
-        table = T._mask_table(1 << (n - 1).bit_length())
+        table = T._causal_table(1 << (n - 1).bit_length())[0]
         assert not table.flags.writeable
         for m in range(1, n + 1):
-            want = np.triu(np.full((m, n), T.MASK_VALUE), k=n - m + 1)
+            want = np.triu(np.full((m, n), -np.inf), k=n - m + 1)
             assert np.array_equal(table[n - m:n, :n].view(np.int64), want.view(np.int64)), (m, n)
 
 
@@ -719,7 +720,7 @@ def test_split_nonfinite_score_raises_in_caller(pool, monkeypatch, bad_row):
     q, k, v = (rng.standard_normal((4, 6, 8)) for _ in range(3))
     big = q.copy()
     big[bad_row] = 1e300  # finite input whose scores overflow to inf
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
         causal_attention(Tensor(big), Tensor(big), Tensor(v), 2)
     assert pool.submitted == 1  # the forward's one hand-off; the bad row's half raises
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):  # both halves obey it
@@ -1064,11 +1065,10 @@ def test_vjp_raising_mid_sweep_leaves_no_task_running_and_an_empty_tape(pool, mo
 
 
 def causal_scores(rng, shape, m, n):
-    """Random scores [.., M, N] under the additive causal mask of MASK_VALUE,
-    and the keep table of the same call."""
-    size = 1 << (n - 1).bit_length()
-    x = 4.0 * rng.standard_normal(shape + (m, n)) + T._mask_table(size)[n - m:n, :n]
-    return x, T._keep_table(size)[n - m:n, :n]
+    """Random scores [.., M, N] under the additive causal mask of -inf, and
+    the keep table of the same call."""
+    mask, keep = T._causal_table(1 << (n - 1).bit_length())
+    return 4.0 * rng.standard_normal(shape + (m, n)) + mask[n - m:n, :n], keep[n - m:n, :n]
 
 
 def softmax_and_vjp(x, g, **kw):
@@ -1122,14 +1122,21 @@ def test_softmax_on_a_large_input_submits_nothing_and_equals_one_cpu_bitwise(poo
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["kept", "masked"])
 def test_nonfinite_score_raises_with_keep(value, where):
+    # NaN or +inf raises wherever it sits; -inf gets +0.0, and a row of -inf only raises
     rng = np.random.default_rng(72)
     x, keep = causal_scores(rng, (2, 2), 40, 40)
-    x[1, 0, 5, 2 if where == "kept" else 30] += value
+    col = 2 if where == "kept" else 30
+    x[1, 0, 5, col] = value
     assert keep[5, 2] and not keep[5, 30]
-    with pytest.raises(NumericError):
-        softmax_lastdim(Tensor(x), keep=keep)
-    with pytest.raises(NumericError):
-        softmax_lastdim(Tensor(x), keep=keep, out=x)
+    if value == -np.inf:
+        y = softmax_lastdim(Tensor(x), keep=keep).data
+        assert y[1, 0, 5, col] == 0.0 and not np.signbit(y[1, 0, 5, col])
+        assert y.tobytes() == softmax_lastdim(Tensor(x)).data.tobytes()
+        assert y.tobytes() == softmax_three_temporaries(x).tobytes()
+        x[1, 0, 5, :6] = -np.inf  # query 5 keeps keys 0-5: now a row of -inf only
+    for kw in ({"keep": keep}, {}, {"keep": keep, "out": x}):
+        with pytest.raises(NumericError):
+            softmax_lastdim(Tensor(x), **kw)
 
 
 @pytest.mark.parametrize("where", ["kept", "masked"])
@@ -1140,8 +1147,23 @@ def test_causal_attention_rejects_nonfinite_score_in_either_part(where):
     q, k, v = (rng.standard_normal((2, n, 8)) for _ in range(3))
     q[1, 20] = 1e300
     k[1, 3 if where == "kept" else 25] = 1e300  # query 20's score of this key overflows
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
+    # masked, that +inf score plus the mask's -inf is NaN, which numpy flags as invalid
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
         causal_attention(Tensor(q), Tensor(k), Tensor(v), 2)
+
+
+def test_masked_keys_change_no_earlier_row_at_huge_scores():
+    # one head of width 4 with q and k near 1e16: scores near 1e32 swamp any
+    # finite mask constant (at this seed a mask of -1e30 let rows 0 and 2 move)
+    rng = np.random.default_rng(86)
+    q, k, v = (1e16 * rng.standard_normal((8, 4)) for _ in range(3))
+    out = causal_attention(Tensor(q), Tensor(k), Tensor(v), 1).data
+    k[-1], v[-1] = 1e16 * rng.standard_normal((2, 4))  # only the last key and value change
+    moved = causal_attention(Tensor(q), Tensor(k), Tensor(v), 1).data
+    assert moved[:7].tobytes() == out[:7].tobytes()
+    # a square call past SKIP_MASKED_MIN_KEYS keys, which skips the masked exps
+    q, k, v = (1e16 * rng.standard_normal((40, 4)) for _ in range(3))
+    assert np.isfinite(causal_attention(Tensor(q), Tensor(k), Tensor(v), 1).data).all()
 
 
 def test_softmax_keep_and_out_shapes_are_checked():
@@ -1156,9 +1178,11 @@ def test_softmax_keep_and_out_shapes_are_checked():
 
 def test_keep_table_is_the_zero_part_of_the_mask_table():
     for size in (1, 2, 64, 256):
-        keep, mask = T._keep_table(size), T._mask_table(size)
+        mask, keep = T._causal_table(size)
         assert not keep.flags.writeable and keep.dtype == np.bool_
         assert np.array_equal(keep, mask == 0.0)
+        assert np.array_equal(~keep, mask == -np.inf)
+        assert not np.signbit(mask[keep]).any()  # +0.0, as np.triu writes it
 
 
 def test_causal_attention_without_grad_holds_one_scores_buffer():
