@@ -38,6 +38,7 @@ from .evaluation import (
     POOLED_COLUMNS,
     EvalConfigError,
     MetricError,
+    check_before_training,
     context_sweep,
     format_csv,
     format_table,
@@ -427,7 +428,7 @@ def cmd_ablate(args) -> int:
         else:
             model_cfg = _build_model_config(raw.get("model", {}))
             train_cfg = _build_train_config(raw)
-            check_horizon(horizon, model_cfg)
+            check_before_training(corpus, model_cfg, eval_series, ev["context_lengths"], horizon)
             weights = train(corpus, model_cfg, train_cfg).weights
             normalization = train_cfg.normalization
         rows = context_sweep(weights, model_cfg, eval_series, ev["context_lengths"],

@@ -10,14 +10,16 @@ comparison runs through the identical protocol.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Corpus, TimeSeries
-from .inference import ForecastError, autoregressive_rounds, check_horizon, forecast
+from .data import Corpus, TimeSeries, default_mixture
+from .inference import (ForecastError, autoregressive_rounds, check_context, check_horizon,
+                        forecast)
 from .model import ModelConfig, ModelWeights, check_int
 from .training import TrainConfig, train
 
@@ -153,13 +155,7 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     """
     for name, value in (("context_len", context_len), ("horizon", horizon), ("stride", stride)):
         check_int(value, name, EvalConfigError)
-    bounds = series.split()
-    total = len(series)
-    origins = range(bounds.val_end, total - horizon + 1, stride)
-    if not origins:
-        raise EvalConfigError(
-            f"test split of {total - bounds.val_end} points fits no "
-            f"{horizon}-step forecast window for series {series.series_id}")
+    origins = forecast_origins(series, horizon, stride)
     feats_all = series.date_features()
     report = EvalReport(series_id=series.series_id, context_len=context_len,
                         horizon=horizon, stride=stride)
@@ -184,6 +180,17 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
         report.windows.extend(WindowScore(origin=group[i], nrmse=e, wape=w)
                               for i, e, w in zip(*scored))
     return report
+
+
+def forecast_origins(series: TimeSeries, horizon: int, stride: int = 1) -> range:
+    """The test split's forecast origins, `stride` apart; EvalConfigError if none fits."""
+    val_end, total = series.split().val_end, len(series)
+    origins = range(val_end, total - horizon + 1, stride)
+    if not origins:
+        raise EvalConfigError(
+            f"test split of {total - val_end} points fits no "
+            f"{horizon}-step forecast window for series {series.series_id}")
+    return origins
 
 
 def _window_scores(actuals: np.ndarray, predicted: np.ndarray) -> tuple[list, list, list]:
@@ -225,17 +232,36 @@ def pool_reports(reports) -> dict:
 
 def score_series(predictor, series_list, context_len: int, horizon: int,
                  stride: int = 1) -> tuple[list[EvalReport], dict]:
-    """The report of every series and their pooled row (``pool_reports``).
-    A ForecastError from the predictor or a MetricError from the scores is
-    raised again, of its own type, naming the series and the context length."""
+    """The report of every series and their pooled row (``pool_reports``). A
+    ForecastError or MetricError is raised again by ``_naming``."""
     reports = []
     for s in series_list:
-        try:
+        with _naming(s, context_len):
             reports.append(rolling_eval(predictor, s, context_len, horizon, stride))
-        except (ForecastError, MetricError) as exc:
-            raise type(exc)(f"series {s.series_id} at context length {context_len}: "
-                            f"{exc}") from exc
     return reports, pool_reports(reports)
+
+
+@contextlib.contextmanager
+def _naming(series: TimeSeries, context_len: int):
+    """Raise a ForecastError or MetricError again, of its own type, naming the
+    series and the context length."""
+    try:
+        yield
+    except (ForecastError, MetricError) as exc:
+        raise type(exc)(f"series {series.series_id} at context length {context_len}: "
+                        f"{exc}") from exc
+
+
+def check_before_training(corpus: Corpus, cfg: ModelConfig, series_list, context_lengths,
+                          horizon: int) -> None:
+    """Raise, before any training and with the same text, the first of these errors that
+    training `cfg` on `corpus` and scoring `series_list` at `context_lengths` would raise."""
+    check_horizon(horizon, cfg)
+    default_mixture(corpus, cfg.input_patch_len, cfg.output_patch_len)
+    for c in context_lengths:
+        for s in series_list:
+            with _naming(s, c):  # rolling_eval's first stack holds min(c, first origin) points
+                check_context(min(c, forecast_origins(s, horizon).start), cfg)
 
 
 # -- ablation suites -------------------------------------------------------------------
@@ -258,13 +284,13 @@ def patch_size_comparison(corpus: Corpus, eval_series, base_model: ModelConfig,
                           context_len: int, horizon: int, stride: int = 1) -> list[dict]:
     """Retrain the model per patch-size variant and score each on the same
     evaluation series. `which` picks the varied side: "input" or "output".
-    HorizonError before any training if `horizon` is past a variant's bound."""
+    Every variant passes ``check_before_training`` before any trains."""
     if which not in ("input", "output"):
         raise EvalConfigError(f'which must be "input" or "output", got {which!r}')
     fname = "input_patch_len" if which == "input" else "output_patch_len"
     model_cfgs = [replace(base_model, **{fname: int(size)}) for size in sizes]
     for model_cfg in model_cfgs:
-        check_horizon(horizon, model_cfg)
+        check_before_training(corpus, model_cfg, eval_series, [context_len], horizon)
     rows = []
     for size, model_cfg in zip(sizes, model_cfgs):
         result = train(corpus, model_cfg, train_cfg)

@@ -10,14 +10,15 @@ Round 1 encodes the context and fills a key/value cache (model.KVCache: one
 preallocated key and value buffer per layer, written in place); each later
 round encodes only the output_patch_len / input_patch_len patches the last
 round appended. The cache holds the widest window any round of the forecast
-encodes, never more than max_positions tokens. It is reset, and the round
-re-encodes its whole window, when the window slides past input_patch_len *
-max_positions points (positions shift). A forecast of one round, or one whose
-output_patch_len is no multiple of input_patch_len (patch boundaries move, so
-every round re-encodes its window), keeps no cache: no later round would read
-it. Round 1 is bit-identical to a full recompute; later rounds agree with it
-within 1e-12 relative, since the full recompute re-rounds the older tokens'
-states (numpy's pairwise row sum in the softmax regroups past 128 elements).
+encodes, never more than max_positions tokens. From the round whose window
+slides past input_patch_len * max_positions points on, positions shift, so
+every round re-encodes its whole window and no cache is kept; nor is one
+where no later round reads it: a forecast of one round, or one whose
+output_patch_len is no multiple of input_patch_len (patch boundaries move).
+Round 1 is bit-identical to a full recompute; later
+rounds agree with it within 1e-12 relative, since the full recompute re-rounds
+the older tokens' states (numpy's pairwise row sum in the softmax regroups
+past 128 elements).
 
 A round reads one output row, the last token's, so its forward runs the last
 layer's queries, attention and FFN, and the output block, on the trailing
@@ -49,6 +50,7 @@ __all__ = [
     "MAX_ROUNDS",
     "SCORES_BUDGET",
     "autoregressive_rounds",
+    "check_context",
     "check_horizon",
     "forecast",
 ]
@@ -105,6 +107,13 @@ def check_horizon(horizon, cfg: ModelConfig) -> None:
                            f"rounds of output_patch_len {cfg.output_patch_len}")
 
 
+def check_context(length: int, cfg: ModelConfig) -> None:
+    """ForecastError unless a context of `length` points holds one input patch."""
+    if length < cfg.input_patch_len:
+        raise ForecastError(
+            f"context of {length} points is shorter than one {cfg.input_patch_len}-point patch")
+
+
 def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
              features=None, normalization: str = "per-window") -> ForecastResult:
     """Forecast `horizon` future points from a context [L] or a stack of
@@ -136,9 +145,7 @@ def forecast(weights: ModelWeights, cfg: ModelConfig, values, horizon: int, *,
     _check_finite(np.isfinite(values).all(axis=-1), values.ndim, "context contains non-finite values")
     p, h = cfg.input_patch_len, cfg.output_patch_len
     length = values.shape[-1]
-    if length < p:
-        raise ForecastError(
-            f"context of {length} points is shorter than one {p}-point patch")
+    check_context(length, cfg)
 
     if cfg.feature_dim == 0:
         if features is not None:
@@ -208,14 +215,14 @@ def _decode(weights: ModelWeights, cfg: ModelConfig, work: np.ndarray, features,
     length = work.shape[-1]
     series = np.empty(work.shape[:-1] + (length + rounds * h,))  # context, then forecasts
     series[..., :length] = work
-    # only a later round reads the cache: none for one round, nor where patch
-    # boundaries move and every round re-encodes its window
-    cache = KVCache(cfg, work.shape[:-1], widest) if rounds > 1 and h % p == 0 else None
+    # no cache where no later round reads it: one round, round 2 slides, or patches move
+    reads = rounds > 1 and h % p == 0 and length + h <= cap_points
+    cache = KVCache(cfg, work.shape[:-1], widest) if reads else None
     # unscaled huge values overflow silently: softmax's finite check raises NumericError
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for end in range(length, length + rounds * h, h):
-            if cache is not None and end > cap_points:
-                cache.reset()  # positions shift: re-encode the window
+            if end > cap_points:
+                cache = None  # positions shift: this round and every later one re-encode
             span = h if cache is not None and cache.length else min(end, cap_points)
             feats_cur = None if features is None else features[..., end - span:end, :]
             inputs = assemble_patch_inputs(series[..., end - span:end], feats_cur, cfg)

@@ -465,10 +465,6 @@ class KVCache:
         self.capacity = capacity
         self.length = 0
 
-    def reset(self) -> None:
-        """Forget every position; the buffers are kept for the next window."""
-        self.length = 0
-
 
 def stacked_transformer(tokens, weights: ModelWeights, cfg: ModelConfig,
                         cache: KVCache | None = None, last: int | None = None):

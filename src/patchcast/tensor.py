@@ -78,14 +78,6 @@ SPLIT_MIN_ENTRIES = 1 << 18
 # than the overlap saves.
 LEAF_TASK_MIN_ENTRIES = 1 << 15
 
-# causal_attention skips the exp of masked scores (softmax_lastdim's keep) on
-# square calls of at least this many keys, where about half the scores are
-# masked. In isolation, on one 2-core x86-64 VM, exp plus the zero fill over
-# [.., 2, N, N] ran at 0.5-0.8x the plain exp's speed for N of 8-24 and at
-# 1.2-1.8x for N of 32-256; calls with few queries (a round's last rows)
-# mask almost nothing, and ran at 0.5x.
-SKIP_MASKED_MIN_KEYS = 32
-
 # causal_attention's VJP works the rows of each half of its leading axis in
 # blocks of at most this many bytes of [.., H, M, N] (one row at least), so
 # its dP and dS never exist at full size. It is one pretrain_long window: 2
@@ -544,7 +536,7 @@ def sum_exact(x) -> Tensor:
 # -- normalized nonlinearities ----------------------------------------------
 
 
-def softmax_lastdim(x, keep=None, out=None) -> Tensor:
+def softmax_lastdim(x, out=None) -> Tensor:
     """Row-stabilized softmax over the final axis.
 
     Stable for entries up to +-1e4 via max subtraction. Raises
@@ -554,25 +546,11 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
     division all run on the calling thread in one output buffer: a new
     array, or ``out`` (x's shape), which may be x's own array; only then is
     the input overwritten.
-
-    ``keep`` is a boolean array that broadcasts to x's shape, such as one
-    causal table for every head. The exp runs only where it is True, and
-    every other entry is written as +0.0, the exp's own value for a -inf
-    entry. So wherever ``keep`` is False only on -inf entries, the result
-    equals the softmax without ``keep`` bit for bit.
     """
     xd = as_array(x)
     shape = xd.shape
     if shape == () or shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty final axis, got shape {shape}")
-    if keep is not None:
-        bad = f"softmax keep must be boolean and broadcast to {shape}, got {keep.dtype} {keep.shape}"
-        if keep.dtype != np.bool_:
-            raise ShapeError(bad)
-        try:
-            keep, drop = np.broadcast_to(keep, shape), np.broadcast_to(~keep, shape)
-        except ValueError:
-            raise ShapeError(bad) from None
     if out is not None and (out.shape != shape or out.dtype != _FLOAT64):
         raise ShapeError(f"softmax out must be float64 of shape {shape}, got {out.dtype} {out.shape}")
     top = xd.max(axis=-1, keepdims=True)  # NaN wherever its row holds one
@@ -580,11 +558,7 @@ def softmax_lastdim(x, keep=None, out=None) -> Tensor:
         raise NumericError("softmax input contains non-finite values")
     y = np.empty_like(xd) if out is None else out
     np.subtract(xd, top, out=y)
-    if keep is None:
-        np.exp(y, out=y)
-    else:
-        np.exp(y, out=y, where=keep)
-        np.copyto(y, 0.0, where=drop)
+    np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     if not _state.grad_enabled:
         return Tensor(y)
@@ -640,13 +614,11 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 
 @functools.lru_cache(maxsize=None)
-def _causal_table(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only size x size causal tables: the additive mask (-inf above the
-    diagonal, +0.0 elsewhere) and its boolean complement ``keep``."""
-    keep = np.tri(size, dtype=bool)
-    mask = np.where(keep, 0.0, -np.inf)
-    keep.flags.writeable = mask.flags.writeable = False
-    return mask, keep
+def _causal_table(size: int) -> np.ndarray:
+    """The read-only size x size additive causal mask: -inf above the diagonal, +0.0 elsewhere."""
+    mask = np.where(np.tri(size, dtype=bool), 0.0, -np.inf)
+    mask.flags.writeable = False
+    return mask
 
 
 @functools.lru_cache(maxsize=1024)
@@ -654,10 +626,9 @@ def _attention_plan(shape: tuple, kv_shape: tuple, v_shape: tuple, num_heads: in
     """The shape checks and the shape-only constants of a causal_attention
     call, worked out once per distinct shape: (M, N, the head width, the head
     transpose, the head splits of q and of k and v, the scores' leading
-    shape, the score scale, the mask rows, the keep table or None). Shapes
-    repeat: every layer of a forward sees the same ones, and forecasts of
-    equal context length and horizon walk the same key counts round by
-    round."""
+    shape, the score scale, the mask rows). Shapes repeat: every layer of a
+    forward sees the same ones, and forecasts of equal context length and
+    horizon walk the same key counts round by round."""
     if (len(shape) < 2 or v_shape != kv_shape or len(kv_shape) != len(shape)
             or shape[:-2] != kv_shape[:-2] or shape[-1] != kv_shape[-1]
             or shape[-2] > kv_shape[-2] or num_heads < 1 or shape[-1] % num_heads):
@@ -667,9 +638,9 @@ def _attention_plan(shape: tuple, kv_shape: tuple, v_shape: tuple, num_heads: in
     nb = len(shape) - 2
     heads = (*range(nb), nb + 1, nb, nb + 2)  # [.., N, H, dh] <-> [.., H, N, dh]
     split, kv_split = (*shape[:-1], num_heads, dh), (*kv_shape[:-1], num_heads, dh)
-    mask, keep = _causal_table(1 << (n - 1).bit_length())
+    mask = _causal_table(1 << (n - 1).bit_length())
     return (m, n, dh, heads, split, kv_split, (*shape[:-2], num_heads), 1.0 / math.sqrt(dh),
-            mask[n - m:n, :n], keep[:n, :n] if m == n >= SKIP_MASKED_MIN_KEYS else None)
+            mask[n - m:n, :n])
 
 
 def causal_attention(q, k, v, num_heads: int) -> Tensor:
@@ -685,10 +656,8 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     buffer, so the call holds one [.., H, M, N] array. A NaN or +inf score
     raises ``NumericError``, in a masked slot too: +inf plus the mask's -inf
     is NaN, which numpy also flags as an invalid value. A -inf score, which
-    only an overflowing product gives, gets weight 0, the softmax's limit.
-    A square call of at least SKIP_MASKED_MIN_KEYS keys passes the matching
-    boolean table as ``keep``, so the exps of the masked half are skipped:
-    their +0.0 is what the exp gives, bit for bit. The VJP uses
+    only an overflowing product gives, gets weight 0, the softmax's limit,
+    as does every masked key: exp(-inf) is +0.0. The VJP uses
     dS = P * (dP - rowsum(dP * P)), in place in one buffer beside dP. Each
     of its products keeps a fixed operand order and layout (dK is the
     swapped view of Q^T dS, not dS^T Q): another order rounds differently
@@ -700,7 +669,7 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
     """
     qd, kd, vd = as_array(q), as_array(k), as_array(v)
     shape, kv_shape = qd.shape, kd.shape
-    m, n, dh, heads, split, kv_split, lead, scale, mask, keep = _attention_plan(
+    m, n, dh, heads, split, kv_split, lead, scale, mask = _attention_plan(
         shape, kv_shape, vd.shape, num_heads)
     qh = qd.reshape(split).transpose(heads)
     kh = kd.reshape(kv_split).transpose(heads)
@@ -713,7 +682,7 @@ def causal_attention(q, k, v, num_heads: int) -> Tensor:
         s *= scale
         s += mask
         # a bare array: softmax records nothing, also on the worker, whose grad mode stays on
-        softmax_lastdim(s, keep=keep, out=s)
+        softmax_lastdim(s, out=s)
         np.matmul(s, vh[sl], out=out[sl])
 
     _in_halves(attend, probs)

@@ -1128,6 +1128,37 @@ def test_ablate_output_dir_that_cannot_be_written_exits_2_before_training(tmp_pa
 
 
 @pytest.mark.parametrize("suite", ["context", "input-patch"])
+@pytest.mark.parametrize("case", ["short_context", "short_test_split"])
+def test_ablate_windows_that_cannot_be_scored_exit_2_before_training(tmp_path, capsys,
+                                                                     monkeypatch, suite, case):
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained before checking its windows")
+
+    monkeypatch.setattr("patchcast.cli.train", no_training)
+    monkeypatch.setattr("patchcast.evaluation.train", no_training)
+    # 400 daily points hold windows for any context; 35 hourly points leave a 7-point test split
+    sid, length, step = ("long", 400, timedelta(days=1)) if case == "short_context" else \
+        ("s", 35, timedelta(hours=1))
+    data = tmp_path / "series.csv"
+    data.write_text("id,timestamp,value\n" + "".join(
+        f"{sid},{(datetime(2020, 1, 6) + k * step).isoformat()},{3.0 + math.sin(k / 5.0)!r}\n"
+        for k in range(length)))
+    contexts = [16, 2] if case == "short_context" else [16]
+    ev = {"context_lengths": contexts} if suite == "context" else \
+        {"sizes": [4], "context_len": contexts[-1]}
+    conf = ablate_config(tmp_path / "ab", suite, **ev)
+    conf["corpus"] = {"kind": "csv", "path": str(data)}
+    cfg = tmp_path / "ablate.json"
+    cfg.write_text(json.dumps(conf))
+    assert main(["ablate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: series long at context length 2: context of 2 points is shorter than one "
+        "4-point patch\n" if case == "short_context" else
+        "error: test split of 7 points fits no 8-step forecast window for series s\n")
+    assert not (tmp_path / "ab").exists()
+
+
+@pytest.mark.parametrize("suite", ["context", "input-patch"])
 def test_ablate_model_past_the_memory_ceiling_exits_2(tmp_path, capsys, suite):
     conf = ablate_config(tmp_path / "ab", suite, **({"sizes": [4]} if suite != "context" else {}))
     conf["model"] = {"preset": "desk", "overrides": {"model_dim": 2**16}}

@@ -609,7 +609,7 @@ def test_desk_forward_and_loss_record_39_tape_entries():
 
 def test_mask_rows_of_the_table_equal_a_per_call_triu_bitwise():
     for n in range(1, 257):
-        table = T._causal_table(1 << (n - 1).bit_length())[0]
+        table = T._causal_table(1 << (n - 1).bit_length())
         assert not table.flags.writeable
         for m in range(1, n + 1):
             want = np.triu(np.full((m, n), -np.inf), k=n - m + 1)
@@ -1061,14 +1061,13 @@ def test_vjp_raising_mid_sweep_leaves_no_task_running_and_an_empty_tape(pool, mo
     assert w.grad is None and x.grad is None  # no leaf gradient is written
 
 
-# -- softmax with a keep table: bitwise the additive-mask softmax ----------------------
+# -- softmax on causal scores: bitwise the three-temporaries softmax --------------------
 
 
 def causal_scores(rng, shape, m, n):
-    """Random scores [.., M, N] under the additive causal mask of -inf, and
-    the keep table of the same call."""
-    mask, keep = T._causal_table(1 << (n - 1).bit_length())
-    return 4.0 * rng.standard_normal(shape + (m, n)) + mask[n - m:n, :n], keep[n - m:n, :n]
+    """Random scores [.., M, N] under the additive causal mask of -inf."""
+    mask = T._causal_table(1 << (n - 1).bit_length())
+    return 4.0 * rng.standard_normal(shape + (m, n)) + mask[n - m:n, :n]
 
 
 def softmax_and_vjp(x, g, **kw):
@@ -1082,67 +1081,61 @@ def softmax_and_vjp(x, g, **kw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(lead=st.sampled_from([(), (1,), (3,), (2, 3)]), heads=st.sampled_from([1, 2, 4]),
        n=st.integers(1, 256), data=st.data())
-def test_softmax_keep_equals_additive_mask_softmax_bitwise(lead, heads, n, data):
+def test_softmax_on_causal_scores_equals_three_temporaries_bitwise(lead, heads, n, data):
     m = data.draw(st.integers(1, n), label="m")
     rng = np.random.default_rng(n * 10 + m)
-    x, keep = causal_scores(rng, lead + (heads,), m, n)
+    x = causal_scores(rng, lead + (heads,), m, n)
     g = rng.standard_normal(x.shape)
-    want = softmax_and_vjp(x, g)
-    assert want[0] == softmax_three_temporaries(x).tobytes()
     with pytest.MonkeyPatch.context() as mp:  # softmax never splits, past any threshold
         counting = CountingPool()
         mp.setattr(T, "_second_core", lambda: counting)
         mp.setattr(T, "_usable_cpus", lambda: 2)
         mp.setattr(T, "SPLIT_MIN_ENTRIES", 1)
-        got = softmax_and_vjp(x, g, keep=keep)
+        got = softmax_and_vjp(x, g)
         inplace = x.copy()
-        assert softmax_lastdim(Tensor(inplace), keep=keep, out=inplace).data is inplace
+        assert softmax_lastdim(Tensor(inplace), out=inplace).data is inplace
         counting.pool.shutdown()
     assert counting.submitted == 0
-    assert got == want
-    assert inplace.tobytes() == want[0]
+    assert got[0] == softmax_three_temporaries(x).tobytes()
+    assert inplace.tobytes() == got[0]
 
 
 def test_softmax_on_a_large_input_submits_nothing_and_equals_one_cpu_bitwise(pool, monkeypatch):
-    # 1024 rows of 256 keys hold 2^18 entries, with a keep table of the input's own shape
+    # 1024 rows of 256 keys hold 2^18 entries
     rng = np.random.default_rng(71)
-    x, keep = causal_scores(rng, (4,), 256, 256)
-    x, keep = x.reshape(1024, 256), np.tile(keep, (4, 1))
+    x = causal_scores(rng, (4,), 256, 256).reshape(1024, 256)
     assert x.size >= T.SPLIT_MIN_ENTRIES
     g = rng.standard_normal(x.shape)
     runs = {}
     for cpus in (2, 1):
         monkeypatch.setattr(T, "_usable_cpus", lambda: cpus)
-        runs[cpus] = softmax_and_vjp(x, g, keep=keep), softmax_and_vjp(x, g)
+        runs[cpus] = softmax_and_vjp(x, g)
     assert pool.submitted == 0
     assert runs[2] == runs[1]
-    assert runs[2][0] == runs[2][1]  # the keep table skips only exps that give +0.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["kept", "masked"])
-def test_nonfinite_score_raises_with_keep(value, where):
+def test_nonfinite_score_raises_on_causal_scores(value, where):
     # NaN or +inf raises wherever it sits; -inf gets +0.0, and a row of -inf only raises
     rng = np.random.default_rng(72)
-    x, keep = causal_scores(rng, (2, 2), 40, 40)
+    x = causal_scores(rng, (2, 2), 40, 40)
+    assert np.isfinite(x[1, 0, 5, 2]) and x[1, 0, 5, 30] == -np.inf  # query 5: key 2 kept, 30 masked
     col = 2 if where == "kept" else 30
     x[1, 0, 5, col] = value
-    assert keep[5, 2] and not keep[5, 30]
     if value == -np.inf:
-        y = softmax_lastdim(Tensor(x), keep=keep).data
+        y = softmax_lastdim(Tensor(x)).data
         assert y[1, 0, 5, col] == 0.0 and not np.signbit(y[1, 0, 5, col])
-        assert y.tobytes() == softmax_lastdim(Tensor(x)).data.tobytes()
         assert y.tobytes() == softmax_three_temporaries(x).tobytes()
         x[1, 0, 5, :6] = -np.inf  # query 5 keeps keys 0-5: now a row of -inf only
-    for kw in ({"keep": keep}, {}, {"keep": keep, "out": x}):
+    for kw in ({}, {"out": x}):
         with pytest.raises(NumericError):
             softmax_lastdim(Tensor(x), **kw)
 
 
 @pytest.mark.parametrize("where", ["kept", "masked"])
 def test_causal_attention_rejects_nonfinite_score_in_either_part(where):
-    # a square call past SKIP_MASKED_MIN_KEYS keys runs with its keep table
-    n = T.SKIP_MASKED_MIN_KEYS
+    n = 32
     rng = np.random.default_rng(73)
     q, k, v = (rng.standard_normal((2, n, 8)) for _ in range(3))
     q[1, 20] = 1e300
@@ -1161,28 +1154,24 @@ def test_masked_keys_change_no_earlier_row_at_huge_scores():
     k[-1], v[-1] = 1e16 * rng.standard_normal((2, 4))  # only the last key and value change
     moved = causal_attention(Tensor(q), Tensor(k), Tensor(v), 1).data
     assert moved[:7].tobytes() == out[:7].tobytes()
-    # a square call past SKIP_MASKED_MIN_KEYS keys, which skips the masked exps
     q, k, v = (1e16 * rng.standard_normal((40, 4)) for _ in range(3))
     assert np.isfinite(causal_attention(Tensor(q), Tensor(k), Tensor(v), 1).data).all()
 
 
-def test_softmax_keep_and_out_shapes_are_checked():
+def test_softmax_out_shape_is_checked():
     x = Tensor(np.zeros((3, 4)))
-    with pytest.raises(ShapeError, match="keep"):
-        softmax_lastdim(x, keep=np.ones((4, 4), bool))
-    with pytest.raises(ShapeError, match="keep"):
-        softmax_lastdim(x, keep=np.ones(4))  # not boolean
     with pytest.raises(ShapeError, match="out"):
         softmax_lastdim(x, out=np.zeros((3, 5)))
 
 
-def test_keep_table_is_the_zero_part_of_the_mask_table():
+def test_mask_table_is_minus_inf_above_the_diagonal_and_plus_zero_elsewhere():
     for size in (1, 2, 64, 256):
-        mask, keep = T._causal_table(size)
-        assert not keep.flags.writeable and keep.dtype == np.bool_
-        assert np.array_equal(keep, mask == 0.0)
-        assert np.array_equal(~keep, mask == -np.inf)
-        assert not np.signbit(mask[keep]).any()  # +0.0, as np.triu writes it
+        mask = T._causal_table(size)
+        assert not mask.flags.writeable and mask.dtype == np.float64
+        above = ~np.tri(size, dtype=bool)
+        assert (mask[above] == -np.inf).all()
+        assert (mask[~above] == 0.0).all()
+        assert not np.signbit(mask[~above]).any()  # +0.0, as np.triu writes it
 
 
 def test_causal_attention_without_grad_holds_one_scores_buffer():
