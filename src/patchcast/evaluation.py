@@ -155,7 +155,7 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     """
     for name, value in (("context_len", context_len), ("horizon", horizon), ("stride", stride)):
         check_int(value, name, EvalConfigError)
-    origins = forecast_origins(series, horizon, stride)
+    origins = _forecast_origins(series, horizon, stride)
     feats_all = series.date_features()
     report = EvalReport(series_id=series.series_id, context_len=context_len,
                         horizon=horizon, stride=stride)
@@ -182,7 +182,7 @@ def rolling_eval(predictor, series: TimeSeries, context_len: int, horizon: int,
     return report
 
 
-def forecast_origins(series: TimeSeries, horizon: int, stride: int = 1) -> range:
+def _forecast_origins(series: TimeSeries, horizon: int, stride: int = 1) -> range:
     """The test split's forecast origins, `stride` apart; EvalConfigError if none fits."""
     val_end, total = series.split().val_end, len(series)
     origins = range(val_end, total - horizon + 1, stride)
@@ -261,7 +261,7 @@ def check_before_training(corpus: Corpus, cfg: ModelConfig, series_list, context
     for c in context_lengths:
         for s in series_list:
             with _naming(s, c):  # rolling_eval's first stack holds min(c, first origin) points
-                check_context(min(c, forecast_origins(s, horizon).start), cfg)
+                check_context(min(c, _forecast_origins(s, horizon).start), cfg)
 
 
 # -- ablation suites -------------------------------------------------------------------

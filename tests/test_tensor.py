@@ -1070,9 +1070,9 @@ def causal_scores(rng, shape, m, n):
     return 4.0 * rng.standard_normal(shape + (m, n)) + mask[n - m:n, :n]
 
 
-def softmax_and_vjp(x, g, **kw):
+def softmax_and_vjp(x, g):
     """Bytes of softmax_lastdim's output and of its VJP for output grad g."""
-    y = softmax_lastdim(Tensor(x, requires_grad=True), **kw)
+    y = softmax_lastdim(Tensor(x, requires_grad=True))
     (gx,) = last_record_vjp(g)
     active_tape().records.clear()
     return y.data.tobytes(), gx.tobytes()
